@@ -38,37 +38,28 @@ def _json_default(value):
     raise TypeError(f"not JSON-serializable: {type(value).__name__}")
 
 
-def _emit(rows: list[dict], args) -> None:
-    stream = sys.stdout
-    handle = None
-    if args.out:
-        handle = open(args.out, "w", newline="")
-        stream = handle
-    try:
-        if args.format == "json":
-            json.dump(rows, stream, indent=2, default=_json_default)
-            stream.write("\n")
-        elif args.format == "csv":
-            serialize.write_csv(
-                [
-                    {k: (json.dumps(v) if isinstance(v, (dict, list)) else v) for k, v in row.items()}
-                    for row in rows
-                ],
-                stream,
-            )
-        else:
-            for i, row in enumerate(rows):
-                if i:
-                    stream.write("\n")
-                for key, value in row.items():
-                    if isinstance(value, (dict, list)):
-                        value = json.dumps(value)
-                        stream.write(f"{key}: {value}\n")
-                    else:
-                        stream.write(f"{key}: {_fmt(value)}\n")
-    finally:
-        if handle is not None:
-            handle.close()
+def _emit(rows: list[dict], fmt: str, stream) -> None:
+    if fmt == "json":
+        json.dump(rows, stream, indent=2, default=_json_default)
+        stream.write("\n")
+    elif fmt == "csv":
+        serialize.write_csv(
+            [
+                {k: (json.dumps(v) if isinstance(v, (dict, list)) else v) for k, v in row.items()}
+                for row in rows
+            ],
+            stream,
+        )
+    else:
+        for i, row in enumerate(rows):
+            if i:
+                stream.write("\n")
+            for key, value in row.items():
+                if isinstance(value, (dict, list)):
+                    value = json.dumps(value)
+                    stream.write(f"{key}: {value}\n")
+                else:
+                    stream.write(f"{key}: {_fmt(value)}\n")
 
 
 def _cmd_entropy(args) -> list[dict]:
@@ -98,9 +89,7 @@ def _cmd_entropy(args) -> list[dict]:
 
 def _cmd_unitary_min(args) -> list[dict]:
     rho = DensityMatrix(serialize.matrix_from_json(serialize.load_json(args.input)))
-    report = ent.min_informational_over_unitaries(
-        rho, args.base, budget=args.budget, starts=args.starts, seed=args.seed
-    )
+    report = ent.min_informational_over_unitaries(rho, args.base, budget=args.budget)
     if report.residual_vs_von_neumann > 1e-4:
         print(
             f"warning: residual {report.residual_vs_von_neumann:.3e} exceeds 1e-4",
@@ -133,6 +122,8 @@ def _cmd_zeno(args) -> list[dict]:
             lo, hi = (int(part) for part in args.sweep.split(":"))
         except ValueError as exc:
             raise ParseError(f"--sweep expects N1:N2, got {args.sweep!r}") from exc
+        if lo > hi:
+            raise ParseError(f"--sweep expects N1 <= N2, got {args.sweep!r}")
         return zeno.steering_sweep_rows(range(lo, hi + 1), args.trials, args.seed)
     plan = _zeno_plan(args)
     rng = np.random.default_rng(args.seed)
@@ -268,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unitary-min", parents=[common], help="minimize informational entropy over unitaries")
     p.add_argument("input", help="JSON density matrix file")
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--starts", type=int, default=8)
     p.set_defaults(handler=_cmd_unitary_min)
 
     p = sub.add_parser("zeno", parents=[common], help="measurement steering: closed form vs Monte Carlo")
@@ -318,7 +308,16 @@ def main(argv=None) -> int:
     except QentroError as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 3
-    _emit(rows, args)
+    if not args.out:
+        _emit(rows, args.format, sys.stdout)
+        return 0
+    try:
+        handle = open(args.out, "w", newline="")
+    except OSError as exc:
+        print(f"error: parse: cannot write --out {args.out!r}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with handle:
+        _emit(rows, args.format, handle)
     return 0
 
 

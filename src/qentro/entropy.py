@@ -22,6 +22,7 @@ from . import linalg, states
 from .errors import (
     InvalidDistribution,
     NegativeArea,
+    NonFinite,
     NonpositivePrecision,
     NotADensity,
 )
@@ -98,6 +99,8 @@ def shannon(probs, base: str = BITS) -> EntropyResult:
     p = np.asarray(probs, dtype=float).reshape(-1)
     if p.size == 0:
         raise InvalidDistribution("empty probability vector")
+    if not np.all(np.isfinite(p)):
+        raise NonFinite("probabilities must be finite (no NaN/Inf)")
     if p.min() < -_PROB_TOL:
         raise InvalidDistribution(f"negative probability {p.min()!r}")
     total = float(p.sum())
@@ -204,6 +207,8 @@ def bekenstein_bound(area_planck_units: float, base: str = BITS) -> EntropyResul
     """Area entropy bound: ``A/4`` nats for an area in Planck units,
     divided by ln 2 when reporting bits."""
     _check_base(base)
+    if not math.isfinite(area_planck_units):
+        raise NonFinite(f"area must be finite, got {area_planck_units!r}")
     if area_planck_units < 0:
         raise NegativeArea(f"area must be nonnegative, got {area_planck_units!r}")
     nats = area_planck_units / 4.0
@@ -214,186 +219,95 @@ def bekenstein_bound(area_planck_units: float, base: str = BITS) -> EntropyResul
 # ---------------------------------------------------------------------------
 # Minimization of informational entropy over unitary conjugations.
 #
-# U(d) factors as D * V with D diagonal-phase and V a product of d(d-1)/2
-# complex Givens rotations; a left diagonal-phase factor never changes the
-# diagonal of U rho U†, so the search runs over the Givens angles only
-# (one rotation angle and one phase per coordinate pair).
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, lo: float, hi: float, iters: int = 36):
-    """Golden-section minimization on [lo, hi]; returns (x, f(x))."""
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
-def givens_unitary(dim: int, params: np.ndarray) -> np.ndarray:
-    """Unitary from a flat parameter vector of (angle, phase) pairs, one
-    pair per coordinate pair (p, q) with p < q in lexicographic order."""
-    u = np.eye(dim, dtype=complex)
-    k = 0
-    for p in range(dim):
-        for q in range(p + 1, dim):
-            theta, phi = params[k], params[k + 1]
-            k += 2
-            c, s = np.cos(theta), np.sin(theta)
-            e = np.exp(1j * phi)
-            row_p = c * u[p] - s * np.conjugate(e) * u[q]
-            row_q = s * e * u[p] + c * u[q]
-            u[p], u[q] = row_p, row_q
-    return u
-
-
-def _entry_entropy(x: float, base: str) -> float:
-    if x <= 0.0:
-        return 0.0
-    return -x * math.log2(x) if base == BITS else -x * math.log(x)
+# Cyclic Jacobi sweeps (Jacobi 1846; Golub & Van Loan, Matrix Computations,
+# sec. 8.5).  A complex Givens rotation on the coordinate pair (p, q) moves
+# only the diagonal entries m_pp and m_qq and keeps their sum fixed.  The
+# two-entry entropy is Schur-concave, so the best rotation for the pair is
+# the one that spreads m_pp and m_qq furthest apart: the 2x2 Jacobi rotation
+# that zeroes work[p, q].  Each pair step is therefore solved in closed form
+# and can never raise the objective; sweeping the pairs in turn drives the
+# working matrix to diagonal, where the objective equals the von Neumann
+# entropy.  No eigensolver is called.
 
 
 def min_informational_over_unitaries(
     rho,
     base: str = BITS,
     budget: int = 200_000,
-    starts: int = 8,
     seed: int = 0,
 ) -> UnitaryMinimizationReport:
     """Minimize ``informational(U rho U†)`` over unitaries ``U``.
 
-    Multi-start coordinate descent over the Givens parameterization: every
-    coordinate pair (p, q) carries a rotation angle and a phase, and each is
-    minimized in turn by a coarse scan plus golden-section refinement.  The
-    accepted rotation is folded into the working matrix after each pair
-    (re-centering the parameterization at the identity), which keeps every
-    line-search evaluation O(1): a single pair rotation only moves the two
-    diagonal entries p and q.
+    Cyclic Jacobi sweeps over the coordinate pairs (p, q): each pair is
+    rotated by the complex Givens rotation that zeroes the off-diagonal
+    entry ``work[p, q]`` of the working matrix ``work = U rho U†``, which is
+    the exact minimizer of the objective over that pair.  Pairs whose entry
+    is already zero are skipped, so a diagonal input returns the identity.
+    The search stops after a sweep that rotates nothing or lowers the
+    objective by less than ``1e-15 * (1 + |value|)``; it never reads the
+    von Neumann entropy, which is computed only for the report.
 
     The infimum equals the von Neumann entropy, attained at the eigenbasis
     rotation, so ``residual_vs_von_neumann`` measures search quality
-    directly.  ``budget`` caps objective evaluations; on exhaustion the best
-    point so far is returned with ``budget_exhausted=True``.
+    directly.  ``budget`` caps evaluations, one per pair visit, and
+    ``iterations`` reports the pair visits made; on exhaustion the point
+    reached so far is returned with ``budget_exhausted=True``.  The search
+    is deterministic: ``seed`` is accepted for compatibility and ignored.
     """
     _check_base(base)
     if not isinstance(rho, states.DensityMatrix):
         rho = states.DensityMatrix(rho)
     dim = rho.dim
-    reference = von_neumann(rho, base).value
-    residual_target = 1e-7 if dim <= 2 else 1e-5
-    pairs = [(p, q) for p in range(dim) for q in range(p + 1, dim)]
-    scan_pts = 13
-
+    # nested lists of Python complex: a pair step touches two rows and two
+    # columns of d entries each, too few for numpy's per-call overhead
+    work = rho.matrix.tolist()
+    u = np.eye(dim, dtype=complex).tolist()
+    value = informational(rho, base).value
     evals = 0
     exhausted = False
-    rng = np.random.default_rng(seed)
 
-    best_value = informational(rho, base).value
-    best_u = np.eye(dim, dtype=complex)
-
-    for start in range(max(starts, 1)):
-        if start == 0:
-            u = np.eye(dim, dtype=complex)
-        else:
-            n_params = dim * (dim - 1)
-            params = (rng.random(n_params) - 0.5) * np.pi
-            params[1::2] *= 2.0
-            u = givens_unitary(dim, params)
-        work = u @ rho.matrix @ u.conj().T
-        value = _plogp_sum(work.diagonal().real, base)
-
-        for _sweep in range(60):
+    while True:
+        sweep_start = value
+        rotated = False
+        for p in range(dim):
+            for q in range(p + 1, dim):
+                if evals >= budget:
+                    exhausted = True
+                    break
+                evals += 1
+                b = work[p][q]
+                if b == 0:
+                    continue
+                rotated = True
+                a, d = work[p][p].real, work[q][q].real
+                sgn = 1.0 if a >= d else -1.0
+                e = -sgn * b.conjugate() / abs(b)
+                theta = 0.5 * math.atan2(2.0 * abs(b), abs(a - d))
+                c, s = math.cos(theta), math.sin(theta)
+                g_pp, g_pq = c, -s * e.conjugate()
+                g_qp, g_qq = s * e, c
+                for rows in (work, u):
+                    row_p, row_q = rows[p], rows[q]
+                    for k in range(dim):
+                        x, y = row_p[k], row_q[k]
+                        row_p[k] = g_pp * x + g_pq * y
+                        row_q[k] = g_qp * x + g_qq * y
+                h_pq, h_qp = g_pq.conjugate(), g_qp.conjugate()
+                for row in work:
+                    x, y = row[p], row[q]
+                    row[p] = x * g_pp + y * h_pq
+                    row[q] = x * h_qp + y * g_qq
             if exhausted:
                 break
-            sweep_start = value
-            for p, q in pairs:
-                rest = value - _entry_entropy(work[p, p].real, base) - _entry_entropy(
-                    work[q, q].real, base
-                )
-                cpp, cqq, cpq = work[p, p].real, work[q, q].real, work[p, q]
-
-                def pair_objective(theta, phi):
-                    nonlocal evals
-                    evals += 1
-                    c, s = math.cos(theta), math.sin(theta)
-                    cross = 2.0 * c * s * (math.cos(phi) * cpq.real - math.sin(phi) * cpq.imag)
-                    mpp = c * c * cpp + s * s * cqq - cross
-                    mqq = s * s * cpp + c * c * cqq + cross
-                    return rest + _entry_entropy(mpp, base) + _entry_entropy(mqq, base)
-
-                # angle first: at theta = 0 the objective is constant in the
-                # phase, so the reverse order would open with a wasted search
-                theta_best, phi_best, f_best = 0.0, 0.0, value
-                for _round in range(2):
-                    for which, span in (("theta", math.pi), ("phi", 2.0 * math.pi)):
-                        if which == "phi":
-                            f = lambda x: pair_objective(theta_best, x)
-                            center = phi_best
-                        else:
-                            f = lambda x: pair_objective(x, phi_best)
-                            center = theta_best
-                        xs = center + (np.arange(scan_pts) / scan_pts - 0.5) * span
-                        fs = [f(x) for x in xs]
-                        k = int(np.argmin(fs))
-                        x_ref, f_ref = _golden_min(f, xs[k] - span / scan_pts, xs[k] + span / scan_pts)
-                        if f_ref <= fs[k]:
-                            x_new, f_new = x_ref, f_ref
-                        else:
-                            x_new, f_new = xs[k], fs[k]
-                        if f_new < f_best:
-                            f_best = f_new
-                            if which == "phi":
-                                phi_best = x_new
-                            else:
-                                theta_best = x_new
-                        if evals >= budget:
-                            exhausted = True
-                            break
-                    if exhausted:
-                        break
-                if f_best < value - 1e-16:
-                    # fold the accepted rotation into the working matrix and
-                    # the accumulated unitary
-                    c, s = math.cos(theta_best), math.sin(theta_best)
-                    e = complex(math.cos(phi_best), math.sin(phi_best))
-                    g_pp, g_pq = c, -s * e.conjugate()
-                    g_qp, g_qq = s * e, c
-                    row_p = g_pp * work[p, :] + g_pq * work[q, :]
-                    row_q = g_qp * work[p, :] + g_qq * work[q, :]
-                    work[p, :], work[q, :] = row_p, row_q
-                    col_p = work[:, p] * np.conjugate(g_pp) + work[:, q] * np.conjugate(g_pq)
-                    col_q = work[:, p] * np.conjugate(g_qp) + work[:, q] * np.conjugate(g_qq)
-                    work[:, p], work[:, q] = col_p, col_q
-                    urow_p = g_pp * u[p, :] + g_pq * u[q, :]
-                    urow_q = g_qp * u[p, :] + g_qq * u[q, :]
-                    u[p, :], u[q, :] = urow_p, urow_q
-                    value = _plogp_sum(work.diagonal().real, base)
-                if exhausted:
-                    break
-            if exhausted or sweep_start - value < 1e-15 * (1.0 + abs(value)):
-                break
-
-        if value < best_value:
-            best_value = value
-            best_u = u
-        if best_value - reference <= residual_target or exhausted:
+        value = _plogp_sum([work[k][k].real for k in range(dim)], base)
+        if exhausted or not rotated or sweep_start - value < 1e-15 * (1.0 + abs(value)):
             break
 
     return UnitaryMinimizationReport(
-        minimizer=best_u,
-        min_value=best_value,
+        minimizer=np.array(u),
+        min_value=value,
         iterations=evals,
-        residual_vs_von_neumann=best_value - reference,
+        residual_vs_von_neumann=value - von_neumann(rho, base).value,
         base=base,
         budget_exhausted=exhausted,
     )

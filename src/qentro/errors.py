@@ -17,6 +17,10 @@ class DimensionMismatch(QentroError):
     pass
 
 
+class NonFinite(QentroError):
+    """NaN or infinity where a finite number is required."""
+
+
 class NotHermitian(QentroError):
     pass
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, NoConvergence, NonFinite, NotHermitian
 
 #: Default tolerance for structural predicates.
 DEFAULT_TOL = 1e-10
@@ -26,7 +26,7 @@ def as_matrix(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        raise NonFinite("matrix entries must be finite (no NaN/Inf)")
     return a
 
 

@@ -13,6 +13,7 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     IncompleteMeasurementSet,
+    NonFinite,
     NotADensityMatrix,
     NotNormalized,
     NotUnitary,
@@ -30,7 +31,7 @@ class PureState:
         if amps.size < 2:
             raise DimensionMismatch("a pure state needs at least 2 amplitudes")
         if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite (no NaN/Inf)")
+            raise NonFinite("amplitudes must be finite (no NaN/Inf)")
         norm_sq = float((np.abs(amps) ** 2).sum())
         if abs(norm_sq - 1.0) > STATE_TOL:
             raise NotNormalized(

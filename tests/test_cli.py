@@ -239,3 +239,48 @@ def test_table_output_shows_base_label(capsys, blend_file):
     assert code == 0
     assert "0.811278" in out
     assert "bits" in out
+
+
+@pytest.mark.parametrize("area", ["nan", "inf"])
+def test_bound_non_finite_exits_3(capsys, area):
+    code, out, err = run(capsys, "bound", area)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: domain:")
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "which, obj",
+    [
+        ("informational", {"dim": 2, "re": [[math.nan, 0.0], [0.0, 0.5]], "im": [[0, 0], [0, 0]]}),
+        ("pure", {"amplitudes": [{"re": math.nan, "im": 0.0}, {"re": 1.0, "im": 0.0}]}),
+        ("shannon", {"probs": [math.nan, 1.0]}),
+    ],
+)
+def test_nan_json_input_exits_3(capsys, tmp_path, which, obj):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))  # Python's json writes and reads NaN
+    code, out, err = run(capsys, "entropy", str(path), "--which", which)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: domain:")
+    assert "finite" in err
+
+
+def test_zeno_sweep_reversed_exits_2(capsys):
+    code, out, err = run(capsys, "zeno", "--sweep", "5:1", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse:")
+    assert "N1 <= N2" in err
+
+
+def test_out_into_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "bound.csv"
+    code, out, err = run(capsys, "bound", "4", "--format", "csv", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse:")
+    assert "--out" in err
+    assert not target.exists()

@@ -350,3 +350,26 @@ def test_minimizer_budget_exhaustion_returns_best_so_far():
     assert report.iterations <= 10 + 60
     assert report.min_value >= von_neumann(rho).value - 1e-6
     assert is_unitary(report.minimizer, 1e-8)
+
+
+@pytest.mark.parametrize("dim", [16, 32])
+def test_minimizer_converges_at_dims_16_and_32(dim):
+    rho = random_density(dim, np.random.default_rng(1600 + dim))
+    report = min_informational_over_unitaries(rho)
+    assert not report.budget_exhausted
+    assert abs(report.residual_vs_von_neumann) <= 1e-10
+    assert is_unitary(report.minimizer, 1e-10)
+
+
+def test_minimizer_calls_no_eigensolver(monkeypatch):
+    rho = random_density(5, np.random.default_rng(55))
+    expected = von_neumann(rho).value
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolver called by the minimizer")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    report = min_informational_over_unitaries(rho)
+    assert report.min_value == pytest.approx(expected, abs=1e-12)
+    assert is_unitary(report.minimizer, 1e-10)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qentro.errors import DimensionMismatch, NotHermitian
+from qentro.errors import DimensionMismatch, NonFinite, NotHermitian
 from qentro.linalg import (
+    as_matrix,
     conjugate_transpose,
     hermitian_eigen,
     is_hermitian,
@@ -159,3 +160,11 @@ def test_random_unitary_is_unitary():
     rng = np.random.default_rng(23)
     for dim in (2, 3, 4):
         assert is_unitary(random_unitary(dim, rng), 1e-10)
+
+
+def test_as_matrix_rejects_non_finite_entries_as_domain_error():
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        with pytest.raises(NonFinite, match="finite"):
+            as_matrix(m)
