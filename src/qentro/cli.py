@@ -141,6 +141,8 @@ def _cmd_zeno(args) -> list[dict]:
 
 
 def _cmd_mzi(args) -> list[dict]:
+    if args.photons < 0:
+        raise ParseError(f"--photons must be >= 0, got {args.photons}")
     if args.arrangement == "rigid":
         mirror = mzi.MirrorModel.rigid()
     elif args.arrangement == "springy":
@@ -228,7 +230,9 @@ def _add_global_args(parser, suppress: bool):
     parser.add_argument(
         "--seed",
         type=int,
-        default=default(int(os.environ.get("QENTRO_SEED", "0"))),
+        # a string default is converted by type=int, so a malformed
+        # QENTRO_SEED is reported as a parse error like a bad --seed
+        default=default(os.environ.get("QENTRO_SEED", "0")),
         help="random seed (default: QENTRO_SEED env var or 0)",
     )
     parser.add_argument("--base", choices=(ent.BITS, ent.NATS), default=default(ent.BITS))

@@ -10,7 +10,8 @@ conjugations.
 
 Log base is explicit everywhere and reported with every result; the
 default is bits.  The convention ``0 log 0 = 0`` applies throughout, and
-eigenvalues in ``[-1e-10, 0]`` are clamped to zero before taking logs.
+nonpositive entries (eigenvalues within rounding of zero) contribute
+nothing.
 """
 
 import math
@@ -85,12 +86,11 @@ def convert(result: EntropyResult, base: str) -> EntropyResult:
 
 
 def _plogp_sum(probs: np.ndarray, base: str) -> float:
-    """``-sum p log p`` with 0 log 0 = 0; clamps values in [-1e-10, 0] to 0."""
+    """``-sum p log p`` over the positive entries (0 log 0 = 0); never -0.0."""
     p = np.asarray(probs, dtype=float)
-    p = np.where((p < 0) & (p >= -_PROB_TOL), 0.0, p)
     positive = p[p > 0]
     value = float(-(positive * _log(positive, base)).sum())
-    return max(value, 0.0)
+    return max(0.0, value)
 
 
 def shannon(probs, base: str = BITS) -> EntropyResult:
@@ -122,6 +122,8 @@ def differential_entropy(grid, density, base: str = NATS) -> EntropyResult:
     f = np.asarray(density, dtype=float).reshape(-1)
     if x.size != f.size or x.size < 2:
         raise NotADensity("grid and density must share a length of at least 2")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
+        raise NonFinite("grid and density must be finite (no NaN/Inf)")
     steps = np.diff(x)
     h = steps[0]
     if h <= 0 or np.abs(steps - h).max() > 1e-9 * abs(h):

@@ -54,16 +54,24 @@ def max_abs(a) -> float:
     return float(np.abs(a).max())
 
 
+def _hermitian_deviation(m: np.ndarray) -> float:
+    # max |m - m†| of an array already coerced by as_matrix
+    return max_abs(m - m.conj().T)
+
+
+def _unitary_deviation(m: np.ndarray) -> float:
+    # max |m†m - I| of an array already coerced by as_matrix
+    return max_abs(m.conj().T @ m - np.eye(m.shape[0]))
+
+
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``max |a - a†| <= tol``."""
-    m = as_matrix(a)
-    return max_abs(m - m.conj().T) <= tol
+    return _hermitian_deviation(as_matrix(a)) <= tol
 
 
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``max |a†a - I| <= tol``."""
-    m = as_matrix(a)
-    return max_abs(m.conj().T @ m - np.eye(m.shape[0])) <= tol
+    return _unitary_deviation(as_matrix(a)) <= tol
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ def hermitian_eigen(m, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     ``NoConvergence`` if the underlying iteration fails to converge.
     """
     a = as_matrix(m)
-    dev = max_abs(a - a.conj().T)
+    dev = _hermitian_deviation(a)
     if dev > tol:
         raise NotHermitian(f"max |m - m†| = {dev:.3e} exceeds tolerance {tol:.3e}")
     try:

@@ -5,6 +5,13 @@ Pure states are compared up to global phase; the canonical form fixes the
 first non-negligible amplitude to be positive real.  Every stochastic
 operation takes an explicit ``numpy.random.Generator`` so identical seeds
 reproduce identical outcome sequences.
+
+Validation happens once, at the boundary: the public constructors
+(``PureState(...)``, ``PureState.normalized``, ``DensityMatrix(...)``,
+``Ensemble``, ``MeasurementSet``) check every invariant of what they are
+given.  States derived from already-validated inputs (evolution, collapse,
+mixing, dephasing) are built through a private trusted path that skips the
+checks; their spectrum is computed on first use of ``eigenvalues()``.
 """
 
 import numpy as np
@@ -44,10 +51,21 @@ class PureState:
     def normalized(cls, raw_amplitudes) -> "PureState":
         """Construct from an unnormalized (nonzero) amplitude vector."""
         amps = np.asarray(raw_amplitudes, dtype=complex).reshape(-1)
+        if not np.all(np.isfinite(amps)):
+            raise NonFinite("amplitudes must be finite (no NaN/Inf)")
         norm = np.linalg.norm(amps)
         if norm == 0:
             raise NotNormalized("cannot normalize the zero vector")
         return cls(amps / norm)
+
+    @classmethod
+    def _trusted_normalized(cls, amps: np.ndarray) -> "PureState":
+        # Normalize a nonzero vector derived from validated inputs, as
+        # ``normalized`` does, without checking the result again.
+        state = cls.__new__(cls)
+        state._amps = amps / np.linalg.norm(amps)
+        state._amps.setflags(write=False)
+        return state
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "PureState":
@@ -93,13 +111,16 @@ class PureState:
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix.
 
-    Construction validates all three invariants; the error message names
-    the one that failed.
+    Public construction validates all three invariants; the error message
+    names the one that failed, and the spectrum computed for the
+    positivity check is cached.  States the library derives from validated
+    inputs skip the checks (see ``_trusted``) and compute their spectrum
+    on the first ``eigenvalues()`` call.
     """
 
     def __init__(self, matrix, tol: float = STATE_TOL):
         m = linalg.as_matrix(matrix)
-        if not linalg.is_hermitian(m, tol):
+        if linalg._hermitian_deviation(m) > tol:
             raise NotADensityMatrix("matrix is not Hermitian within tolerance")
         m = (m + m.conj().T) / 2
         trace = float(m.trace().real)
@@ -114,6 +135,16 @@ class DensityMatrix:
         self._m = m
         self._eigs = eigs
 
+    @classmethod
+    def _trusted(cls, m: np.ndarray) -> "DensityMatrix":
+        # Wrap a complex matrix derived from validated inputs: symmetrize
+        # exactly as __init__ does, but run no checks and no eigensolver.
+        rho = cls.__new__(cls)
+        rho._m = (m + m.conj().T) / 2
+        rho._m.setflags(write=False)
+        rho._eigs = None
+        return rho
+
     @property
     def matrix(self) -> np.ndarray:
         return self._m
@@ -127,7 +158,9 @@ class DensityMatrix:
         return self._m.diagonal().real.copy()
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending real eigenvalues, cached at construction."""
+        """Ascending real eigenvalues, computed once and cached."""
+        if self._eigs is None:
+            self._eigs = np.linalg.eigvalsh(self._m)
         return self._eigs.copy()
 
     def is_diagonal(self, tol: float = STATE_TOL) -> bool:
@@ -208,7 +241,7 @@ class MeasurementSet:
 def density_of_pure(state: PureState) -> DensityMatrix:
     """Rank-1 density matrix ``|phi><phi|`` of a pure state."""
     amps = state.amplitudes
-    return DensityMatrix(np.outer(amps, amps.conj()))
+    return DensityMatrix._trusted(np.outer(amps, amps.conj()))
 
 
 def mix(ensemble: Ensemble) -> DensityMatrix:
@@ -230,25 +263,25 @@ def mix(ensemble: Ensemble) -> DensityMatrix:
         rho += weight * component.matrix
     # weights sum to 1 within tolerance; rescale so the strict unit-trace
     # invariant holds exactly
-    return DensityMatrix(rho / rho.trace().real)
+    return DensityMatrix._trusted(rho / rho.trace().real)
 
 
 def evolve_unitary(state, u, tol: float = 1e-9):
     """Apply a unitary: ``U|phi>`` for pure states, ``U rho U†`` for density
     matrices.  Returns the same kind as the input."""
     u = linalg.as_matrix(u)
-    if not linalg.is_unitary(u, tol):
+    if linalg._unitary_deviation(u) > tol:
         raise NotUnitary("matrix is not unitary within tolerance")
     if isinstance(state, PureState):
         if state.dim != u.shape[0]:
             raise DimensionMismatch(f"state dim {state.dim} != unitary dim {u.shape[0]}")
         # renormalize away the (<= tol) drift allowed by the unitarity check
-        return PureState.normalized(u @ state.amplitudes)
+        return PureState._trusted_normalized(u @ state.amplitudes)
     if isinstance(state, DensityMatrix):
         if state.dim != u.shape[0]:
             raise DimensionMismatch(f"state dim {state.dim} != unitary dim {u.shape[0]}")
         rho = u @ state.matrix @ u.conj().T
-        return DensityMatrix(rho / rho.trace().real)
+        return DensityMatrix._trusted(rho / rho.trace().real)
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
@@ -261,12 +294,17 @@ def measure_collapse(state: PureState, mset: MeasurementSet, rng: np.random.Gene
     """
     if state.dim != mset.dim:
         raise DimensionMismatch(f"state dim {state.dim} != measurement dim {mset.dim}")
-    probs = mset.outcome_probabilities(state)
-    probs = np.clip(probs, 0.0, None)
+    # clip rounding negatives to 0: np.clip(probs, 0.0, None) calls this
+    # same ufunc, at a fraction of the per-call cost
+    probs = np.maximum(mset.outcome_probabilities(state), 0.0)
     probs = probs / probs.sum()
-    idx = int(rng.choice(len(probs), p=probs))
+    # inverse-CDF draw, the step Generator.choice(len(probs), p=probs) runs
+    # for one sample, so the outcome stream is the same
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    idx = int(cdf.searchsorted(rng.random(), side="right"))
     branch = mset.operators[idx] @ state.amplitudes
-    return mset.labels[idx], PureState.normalized(branch)
+    return mset.labels[idx], PureState._trusted_normalized(branch)
 
 
 def dephase(state) -> DensityMatrix:
@@ -278,7 +316,8 @@ def dephase(state) -> DensityMatrix:
         diag = state.diagonal()
     else:
         diag = linalg.as_matrix(state).diagonal().real
-    return DensityMatrix(np.diag(diag.astype(complex)))
+        return DensityMatrix(np.diag(diag.astype(complex)))
+    return DensityMatrix._trusted(np.diag(diag.astype(complex)))
 
 
 def alignment_matrix(theta: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qentro.cli import main
+from qentro.entropy import von_neumann
 from qentro.serialize import matrix_to_json
 
 EX_BLEND = {"dim": 2, "re": [[0.5, 0.25], [0.25, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
@@ -284,3 +285,38 @@ def test_out_into_missing_directory_exits_2(capsys, tmp_path):
     assert err.startswith("error: parse:")
     assert "--out" in err
     assert not target.exists()
+
+
+def test_zero_entropies_print_positive_zero(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"probs": [1, 0]}))
+    shannon_value = run_json(capsys, "entropy", str(path), "--which", "shannon")[0]["value"]
+    code, out, err = run(capsys, "mzi", "--arrangement", "rigid", "--format", "csv")
+    assert code == 0, err
+    header, row = out.splitlines()
+    mzi_value = float(row.split(",")[header.split(",").index("entropy_bits")])
+    vn_value = von_neumann([[1, 0], [0, 0]]).value
+    for value in (shannon_value, mzi_value, vn_value):
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0
+
+
+def test_mzi_negative_photons_exits_2(capsys):
+    code, out, err = run(capsys, "mzi", "--arrangement", "rigid", "--photons", "-3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse:")
+    assert "--photons must be >= 0" in err
+
+
+def test_malformed_seed_env_var_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("QENTRO_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: invalid int value: 'abc'" in captured.err
+    # an explicit --seed still overrides the environment
+    rows = run_json(capsys, "--seed", "5", "mzi", "--arrangement", "rigid")
+    assert rows[0]["seed"] == 5

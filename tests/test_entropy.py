@@ -20,6 +20,7 @@ from qentro.entropy import (
 from qentro.errors import (
     InvalidDistribution,
     NegativeArea,
+    NonFinite,
     NonpositivePrecision,
     NotADensity,
 )
@@ -373,3 +374,17 @@ def test_minimizer_calls_no_eigensolver(monkeypatch):
     report = min_informational_over_unitaries(rho)
     assert report.min_value == pytest.approx(expected, abs=1e-12)
     assert is_unitary(report.minimizer, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "grid, density",
+    [
+        ([0.0, 1.0, 2.0], [0.5, math.nan, 0.5]),
+        ([0.0, 1.0, 2.0], [0.5, math.inf, 0.5]),
+        ([0.0, math.nan, 2.0], [0.5, 0.5, 0.5]),
+        ([0.0, 1.0, math.inf], [0.5, 0.5, 0.5]),
+    ],
+)
+def test_differential_entropy_rejects_non_finite(grid, density):
+    with pytest.raises(NonFinite, match="finite"):
+        differential_entropy(grid, density)

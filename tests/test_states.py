@@ -6,6 +6,7 @@ import pytest
 from qentro.errors import (
     DimensionMismatch,
     IncompleteMeasurementSet,
+    NonFinite,
     NotADensityMatrix,
     NotNormalized,
     NotUnitary,
@@ -244,3 +245,79 @@ def test_canonical_global_phase():
     assert canon.amplitudes[0].real > 0
     assert abs(canon.amplitudes[0].imag) < 1e-12
     assert state.equals_up_to_phase(canon, 1e-12)
+
+
+def _same_bytes(got, ref):
+    return (
+        got.matrix.tobytes() == ref.matrix.tobytes()
+        and got.eigenvalues().tobytes() == ref.eigenvalues().tobytes()
+    )
+
+
+def test_derived_states_match_validating_constructor_bitwise():
+    # each derived state equals DensityMatrix(<the array it is built from>),
+    # matrix and spectrum, to the last bit
+    rng = np.random.default_rng(11)
+    for dim in (2, 3, 5):
+        rho = random_density(dim, rng)
+        u = random_unitary(dim, rng)
+        state = random_pure(dim, rng)
+        raw = u @ rho.matrix @ u.conj().T
+        assert _same_bytes(evolve_unitary(rho, u), DensityMatrix(raw / raw.trace().real))
+        ensemble = Ensemble([(0.25, state), (0.35, random_pure(dim, rng))], (0.4, rho))
+        raw = np.zeros((dim, dim), dtype=complex)
+        for weight, part in ensemble.pure_parts:
+            raw += weight * np.outer(part.amplitudes, part.amplitudes.conj())
+        raw += 0.4 * rho.matrix
+        assert _same_bytes(mix(ensemble), DensityMatrix(raw / raw.trace().real))
+        assert _same_bytes(dephase(rho), DensityMatrix(np.diag(rho.diagonal().astype(complex))))
+        assert _same_bytes(
+            dephase(state), DensityMatrix(np.diag(state.probabilities().astype(complex)))
+        )
+        amps = state.amplitudes
+        assert _same_bytes(density_of_pure(state), DensityMatrix(np.outer(amps, amps.conj())))
+
+
+def test_derived_states_call_no_eigensolver(monkeypatch):
+    rng = np.random.default_rng(12)
+    rho = random_density(3, rng)
+    u = random_unitary(3, rng)
+    state = random_pure(3, rng)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    derived = [
+        evolve_unitary(rho, u),
+        mix(Ensemble([(0.5, state)], (0.5, rho))),
+        dephase(rho),
+        dephase(state),
+        density_of_pure(state),
+    ]
+    evolve_unitary(state, u)
+    measure_collapse(state, MeasurementSet.computational(3), rng)
+    for out in derived:
+        with pytest.raises(AssertionError, match="eigensolver called"):
+            out.eigenvalues()
+
+
+def test_measure_collapse_draws_the_generator_choice_stream():
+    mset = MeasurementSet.computational(3)
+    state = PureState.normalized([1.0, 2.0j, 0.5])
+    p = np.clip(mset.outcome_probabilities(state), 0.0, None)
+    p = p / p.sum()
+    reference_rng = np.random.default_rng(2024)
+    reference = [str(reference_rng.choice(3, p=p)) for _ in range(10_000)]
+    rng = np.random.default_rng(2024)
+    drawn = [measure_collapse(state, mset, rng)[0] for _ in range(10_000)]
+    assert drawn == reference
+
+
+def test_boundary_still_rejects_invalid_inputs():
+    with pytest.raises(NotUnitary):
+        evolve_unitary(random_density(2, np.random.default_rng(0)), [[1.0, 0.0], [0.0, 1.1]])
+    with pytest.raises(NonFinite):
+        PureState.normalized([math.nan, 1.0])
+    with pytest.raises(NotADensityMatrix):
+        dephase(np.array([[1.5, 0.2], [0.2, -0.5]]))
