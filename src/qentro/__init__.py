@@ -23,7 +23,6 @@ from .entropy import (
 from .linalg import (
     EigenDecomposition,
     conjugate_transpose,
-    dagger,
     hermitian_eigen,
     is_hermitian,
     is_unitary,

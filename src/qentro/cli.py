@@ -126,18 +126,8 @@ def _cmd_zeno(args) -> list[dict]:
             raise ParseError(f"--sweep expects N1 <= N2, got {args.sweep!r}")
         return zeno.steering_sweep_rows(range(lo, hi + 1), args.trials, args.seed)
     plan = _zeno_plan(args)
-    rng = np.random.default_rng(args.seed)
-    result = zeno.simulate_steering(plan, args.trials, rng)
-    return [
-        {
-            "n_steps": plan.n_steps,
-            "theta_deg": math.degrees(plan.theta_step),
-            "closed_form_prob": zeno.steering_success_probability(plan),
-            "empirical_prob": result.success_rate,
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-    ]
+    result = zeno.simulate_steering(plan, args.trials, np.random.default_rng(args.seed))
+    return [zeno.steering_row(plan, result, args.seed)]
 
 
 def _cmd_mzi(args) -> list[dict]:
@@ -149,26 +139,7 @@ def _cmd_mzi(args) -> list[dict]:
         mirror = mzi.MirrorModel.springy()
     else:
         mirror = mzi.MirrorModel.unknown(args.prior)
-    dist = mzi.outcome_distribution(mirror)
-    row = {
-        "arrangement": mirror.kind,
-        "prior": mirror.prior_springy if mirror.kind == mzi.UNKNOWN else "",
-        "p_absorbed": dist.p_absorbed,
-        "p_d1": dist.p_d1,
-        "p_d2": dist.p_d2,
-        "entropy_bits": mzi.arrangement_entropy(mirror, ent.BITS).value,
-        "seed": args.seed,
-    }
-    if mirror.kind == mzi.UNKNOWN:
-        row["posterior_d1"] = mzi.posterior_springy(args.prior, mzi.D1)
-        row["posterior_d2"] = mzi.posterior_springy(args.prior, mzi.D2)
-        row["posterior_absorbed"] = mzi.posterior_springy(args.prior, mzi.ABSORBED)
-    if args.photons > 0:
-        counts = mzi.simulate_photons(mirror, args.photons, np.random.default_rng(args.seed))
-        row["count_absorbed"] = counts[mzi.ABSORBED]
-        row["count_d1"] = counts[mzi.D1]
-        row["count_d2"] = counts[mzi.D2]
-    return [row]
+    return mzi.arrangement_rows(mirror, args.photons, args.seed)
 
 
 def _cmd_protocol(args) -> list[dict]:
@@ -176,16 +147,7 @@ def _cmd_protocol(args) -> list[dict]:
         key = protocol.SignatureKey.uniform(args.n, math.radians(args.key_angle_deg))
         rng = np.random.default_rng(args.seed)
         result = protocol.eve_attack_success(key, args.strategy, args.trials, rng)
-        return [
-            {
-                "n": args.n,
-                "strategy": args.strategy,
-                "trials": args.trials,
-                "successes": result.successes,
-                "rate": result.success_rate,
-                "seed": args.seed,
-            }
-        ]
+        return [protocol.attack_row(key, result, args.seed)]
     theta_true = math.radians(args.theta_deg)
     source = protocol.HiddenQubitSource(theta_true, seed=args.seed)
     if args.adaptive:
@@ -194,24 +156,12 @@ def _cmd_protocol(args) -> list[dict]:
             math.radians(args.target_halfwidth_deg),
             confidence_shots=args.shots,
         )
-        theta_hat, copies = estimate.theta_hat, estimate.copies_used
-        n_field = estimate.rounds
+        n = estimate.rounds
     else:
         grid = protocol.QuantizationGrid(args.grid_n)
         estimate = protocol.estimate_theta_bruteforce(source, grid, args.shots)
-        theta_hat, copies = estimate.theta_hat, estimate.copies_used
-        n_field = args.grid_n
-    return [
-        {
-            "n": n_field,
-            "shots": args.shots,
-            "theta_true": theta_true,
-            "theta_hat": theta_hat,
-            "error": abs(theta_hat - theta_true),
-            "copies_used": copies,
-            "seed": args.seed,
-        }
-    ]
+        n = args.grid_n
+    return [protocol.estimation_row(n, args.shots, theta_true, estimate, args.seed)]
 
 
 def _cmd_bound(args) -> list[dict]:

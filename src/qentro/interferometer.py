@@ -156,22 +156,24 @@ def mirror_position_uncertainty(wavelength: float) -> float:
 
 
 def arrangement_rows(mirror: MirrorModel, photons: int, seed: int) -> list[dict]:
-    """One CSV row summarizing an arrangement: exact distribution, entropy,
-    and seeded simulation counts."""
+    """One row summarizing an arrangement: exact distribution and entropy,
+    for the unknown arrangement the posterior after each outcome, and,
+    unless ``photons`` is 0, photon counts simulated from ``seed``."""
     dist = outcome_distribution(mirror)
-    rng = np.random.default_rng(seed)
-    counts = simulate_photons(mirror, photons, rng)
-    return [
-        {
-            "arrangement": mirror.kind,
-            "prior": mirror.prior_springy if mirror.kind == UNKNOWN else "",
-            "p_absorbed": dist.p_absorbed,
-            "p_d1": dist.p_d1,
-            "p_d2": dist.p_d2,
-            "entropy_bits": arrangement_entropy(mirror, BITS).value,
-            "seed": seed,
-            "count_absorbed": counts[ABSORBED],
-            "count_d1": counts[D1],
-            "count_d2": counts[D2],
-        }
-    ]
+    row = {
+        "arrangement": mirror.kind,
+        "prior": mirror.prior_springy if mirror.kind == UNKNOWN else "",
+        "p_absorbed": dist.p_absorbed,
+        "p_d1": dist.p_d1,
+        "p_d2": dist.p_d2,
+        "entropy_bits": arrangement_entropy(mirror, BITS).value,
+        "seed": seed,
+    }
+    if mirror.kind == UNKNOWN:
+        for outcome in (D1, D2, ABSORBED):
+            row[f"posterior_{outcome}"] = posterior_springy(mirror.prior_springy, outcome)
+    if photons != 0:
+        counts = simulate_photons(mirror, photons, np.random.default_rng(seed))
+        for outcome in OUTCOMES:
+            row[f"count_{outcome}"] = counts[outcome]
+    return [row]

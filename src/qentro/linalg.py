@@ -35,10 +35,6 @@ def conjugate_transpose(a) -> np.ndarray:
     return as_matrix(a).conj().T.copy()
 
 
-#: Short alias used throughout the package.
-dagger = conjugate_transpose
-
-
 def multiply(a, b) -> np.ndarray:
     """Matrix product of two square matrices of equal dimension."""
     ma, mb = as_matrix(a), as_matrix(b)
@@ -92,18 +88,12 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _normalize_column_phases(v: np.ndarray) -> np.ndarray:
-    # Fix the gauge freedom: rotate each column so its first component with
-    # modulus above 1e-12 of the column max becomes positive real.
-    v = v.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        mags = np.abs(col)
-        idx = np.argmax(mags > 1e-12 * mags.max())
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            v[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return v
+def _fix_phase(vec: np.ndarray) -> np.ndarray:
+    # Fix the gauge freedom of a nonzero vector: rotate it so its first
+    # component with modulus above 1e-12 of the max becomes positive real.
+    mags = np.abs(vec)
+    pivot = vec[np.argmax(mags > 1e-12 * mags.max())]
+    return vec * (pivot.conjugate() / abs(pivot))
 
 
 def hermitian_eigen(m, tol: float = DEFAULT_TOL) -> EigenDecomposition:
@@ -120,7 +110,9 @@ def hermitian_eigen(m, tol: float = DEFAULT_TOL) -> EigenDecomposition:
         w, v = np.linalg.eigh((a + a.conj().T) / 2)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-    return EigenDecomposition(w.astype(float), _normalize_column_phases(v))
+    for k in range(v.shape[1]):
+        v[:, k] = _fix_phase(v[:, k])
+    return EigenDecomposition(w.astype(float), v)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     BudgetExhausted,
     LengthMismatch,
+    NonFinite,
     NonpositiveN,
     QentroError,
 )
@@ -168,7 +169,7 @@ def estimate_theta_adaptive(
     midpoint.  Raises ``BudgetExhausted`` if the next round would exceed
     ``max_copies``.
     """
-    if target_halfwidth <= 0:
+    if not target_halfwidth > 0:  # also rejects NaN
         raise QentroError(f"target halfwidth must be positive, got {target_halfwidth!r}")
     if confidence_shots < 1:
         raise NonpositiveN(f"confidence_shots must be >= 1, got {confidence_shots!r}")
@@ -208,6 +209,8 @@ class SignatureKey:
         arr = np.asarray(angles, dtype=float).reshape(-1)
         if arr.size < 1:
             raise LengthMismatch("a signature key needs at least one angle")
+        if np.isnan(arr).any():
+            raise NonFinite("key angles must not be NaN")
         if arr.min() < 0.0 or arr.max() > HALF_PI:
             raise QentroError("key angles must lie in [0, pi/2]")
         arr.setflags(write=False)
@@ -215,6 +218,8 @@ class SignatureKey:
 
     @classmethod
     def uniform(cls, n: int, angle: float = math.pi / 4.0) -> "SignatureKey":
+        if n < 1:
+            raise LengthMismatch("a signature key needs at least one angle")
         return cls(np.full(n, angle))
 
     @property
@@ -288,51 +293,59 @@ def eve_attack_success(
     return AttackResult(strategy, trials, successes)
 
 
-def estimation_rows(
-    grid_levels, shots_per_hypothesis: int, theta_true: float, seed: int
-) -> list[dict]:
-    """CSV rows for the brute-force estimation cost curve, one per grid size.
+def estimation_row(n: int, shots: int, theta_true: float, estimate, seed: int) -> dict:
+    """One row scoring an angle estimate (a ``BruteForceEstimate`` or an
+    ``AdaptiveEstimate``) against the true angle.
 
     Columns: n, shots, theta_true, theta_hat, error, copies_used, seed.
     """
+    return {
+        "n": n,
+        "shots": shots,
+        "theta_true": theta_true,
+        "theta_hat": estimate.theta_hat,
+        "error": abs(estimate.theta_hat - theta_true),
+        "copies_used": estimate.copies_used,
+        "seed": seed,
+    }
+
+
+def attack_row(key: SignatureKey, result: AttackResult, seed: int) -> dict:
+    """One row of forgery statistics against ``key``.
+
+    Columns: n, strategy, trials, successes, rate, seed.
+    """
+    return {
+        "n": key.length,
+        "strategy": result.strategy,
+        "trials": result.trials,
+        "successes": result.successes,
+        "rate": result.success_rate,
+        "seed": seed,
+    }
+
+
+def estimation_rows(
+    grid_levels, shots_per_hypothesis: int, theta_true: float, seed: int
+) -> list[dict]:
+    """Brute-force estimation cost curve, one ``estimation_row`` per grid
+    size, each estimate drawn from a source spawned by its size."""
     rows = []
     for n in grid_levels:
         source = HiddenQubitSource(theta_true, seed=seed).spawn(int(n))
         estimate = estimate_theta_bruteforce(
             source, QuantizationGrid(int(n)), shots_per_hypothesis
         )
-        rows.append(
-            {
-                "n": int(n),
-                "shots": shots_per_hypothesis,
-                "theta_true": theta_true,
-                "theta_hat": estimate.theta_hat,
-                "error": abs(estimate.theta_hat - theta_true),
-                "copies_used": estimate.copies_used,
-                "seed": seed,
-            }
-        )
+        rows.append(estimation_row(int(n), shots_per_hypothesis, theta_true, estimate, seed))
     return rows
 
 
 def attack_rows(key_lengths, strategy: str, trials: int, seed: int) -> list[dict]:
-    """CSV rows for the forgery success curve, one per key length.
-
-    Columns: n, strategy, trials, successes, rate, seed.
-    """
+    """Forgery success curve, one ``attack_row`` per key length, each run on
+    its own stream spawned from ``seed``."""
     rows = []
     for n in key_lengths:
         key = SignatureKey.uniform(int(n))
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(n),)))
-        result = eve_attack_success(key, strategy, trials, rng)
-        rows.append(
-            {
-                "n": int(n),
-                "strategy": strategy,
-                "trials": trials,
-                "successes": result.successes,
-                "rate": result.success_rate,
-                "seed": seed,
-            }
-        )
+        rows.append(attack_row(key, eve_attack_success(key, strategy, trials, rng), seed))
     return rows

@@ -108,10 +108,13 @@ def load_json(path: str):
 
 def write_csv(rows: list[dict], stream) -> None:
     """Write dict rows with a header; full-precision floats via repr so
-    identical inputs produce byte-identical output."""
+    identical inputs produce byte-identical output.  Float subclasses such
+    as numpy scalars are written as plain floats."""
     if not rows:
         return
     writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
+        writer.writerow(
+            {k: (repr(float(v)) if isinstance(v, float) else v) for k, v in row.items()}
+        )

@@ -24,6 +24,7 @@ from .errors import (
     NotADensityMatrix,
     NotNormalized,
     NotUnitary,
+    QentroError,
     WeightSumInvalid,
 )
 
@@ -93,10 +94,7 @@ class PureState:
     def canonical(self) -> "PureState":
         """Global-phase-fixed representative: first significant amplitude
         rotated to be positive real."""
-        mags = np.abs(self._amps)
-        idx = np.argmax(mags > 1e-12 * mags.max())
-        pivot = self._amps[idx]
-        return PureState(self._amps * (pivot.conjugate() / abs(pivot)))
+        return PureState(linalg._fix_phase(self._amps))
 
     def equals_up_to_phase(self, other: "PureState", tol: float = 1e-9) -> bool:
         if self.dim != other.dim:
@@ -182,13 +180,20 @@ class Ensemble:
     def __init__(self, pure_parts, mixed_part=None, tol: float = STATE_TOL):
         self.pure_parts = [(float(w), s) for w, s in pure_parts]
         self.mixed_part = None if mixed_part is None else (float(mixed_part[0]), mixed_part[1])
+        for i, (_, s) in enumerate(self.pure_parts):
+            if not isinstance(s, PureState):
+                raise QentroError(f"pure part {i} must be a PureState, got {type(s).__name__}")
+        if self.mixed_part is not None and not isinstance(self.mixed_part[1], DensityMatrix):
+            raise QentroError(
+                f"mixed part must be a DensityMatrix, got {type(self.mixed_part[1]).__name__}"
+            )
         weights = [w for w, _ in self.pure_parts]
         if self.mixed_part is not None:
             weights.append(self.mixed_part[0])
         if any(w < -1e-12 for w in weights):
             raise WeightSumInvalid(f"negative weight in {weights}")
         total = sum(weights)
-        if abs(total - 1.0) > tol:
+        if not abs(total - 1.0) <= tol:  # also rejects a NaN weight
             raise WeightSumInvalid(f"weights sum to {total!r}, expected 1")
 
 
@@ -309,14 +314,14 @@ def measure_collapse(state: PureState, mset: MeasurementSet, rng: np.random.Gene
 
 def dephase(state) -> DensityMatrix:
     """Drop all coherences: zero the off-diagonal entries in the
-    computational basis, keeping the diagonal."""
+    computational basis, keeping the diagonal.  A matrix that is not a
+    state yet is validated as a ``DensityMatrix`` first."""
     if isinstance(state, PureState):
         diag = state.probabilities()
-    elif isinstance(state, DensityMatrix):
-        diag = state.diagonal()
     else:
-        diag = linalg.as_matrix(state).diagonal().real
-        return DensityMatrix(np.diag(diag.astype(complex)))
+        if not isinstance(state, DensityMatrix):
+            state = DensityMatrix(state)
+        diag = state.diagonal()
     return DensityMatrix._trusted(np.diag(diag.astype(complex)))
 
 

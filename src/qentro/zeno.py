@@ -162,25 +162,30 @@ def simulate_steering(plan: SteeringPlan, trials: int, rng: np.random.Generator)
     return SteeringResult(int(alive.sum()), trials, survivors)
 
 
-def steering_sweep_rows(n_values, trials: int, seed: int) -> list[dict]:
-    """Closed-form vs Monte Carlo steering curve, one row per step count.
+def steering_row(plan: SteeringPlan, result: SteeringResult, seed: int) -> dict:
+    """One row comparing the closed form with a Monte Carlo run of ``plan``.
 
     Columns: n_steps, theta_deg, closed_form_prob, empirical_prob, trials,
-    seed.  Rows are deterministic for a fixed seed.
+    seed.
+    """
+    return {
+        "n_steps": plan.n_steps,
+        "theta_deg": math.degrees(plan.theta_step),
+        "closed_form_prob": steering_success_probability(plan),
+        "empirical_prob": result.success_rate,
+        "trials": result.trials,
+        "seed": seed,
+    }
+
+
+def steering_sweep_rows(n_values, trials: int, seed: int) -> list[dict]:
+    """Closed-form vs Monte Carlo steering curve, one ``steering_row`` per
+    step count, each run on its own stream spawned from ``seed``.  Rows are
+    deterministic for a fixed seed.
     """
     rows = []
     for n in n_values:
         plan = SteeringPlan.from_steps(int(n))
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(n),)))
-        result = simulate_steering(plan, trials, rng)
-        rows.append(
-            {
-                "n_steps": plan.n_steps,
-                "theta_deg": math.degrees(plan.theta_step),
-                "closed_form_prob": steering_success_probability(plan),
-                "empirical_prob": result.success_rate,
-                "trials": trials,
-                "seed": seed,
-            }
-        )
+        rows.append(steering_row(plan, simulate_steering(plan, trials, rng), seed))
     return rows

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qentro import interferometer, protocol, zeno
 from qentro.cli import main
 from qentro.entropy import von_neumann
 from qentro.serialize import matrix_to_json
@@ -320,3 +321,95 @@ def test_malformed_seed_env_var_exits_2(capsys, monkeypatch):
     # an explicit --seed still overrides the environment
     rows = run_json(capsys, "--seed", "5", "mzi", "--arrangement", "rigid")
     assert rows[0]["seed"] == 5
+
+
+def test_mzi_unknown_csv_fields_are_plain_numbers(capsys):
+    argv = ["mzi", "--arrangement", "unknown", "--prior", "0.5", "--photons", "10"]
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    header, row = out.splitlines()
+    for key, value in zip(header.split(","), row.split(",")):
+        if key != "arrangement":
+            float(value)  # "np.float64(0.25)" would raise
+
+
+@pytest.mark.parametrize(
+    "argv, invariant",
+    [
+        (["protocol", "attack", "--n=-1"], "at least one angle"),
+        (["protocol", "attack", "--key-angle-deg", "nan"], "NaN"),
+        (["protocol", "estimate", "--adaptive", "--target-halfwidth-deg", "nan"], "halfwidth"),
+    ],
+)
+def test_protocol_invalid_numbers_exit_3(capsys, argv, invariant):
+    code, out, err = run(capsys, *argv, "--trials", "10", "--shots", "10")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: domain:")
+    assert invariant in err
+
+
+# The CLI prints the rows the library builds: same columns, same order,
+# same values for the same seed.
+SEED = 11
+
+
+def cli_items(capsys, *argv):
+    return [list(row.items()) for row in run_json(capsys, "--seed", str(SEED), *argv)]
+
+
+def lib_items(rows):
+    return [list(row.items()) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "flag, value, plan",
+    [
+        ("--n-steps", "7", zeno.SteeringPlan.from_steps(7)),
+        ("--theta-deg", "15", zeno.SteeringPlan(math.radians(15))),
+    ],
+)
+def test_zeno_prints_steering_row(capsys, flag, value, plan):
+    result = zeno.simulate_steering(plan, 500, np.random.default_rng(SEED))
+    assert cli_items(capsys, "zeno", flag, value, "--trials", "500") == lib_items(
+        [zeno.steering_row(plan, result, SEED)]
+    )
+
+
+@pytest.mark.parametrize("arrangement", ["rigid", "springy", "unknown"])
+@pytest.mark.parametrize("photons", [0, 300])
+def test_mzi_prints_arrangement_rows(capsys, arrangement, photons):
+    argv = ["mzi", "--arrangement", arrangement, "--photons", str(photons), "--prior", "0.3"]
+    if arrangement == "unknown":
+        mirror = interferometer.MirrorModel.unknown(0.3)
+    else:
+        mirror = interferometer.MirrorModel(arrangement)
+    assert cli_items(capsys, *argv) == lib_items(
+        interferometer.arrangement_rows(mirror, photons, SEED)
+    )
+
+
+def test_protocol_attack_prints_attack_row(capsys):
+    key = protocol.SignatureKey.uniform(5, math.radians(30))
+    result = protocol.eve_attack_success(key, protocol.REPLAY, 4000, np.random.default_rng(SEED))
+    argv = ["protocol", "attack", "--n", "5", "--trials", "4000", "--strategy", "replay"]
+    assert cli_items(capsys, *argv, "--key-angle-deg", "30") == lib_items(
+        [protocol.attack_row(key, result, SEED)]
+    )
+
+
+def test_protocol_estimate_prints_estimation_row(capsys):
+    theta = math.radians(20)
+    grid = protocol.estimate_theta_bruteforce(
+        protocol.HiddenQubitSource(theta, seed=SEED), protocol.QuantizationGrid(6), 300
+    )
+    argv = ["protocol", "estimate", "--theta-deg", "20", "--shots", "300"]
+    assert cli_items(capsys, *argv, "--grid-n", "6") == lib_items(
+        [protocol.estimation_row(6, 300, theta, grid, SEED)]
+    )
+    adaptive = protocol.estimate_theta_adaptive(
+        protocol.HiddenQubitSource(theta, seed=SEED), math.radians(5.0), confidence_shots=300
+    )
+    assert cli_items(capsys, *argv, "--adaptive", "--target-halfwidth-deg", "5") == lib_items(
+        [protocol.estimation_row(adaptive.rounds, 300, theta, adaptive, SEED)]
+    )

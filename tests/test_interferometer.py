@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qentro.entropy import NATS
-from qentro.errors import ImpossibleOutcome, NonpositiveWavelength, QentroError
+from qentro.errors import ImpossibleOutcome, NonpositiveN, NonpositiveWavelength, QentroError
 from qentro.interferometer import (
     ABSORBED,
     D1,
@@ -143,3 +143,18 @@ def test_arrangement_rows_schema():
     assert row["entropy_bits"] == pytest.approx(1.299, abs=5e-4)
     assert row["count_absorbed"] + row["count_d1"] + row["count_d2"] == 1000
     assert arrangement_rows(MirrorModel.unknown(0.5), photons=1000, seed=4) == rows
+
+
+def test_arrangement_rows_without_photons():
+    for mirror in (MirrorModel.rigid(), MirrorModel.springy(), MirrorModel.unknown(0.3)):
+        (row,) = arrangement_rows(mirror, photons=0, seed=4)
+        assert not any(key.startswith("count_") for key in row)
+        posteriors = [key for key in row if key.startswith("posterior_")]
+        if mirror.kind == "unknown":
+            assert posteriors == ["posterior_d1", "posterior_d2", "posterior_absorbed"]
+            for outcome in (D1, D2, ABSORBED):
+                assert row[f"posterior_{outcome}"] == posterior_springy(0.3, outcome)
+        else:
+            assert posteriors == []
+    with pytest.raises(NonpositiveN):
+        arrangement_rows(MirrorModel.rigid(), photons=-1, seed=4)

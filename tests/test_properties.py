@@ -1,9 +1,14 @@
 """Property tests of the paper's invariants over generated inputs."""
 
+import contextlib
+import io
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qentro.cli import main
 from qentro.entropy import informational, von_neumann
 from qentro.linalg import random_unitary
 from qentro.states import evolve_unitary, random_density
@@ -18,3 +23,66 @@ def test_unitary_evolution_keeps_spectrum_and_informational_bound(dim, seed):
     evolved = evolve_unitary(rho, random_unitary(dim, rng))
     assert informational(evolved).value >= von_neumann(rho).value - 1e-12
     assert np.abs(evolved.eigenvalues() - rho.eigenvalues()).max() <= 1e-10
+
+
+# Numeric flag values for the CLI fuzz.  Sizes stay small so each run is
+# quick: trials and shots at most 50, step counts, key lengths and grid
+# sizes at most 64, and step angles of zero or less, or of at least 0.01
+# degrees (a positive step of theta degrees asks for 90 / theta steps).
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+_FLOAT = st.one_of(_SPECIAL, st.floats(-1e6, 1e6)).map(repr)
+_STEP_DEG = st.one_of(_SPECIAL, st.floats(-400, 0), st.floats(0.01, 400)).map(repr)
+_INT = st.one_of(st.integers(-3, 64).map(str), st.sampled_from(["nan", "1.5", "-inf"]))
+_COUNT = st.integers(-3, 50).map(str)
+
+
+def _flags(**strategies):
+    # each flag is either left out or given a generated value
+    pairs = [
+        st.one_of(st.just([]), value.map(lambda v, f=flag: [f, v]))
+        for flag, value in strategies.items()
+    ]
+    return st.tuples(*pairs).map(lambda parts: [item for part in parts for item in part])
+
+
+_ARGV = st.one_of(
+    st.tuples(_COUNT, _flags(**{"--n-steps": _INT, "--theta-deg": _STEP_DEG})).map(
+        lambda t: ["zeno", "--trials", t[0]] + t[1]
+    ),
+    st.tuples(
+        st.sampled_from(["rigid", "springy", "unknown"]),
+        _flags(**{"--prior": _FLOAT, "--photons": _INT}),
+    ).map(lambda t: ["mzi", "--arrangement", t[0]] + t[1]),
+    st.tuples(_COUNT, _flags(**{"--n": _INT, "--key-angle-deg": _FLOAT})).map(
+        lambda t: ["protocol", "attack", "--trials", t[0]] + t[1]
+    ),
+    st.tuples(
+        _COUNT,
+        st.sampled_from([[], ["--adaptive"]]),
+        _flags(**{"--grid-n": _INT, "--theta-deg": _FLOAT, "--target-halfwidth-deg": _FLOAT}),
+    ).map(lambda t: ["protocol", "estimate", "--shots", t[0]] + t[1] + t[2]),
+    _FLOAT.map(lambda area: ["bound", "--", area]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_ARGV, seed=st.one_of(st.integers(-2, 2**40).map(str), st.just("nan")))
+@example(argv=["protocol", "attack", "--n=-1", "--trials", "10"], seed="0")
+@example(argv=["protocol", "attack", "--key-angle-deg", "nan", "--trials", "10"], seed="0")
+@example(
+    argv=["protocol", "estimate", "--adaptive", "--target-halfwidth-deg", "nan", "--shots", "10"],
+    seed="0",
+)
+def test_cli_numeric_flags_keep_the_exit_code_contract(argv, seed):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--seed", seed, "--format", "csv"] + argv)
+        except SystemExit as exc:  # argparse rejects a value by exiting with 2
+            code = exc.code
+    assert code in (0, 2, 3), (code, err.getvalue())
+    if code:
+        assert out.getvalue() == ""
+        assert "error:" in err.getvalue()
+    else:
+        assert out.getvalue()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qentro.errors import BudgetExhausted, LengthMismatch, NonpositiveN, QentroError
+from qentro.errors import BudgetExhausted, LengthMismatch, NonFinite, NonpositiveN, QentroError
 from qentro.protocol import (
     GUESS_ANGLES,
     GUESS_BITS,
@@ -308,3 +308,16 @@ def test_rows_emitters_deterministic():
     atk2 = attack_rows([2, 4], GUESS_BITS, 20_000, seed=6)
     assert atk1 == atk2
     assert all(row["successes"] <= row["trials"] for row in atk1)
+
+
+def test_signature_key_rejects_nonpositive_length_and_nan():
+    for n in (0, -1):
+        with pytest.raises(LengthMismatch):
+            SignatureKey.uniform(n)
+    with pytest.raises(NonFinite):
+        SignatureKey([0.1, math.nan])
+
+
+def test_adaptive_rejects_nan_target():
+    with pytest.raises(QentroError, match="halfwidth"):
+        estimate_theta_adaptive(HiddenQubitSource(0.3), math.nan)

@@ -10,6 +10,7 @@ from qentro.errors import (
     NotADensityMatrix,
     NotNormalized,
     NotUnitary,
+    QentroError,
     WeightSumInvalid,
 )
 from qentro.linalg import random_unitary
@@ -321,3 +322,21 @@ def test_boundary_still_rejects_invalid_inputs():
         PureState.normalized([math.nan, 1.0])
     with pytest.raises(NotADensityMatrix):
         dephase(np.array([[1.5, 0.2], [0.2, -0.5]]))
+
+
+def test_dephase_validates_a_raw_matrix():
+    # a non-Hermitian array whose diagonal alone would pass
+    with pytest.raises(NotADensityMatrix):
+        dephase(np.array([[0.5, 5.0], [0.0, 0.5]]))
+
+
+def test_ensemble_rejects_parts_of_the_wrong_type():
+    with pytest.raises(QentroError, match="mixed part must be a DensityMatrix"):
+        Ensemble([(0.5, PLUS)], (0.5, np.eye(2) / 2))
+    with pytest.raises(QentroError, match="pure part 1 must be a PureState"):
+        Ensemble([(0.5, PLUS), (0.5, [1.0, 0.0])])
+
+
+def test_ensemble_rejects_a_nan_weight():
+    with pytest.raises(WeightSumInvalid):
+        Ensemble([(math.nan, PLUS), (1.0, ZERO)])
