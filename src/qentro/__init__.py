@@ -20,14 +20,7 @@ from .entropy import (
     shannon,
     von_neumann,
 )
-from .linalg import (
-    EigenDecomposition,
-    conjugate_transpose,
-    hermitian_eigen,
-    is_hermitian,
-    is_unitary,
-    multiply,
-)
+from .linalg import EigenDecomposition, hermitian_eigen, is_hermitian, is_unitary
 from .states import (
     DensityMatrix,
     Ensemble,

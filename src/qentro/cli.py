@@ -18,9 +18,22 @@ from . import entropy as ent
 from . import interferometer as mzi
 from . import protocol, serialize, zeno
 from .errors import ParseError, QentroError
+from .linalg import RESIDUAL_WARN
 from .states import DensityMatrix
 
 FORMATS = ("table", "csv", "json")
+
+# Work limits: the most that one invocation may ask for, checked before any
+# simulation starts.  A request above a limit exits 2 and names the limit.
+WORK_LIMITS = {
+    "trials": 10**7,  # --trials of zeno and protocol attack
+    "steps": 10**6,  # zeno steps: --n-steps, about 90 / --theta-deg, or the top of --sweep
+    "draws": 10**9,  # trials x steps (summed over a sweep), trials x key length
+    "key angles": 64,  # protocol attack --n
+    "grid levels": 1024,  # protocol estimate --grid-n
+    "shots": 10**9,  # protocol estimate --shots
+    "photons": 10**9,  # mzi --photons
+}
 
 
 def _fmt(value):
@@ -62,6 +75,11 @@ def _emit(rows: list[dict], fmt: str, stream) -> None:
                     stream.write(f"{key}: {_fmt(value)}\n")
 
 
+def _check_work(flag: str, amount, unit: str) -> None:
+    if amount > WORK_LIMITS[unit]:
+        raise ParseError(f"{flag} asks for more than the work limit of {WORK_LIMITS[unit]} {unit}")
+
+
 def _cmd_entropy(args) -> list[dict]:
     obj = serialize.load_json(args.input)
     which = args.which
@@ -90,7 +108,7 @@ def _cmd_entropy(args) -> list[dict]:
 def _cmd_unitary_min(args) -> list[dict]:
     rho = DensityMatrix(serialize.matrix_from_json(serialize.load_json(args.input)))
     report = ent.min_informational_over_unitaries(rho, args.base, budget=args.budget)
-    if report.residual_vs_von_neumann > 1e-4:
+    if report.residual_vs_von_neumann > RESIDUAL_WARN:
         print(
             f"warning: residual {report.residual_vs_von_neumann:.3e} exceeds 1e-4",
             file=sys.stderr,
@@ -110,13 +128,18 @@ def _cmd_unitary_min(args) -> list[dict]:
 
 def _zeno_plan(args) -> zeno.SteeringPlan:
     if args.n_steps is not None:
+        _check_work("--n-steps", args.n_steps, "steps")
         return zeno.SteeringPlan.from_steps(args.n_steps)
     if args.theta_deg is None:
         raise QentroError("give either --theta-deg or --n-steps")
+    # a step of theta degrees plans about 90 / theta steps, maybe inf: check first
+    if args.theta_deg > 0:
+        _check_work("--theta-deg", 90.0 / args.theta_deg, "steps")
     return zeno.SteeringPlan(math.radians(args.theta_deg))
 
 
 def _cmd_zeno(args) -> list[dict]:
+    _check_work("--trials", args.trials, "trials")
     if args.sweep:
         try:
             lo, hi = (int(part) for part in args.sweep.split(":"))
@@ -124,8 +147,11 @@ def _cmd_zeno(args) -> list[dict]:
             raise ParseError(f"--sweep expects N1:N2, got {args.sweep!r}") from exc
         if lo > hi:
             raise ParseError(f"--sweep expects N1 <= N2, got {args.sweep!r}")
+        _check_work("--sweep", hi, "steps")
+        _check_work("--sweep with --trials", sum(range(max(lo, 1), hi + 1)) * args.trials, "draws")
         return zeno.steering_sweep_rows(range(lo, hi + 1), args.trials, args.seed)
     plan = _zeno_plan(args)
+    _check_work("--trials with the planned steps", plan.n_steps * args.trials, "draws")
     result = zeno.simulate_steering(plan, args.trials, np.random.default_rng(args.seed))
     return [zeno.steering_row(plan, result, args.seed)]
 
@@ -133,6 +159,7 @@ def _cmd_zeno(args) -> list[dict]:
 def _cmd_mzi(args) -> list[dict]:
     if args.photons < 0:
         raise ParseError(f"--photons must be >= 0, got {args.photons}")
+    _check_work("--photons", args.photons, "photons")
     if args.arrangement == "rigid":
         mirror = mzi.MirrorModel.rigid()
     elif args.arrangement == "springy":
@@ -144,10 +171,14 @@ def _cmd_mzi(args) -> list[dict]:
 
 def _cmd_protocol(args) -> list[dict]:
     if args.mode == "attack":
+        _check_work("--n", args.n, "key angles")
+        _check_work("--trials", args.trials, "trials")
+        _check_work("--trials with --n", args.n * args.trials, "draws")
         key = protocol.SignatureKey.uniform(args.n, math.radians(args.key_angle_deg))
         rng = np.random.default_rng(args.seed)
         result = protocol.eve_attack_success(key, args.strategy, args.trials, rng)
         return [protocol.attack_row(key, result, args.seed)]
+    _check_work("--shots", args.shots, "shots")
     theta_true = math.radians(args.theta_deg)
     source = protocol.HiddenQubitSource(theta_true, seed=args.seed)
     if args.adaptive:
@@ -158,6 +189,7 @@ def _cmd_protocol(args) -> list[dict]:
         )
         n = estimate.rounds
     else:
+        _check_work("--grid-n", args.grid_n, "grid levels")
         grid = protocol.QuantizationGrid(args.grid_n)
         estimate = protocol.estimate_theta_bruteforce(source, grid, args.shots)
         n = args.grid_n

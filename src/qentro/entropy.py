@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, states
+from . import states
 from .errors import (
     InvalidDistribution,
     NegativeArea,
@@ -27,11 +27,10 @@ from .errors import (
     NonpositivePrecision,
     NotADensity,
 )
+from .linalg import DEFAULT_TOL, GRID_TOL, INTEGRAL_TOL, LOOSE_TOL, ROUNDING_TOL, SWEEP_TOL
 
 BITS = "bits"
 NATS = "nats"
-
-_PROB_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,10 @@ def shannon(probs, base: str = BITS) -> EntropyResult:
         raise InvalidDistribution("empty probability vector")
     if not np.all(np.isfinite(p)):
         raise NonFinite("probabilities must be finite (no NaN/Inf)")
-    if p.min() < -_PROB_TOL:
+    if p.min() < -DEFAULT_TOL:
         raise InvalidDistribution(f"negative probability {p.min()!r}")
     total = float(p.sum())
-    if abs(total - 1.0) > _PROB_TOL:
+    if abs(total - 1.0) > DEFAULT_TOL:
         raise InvalidDistribution(f"probabilities sum to {total!r}, expected 1")
     return EntropyResult(_plogp_sum(p, base), base)
 
@@ -113,9 +112,9 @@ def differential_entropy(grid, density, base: str = NATS) -> EntropyResult:
     """Differential entropy ``integral f log(1/f) dx`` of a tabulated density.
 
     ``grid`` must be uniformly spaced and ``density`` nonnegative with
-    trapezoid-rule integral 1 within 1e-6.  Unlike the discrete measures,
-    the result may legitimately be negative (densities can exceed 1), so no
-    nonnegativity clamp is applied here.
+    trapezoid-rule integral 1 within ``linalg.INTEGRAL_TOL``.  Unlike the
+    discrete measures, the result may legitimately be negative (densities
+    can exceed 1), so no nonnegativity clamp is applied here.
     """
     _check_base(base)
     x = np.asarray(grid, dtype=float).reshape(-1)
@@ -126,13 +125,13 @@ def differential_entropy(grid, density, base: str = NATS) -> EntropyResult:
         raise NonFinite("grid and density must be finite (no NaN/Inf)")
     steps = np.diff(x)
     h = steps[0]
-    if h <= 0 or np.abs(steps - h).max() > 1e-9 * abs(h):
+    if h <= 0 or np.abs(steps - h).max() > GRID_TOL * abs(h):
         raise NotADensity("grid must be uniformly spaced and increasing")
-    if f.min() < -1e-12:
+    if f.min() < -ROUNDING_TOL:
         raise NotADensity(f"density has negative value {f.min()!r}")
     f = np.clip(f, 0.0, None)
     total = float(np.trapezoid(f, x))
-    if abs(total - 1.0) > 1e-6:
+    if abs(total - 1.0) > INTEGRAL_TOL:
         raise NotADensity(f"density integrates to {total!r}, expected 1 within 1e-6")
     integrand = np.where(f > 0, -f * _log(np.where(f > 0, f, 1.0), base), 0.0)
     return EntropyResult(float(np.trapezoid(integrand, x)), base)
@@ -190,9 +189,9 @@ def ensemble_bound_check(ensemble: states.Ensemble, base: str = BITS) -> BoundCh
 
     ``lhs = informational(mix(ensemble))``;
     ``rhs = sum_i p_i * pure_entropy(phi_i) + p_o * von_neumann(rho_o)``;
-    ``holds`` is the inequality ``lhs >= rhs - 1e-9``.  Components aligned
-    with the receiver basis contribute nothing to the right side, which is
-    why the left side can be strictly larger.
+    ``holds`` is the inequality ``lhs >= rhs - linalg.LOOSE_TOL``.
+    Components aligned with the receiver basis contribute nothing to the
+    right side, which is why the left side can be strictly larger.
     """
     _check_base(base)
     lhs = informational(states.mix(ensemble), base).value
@@ -202,7 +201,7 @@ def ensemble_bound_check(ensemble: states.Ensemble, base: str = BITS) -> BoundCh
     if ensemble.mixed_part is not None:
         weight, component = ensemble.mixed_part
         rhs += weight * von_neumann(component, base).value
-    return BoundCheck(lhs, rhs, lhs >= rhs - 1e-9, base)
+    return BoundCheck(lhs, rhs, lhs >= rhs - LOOSE_TOL, base)
 
 
 def bekenstein_bound(area_planck_units: float, base: str = BITS) -> EntropyResult:
@@ -246,8 +245,8 @@ def min_informational_over_unitaries(
     the exact minimizer of the objective over that pair.  Pairs whose entry
     is already zero are skipped, so a diagonal input returns the identity.
     The search stops after a sweep that rotates nothing or lowers the
-    objective by less than ``1e-15 * (1 + |value|)``; it never reads the
-    von Neumann entropy, which is computed only for the report.
+    objective by less than ``linalg.SWEEP_TOL * (1 + |value|)``; it never
+    reads the von Neumann entropy, which is computed only for the report.
 
     The infimum equals the von Neumann entropy, attained at the eigenbasis
     rotation, so ``residual_vs_von_neumann`` measures search quality
@@ -302,7 +301,7 @@ def min_informational_over_unitaries(
             if exhausted:
                 break
         value = _plogp_sum([work[k][k].real for k in range(dim)], base)
-        if exhausted or not rotated or sweep_start - value < 1e-15 * (1.0 + abs(value)):
+        if exhausted or not rotated or sweep_start - value < SWEEP_TOL * (1.0 + abs(value)):
             break
 
     return UnitaryMinimizationReport(

@@ -157,8 +157,9 @@ def mirror_position_uncertainty(wavelength: float) -> float:
 
 def arrangement_rows(mirror: MirrorModel, photons: int, seed: int) -> list[dict]:
     """One row summarizing an arrangement: exact distribution and entropy,
-    for the unknown arrangement the posterior after each outcome, and,
-    unless ``photons`` is 0, photon counts simulated from ``seed``."""
+    for the unknown arrangement the posterior after each outcome (empty for
+    an outcome the prior makes impossible), and, unless ``photons`` is 0,
+    photon counts simulated from ``seed``."""
     dist = outcome_distribution(mirror)
     row = {
         "arrangement": mirror.kind,
@@ -171,7 +172,9 @@ def arrangement_rows(mirror: MirrorModel, photons: int, seed: int) -> list[dict]
     }
     if mirror.kind == UNKNOWN:
         for outcome in (D1, D2, ABSORBED):
-            row[f"posterior_{outcome}"] = posterior_springy(mirror.prior_springy, outcome)
+            possible = getattr(dist, f"p_{outcome}") > 0
+            posterior = posterior_springy(mirror.prior_springy, outcome) if possible else ""
+            row[f"posterior_{outcome}"] = posterior
     if photons != 0:
         counts = simulate_photons(mirror, photons, np.random.default_rng(seed))
         for outcome in OUTCOMES:

@@ -2,9 +2,10 @@
 
 Hermitian eigendecompositions with a deterministic eigenvector convention,
 plus the structural predicates (Hermiticity, unitarity) used everywhere
-else in the package.  Every comparison takes an explicit tolerance; none
-relies on exact float equality.  All functions are pure and never modify
-their inputs.
+else in the package.  Every comparison takes an explicit tolerance, and
+every tolerance the package applies is named once, in the table below;
+none relies on exact float equality.  All functions are pure and never
+modify their inputs.
 """
 
 from dataclasses import dataclass
@@ -13,8 +14,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NonFinite, NotHermitian
 
-#: Default tolerance for structural predicates.
-DEFAULT_TOL = 1e-10
+# Tolerance table: every threshold the package applies, each named once.
+DEFAULT_TOL = 1e-10  # Hermiticity, unit trace and norm, positivity, probabilities
+LOOSE_TOL = 1e-9  # applied unitaries, completeness, equals_up_to_phase, bound slack
+ROUNDING_TOL = 1e-12  # negatives taken as zero, the phase pivot, steering-plan slack
+GRID_TOL = 1e-9  # relative spacing error of a uniform grid
+INTEGRAL_TOL = 1e-6  # trapezoid integral of a tabulated density away from 1
+SWEEP_TOL = 1e-15  # relative drop below which the unitary minimizer stops sweeping
+RESIDUAL_WARN = 1e-4  # residual over the von Neumann entropy that the CLI warns of
 
 
 def as_matrix(m) -> np.ndarray:
@@ -28,21 +35,6 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NonFinite("matrix entries must be finite (no NaN/Inf)")
     return a
-
-
-def conjugate_transpose(a) -> np.ndarray:
-    """Return the conjugate transpose (dagger) of ``a``."""
-    return as_matrix(a).conj().T.copy()
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product of two square matrices of equal dimension."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(
-            f"cannot multiply {ma.shape[0]}x{ma.shape[0]} by {mb.shape[0]}x{mb.shape[0]}"
-        )
-    return ma @ mb
 
 
 def max_abs(a) -> float:
@@ -90,9 +82,9 @@ class EigenDecomposition:
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     # Fix the gauge freedom of a nonzero vector: rotate it so its first
-    # component with modulus above 1e-12 of the max becomes positive real.
+    # component above ROUNDING_TOL of the max modulus becomes positive real.
     mags = np.abs(vec)
-    pivot = vec[np.argmax(mags > 1e-12 * mags.max())]
+    pivot = vec[np.argmax(mags > ROUNDING_TOL * mags.max())]
     return vec * (pivot.conjugate() / abs(pivot))
 
 

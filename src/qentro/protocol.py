@@ -4,8 +4,7 @@ identically prepared qubit copies, and the signature protocol built on it.
 The source emits copies of ``cos(theta)|0> + sin(theta)|1>`` for a hidden
 ``theta``; measuring a copy in a basis rotated by ``b`` yields outcome 0
 with probability ``cos^2(theta - b)``.  The angle is sealed behind the
-sampling interface: estimators only see outcome bits; tests may read it
-through the explicit oracle hook.
+sampling interface: estimators only see outcome bits.
 """
 
 import math
@@ -69,15 +68,6 @@ class HiddenQubitSource:
         self.copies_used += shots
         p_zero = math.cos(self._theta - basis_angle) ** 2
         return int(self._rng.binomial(shots, min(p_zero, 1.0)))
-
-    def unseal_theta(self) -> float:
-        """Test oracle: the hidden angle.  Estimators must not call this."""
-        return self._theta
-
-
-def measure_in_basis(source: HiddenQubitSource, basis_angle: float) -> int:
-    """Consume one copy from the source, measured in the given basis."""
-    return source.measure(basis_angle)
 
 
 @dataclass(frozen=True)
@@ -249,12 +239,10 @@ def _eve_preparations(strategy: str, key: SignatureKey, trials: int, rng) -> np.
         return rng.integers(0, 2, size=(trials, n)) * HALF_PI
     if strategy == GUESS_ANGLES:
         return rng.random((trials, n)) * HALF_PI
-    if strategy == REPLAY:
-        # intercept-resend: observe one honest transmission per trial in the
-        # computational basis, then resend the observed bits
-        observed_one = rng.random((trials, n)) >= np.cos(key.angles) ** 2
-        return observed_one * HALF_PI
-    raise QentroError(f"strategy must be one of {EVE_STRATEGIES}, got {strategy!r}")
+    # REPLAY, intercept-resend: observe one honest transmission per trial in
+    # the computational basis, then resend the observed bits
+    observed_one = rng.random((trials, n)) >= np.cos(key.angles) ** 2
+    return observed_one * HALF_PI
 
 
 @dataclass(frozen=True)

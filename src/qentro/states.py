@@ -27,8 +27,7 @@ from .errors import (
     QentroError,
     WeightSumInvalid,
 )
-
-STATE_TOL = 1e-10
+from .linalg import DEFAULT_TOL, LOOSE_TOL, ROUNDING_TOL
 
 
 class PureState:
@@ -41,9 +40,9 @@ class PureState:
         if not np.all(np.isfinite(amps)):
             raise NonFinite("amplitudes must be finite (no NaN/Inf)")
         norm_sq = float((np.abs(amps) ** 2).sum())
-        if abs(norm_sq - 1.0) > STATE_TOL:
+        if abs(norm_sq - 1.0) > DEFAULT_TOL:
             raise NotNormalized(
-                f"squared norm {norm_sq!r} deviates from 1 by more than {STATE_TOL}"
+                f"squared norm {norm_sq!r} deviates from 1 by more than {DEFAULT_TOL}"
             )
         amps.setflags(write=False)
         self._amps = amps
@@ -96,7 +95,7 @@ class PureState:
         rotated to be positive real."""
         return PureState(linalg._fix_phase(self._amps))
 
-    def equals_up_to_phase(self, other: "PureState", tol: float = 1e-9) -> bool:
+    def equals_up_to_phase(self, other: "PureState", tol: float = LOOSE_TOL) -> bool:
         if self.dim != other.dim:
             return False
         overlap = abs(np.vdot(self._amps, other._amps))
@@ -116,18 +115,18 @@ class DensityMatrix:
     on the first ``eigenvalues()`` call.
     """
 
-    def __init__(self, matrix, tol: float = STATE_TOL):
+    def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
-        if linalg._hermitian_deviation(m) > tol:
+        if linalg._hermitian_deviation(m) > DEFAULT_TOL:
             raise NotADensityMatrix("matrix is not Hermitian within tolerance")
         m = (m + m.conj().T) / 2
         trace = float(m.trace().real)
-        if abs(trace - 1.0) > tol:
+        if abs(trace - 1.0) > DEFAULT_TOL:
             raise NotADensityMatrix(f"trace {trace!r} is not 1 within tolerance")
         eigs = np.linalg.eigvalsh(m)
-        if float(eigs.min()) < -tol:
+        if float(eigs.min()) < -DEFAULT_TOL:
             raise NotADensityMatrix(
-                f"not positive semidefinite: eigenvalue {eigs.min():.3e} < -{tol}"
+                f"not positive semidefinite: eigenvalue {eigs.min():.3e} < -{DEFAULT_TOL}"
             )
         m.setflags(write=False)
         self._m = m
@@ -161,10 +160,6 @@ class DensityMatrix:
             self._eigs = np.linalg.eigvalsh(self._m)
         return self._eigs.copy()
 
-    def is_diagonal(self, tol: float = STATE_TOL) -> bool:
-        off = self._m - np.diag(self._m.diagonal())
-        return linalg.max_abs(off) <= tol
-
     def __repr__(self):
         return f"DensityMatrix({np.array2string(self._m, precision=6)})"
 
@@ -177,7 +172,7 @@ class Ensemble:
     nonnegative and sum to 1.
     """
 
-    def __init__(self, pure_parts, mixed_part=None, tol: float = STATE_TOL):
+    def __init__(self, pure_parts, mixed_part=None):
         self.pure_parts = [(float(w), s) for w, s in pure_parts]
         self.mixed_part = None if mixed_part is None else (float(mixed_part[0]), mixed_part[1])
         for i, (_, s) in enumerate(self.pure_parts):
@@ -190,20 +185,20 @@ class Ensemble:
         weights = [w for w, _ in self.pure_parts]
         if self.mixed_part is not None:
             weights.append(self.mixed_part[0])
-        if any(w < -1e-12 for w in weights):
+        if any(w < -ROUNDING_TOL for w in weights):
             raise WeightSumInvalid(f"negative weight in {weights}")
         total = sum(weights)
-        if not abs(total - 1.0) <= tol:  # also rejects a NaN weight
+        if not abs(total - 1.0) <= DEFAULT_TOL:  # also rejects a NaN weight
             raise WeightSumInvalid(f"weights sum to {total!r}, expected 1")
 
 
 class MeasurementSet:
     """A complete set of measurement operators with outcome labels.
 
-    Completeness ``sum_i M_i† M_i = I`` is checked to 1e-9 at construction.
+    Completeness ``sum_i M_i† M_i = I`` is checked to ``linalg.LOOSE_TOL`` at construction.
     """
 
-    def __init__(self, operators, labels=None, tol: float = 1e-9):
+    def __init__(self, operators, labels=None):
         ops = [linalg.as_matrix(op) for op in operators]
         if not ops:
             raise IncompleteMeasurementSet("measurement set is empty")
@@ -212,7 +207,7 @@ class MeasurementSet:
             raise DimensionMismatch("measurement operators differ in dimension")
         stacked = np.stack(ops)
         total = np.einsum("kji,kjl->il", stacked.conj(), stacked)
-        if linalg.max_abs(total - np.eye(dim)) > tol:
+        if linalg.max_abs(total - np.eye(dim)) > LOOSE_TOL:
             raise IncompleteMeasurementSet(
                 "operators do not satisfy sum_i M_i† M_i = I within tolerance"
             )
@@ -271,16 +266,16 @@ def mix(ensemble: Ensemble) -> DensityMatrix:
     return DensityMatrix._trusted(rho / rho.trace().real)
 
 
-def evolve_unitary(state, u, tol: float = 1e-9):
-    """Apply a unitary: ``U|phi>`` for pure states, ``U rho U†`` for density
-    matrices.  Returns the same kind as the input."""
+def evolve_unitary(state, u):
+    """Apply a unitary (within ``linalg.LOOSE_TOL``): ``U|phi>`` for pure states,
+    ``U rho U†`` for density matrices.  Returns the same kind as the input."""
     u = linalg.as_matrix(u)
-    if linalg._unitary_deviation(u) > tol:
+    if linalg._unitary_deviation(u) > LOOSE_TOL:
         raise NotUnitary("matrix is not unitary within tolerance")
     if isinstance(state, PureState):
         if state.dim != u.shape[0]:
             raise DimensionMismatch(f"state dim {state.dim} != unitary dim {u.shape[0]}")
-        # renormalize away the (<= tol) drift allowed by the unitarity check
+        # renormalize away the (<= LOOSE_TOL) drift allowed by the unitarity check
         return PureState._trusted_normalized(u @ state.amplitudes)
     if isinstance(state, DensityMatrix):
         if state.dim != u.shape[0]:
@@ -330,11 +325,6 @@ def alignment_matrix(theta: float) -> np.ndarray:
     to ``|0>`` (a reflection, its own inverse)."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, s], [s, -c]], dtype=complex)
-
-
-def alignment_matrix_complex(alpha: complex, beta: complex) -> np.ndarray:
-    """Unitary mapping ``alpha|0> + beta|1>`` (alpha real) to ``|0>``."""
-    return np.array([[alpha, np.conjugate(beta)], [-beta, alpha]], dtype=complex)
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> PureState:

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidTheta, NonpositiveN, NotHermitian
+from .linalg import DEFAULT_TOL, ROUNDING_TOL
 from .states import PureState
 
 HALF_PI = math.pi / 2.0
@@ -20,8 +21,8 @@ class Hamiltonian:
 
     def __init__(self, matrix, hbar: float = 1.0):
         m = linalg.as_matrix(matrix)
-        if not linalg.is_hermitian(m, 1e-10):
-            raise NotHermitian("Hamiltonian must be Hermitian within 1e-10")
+        if linalg._hermitian_deviation(m) > DEFAULT_TOL:
+            raise NotHermitian(f"Hamiltonian must be Hermitian within {DEFAULT_TOL}")
         if hbar <= 0:
             raise ValueError(f"hbar must be positive, got {hbar!r}")
         m.setflags(write=False)
@@ -111,7 +112,7 @@ class SteeringPlan:
             object.__setattr__(self, "n_steps", max(int(round(HALF_PI / self.theta_step)), 1))
         if self.n_steps < 1:
             raise NonpositiveN(f"n_steps must be >= 1, got {self.n_steps!r}")
-        if abs(self.n_steps * self.theta_step - HALF_PI) > self.theta_step + 1e-12:
+        if abs(self.n_steps * self.theta_step - HALF_PI) > self.theta_step + ROUNDING_TOL:
             raise InvalidTheta(
                 f"{self.n_steps} steps of {self.theta_step!r} rad miss pi/2 by more than one step"
             )

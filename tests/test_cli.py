@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qentro import interferometer, protocol, zeno
+from qentro import cli, interferometer, protocol, zeno
 from qentro.cli import main
 from qentro.entropy import von_neumann
 from qentro.serialize import matrix_to_json
@@ -413,3 +415,89 @@ def test_protocol_estimate_prints_estimation_row(capsys):
     assert cli_items(capsys, *argv, "--adaptive", "--target-halfwidth-deg", "5") == lib_items(
         [protocol.estimation_row(adaptive.rounds, 300, theta, adaptive, SEED)]
     )
+
+
+def parse_row(out, fmt):
+    # the only row printed: strings for csv and table, JSON values for json
+    if fmt == "json":
+        (row,) = json.loads(out)
+    elif fmt == "csv":
+        (row,) = csv.DictReader(io.StringIO(out))
+    else:
+        row = dict(line.split(": ", 1) for line in out.splitlines())
+    return row
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize(
+    "prior, posteriors",
+    [
+        # at prior 0 the mirror is rigid: D2 and absorption cannot happen
+        ("0", {"posterior_d1": 0.0, "posterior_d2": "", "posterior_absorbed": ""}),
+        ("1", {"posterior_d1": 1.0, "posterior_d2": 1.0, "posterior_absorbed": 1.0}),
+    ],
+)
+def test_mzi_unknown_at_a_certain_prior(capsys, prior, posteriors, fmt):
+    argv = ["mzi", "--arrangement", "unknown", "--prior", prior, "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    row = parse_row(out, fmt)
+    for key, expected in posteriors.items():
+        assert (row[key] if expected == "" else float(row[key])) == expected, key
+
+
+BIG = str(10**30)
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["zeno", "--n-steps", BIG], "steps"),
+        (["zeno", "--theta-deg", "1e-300"], "steps"),
+        (["zeno", "--theta-deg", "1e-7"], "steps"),
+        (["zeno", "--trials", BIG, "--n-steps", "3"], "trials"),
+        (["zeno", "--sweep", "1:" + BIG], "steps"),
+        (["zeno", "--sweep", "1:100000", "--trials", "10"], "draws"),
+        (["zeno", "--n-steps", "100000", "--trials", "100000"], "draws"),
+        (["protocol", "attack", "--n", BIG], "key angles"),
+        (["protocol", "attack", "--trials", BIG], "trials"),
+        (["protocol", "estimate", "--grid-n", BIG], "grid levels"),
+        (["protocol", "estimate", "--shots", BIG], "shots"),
+        (["protocol", "estimate", "--adaptive", "--shots", BIG], "shots"),
+        (["mzi", "--arrangement", "rigid", "--photons", BIG], "photons"),
+    ],
+)
+def test_work_above_a_limit_exits_2(capsys, argv, limit):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse:")
+    assert f"work limit of {cli.WORK_LIMITS[limit]} {limit}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["protocol", "attack", "--n", "10", "--trials", "1000000"],
+        ["zeno", "--sweep", "1:100"],
+        ["zeno", "--n-steps", "90", "--trials", "100000"],
+        ["mzi", "--arrangement", "unknown", "--photons", "100000"],
+    ],
+)
+def test_readme_work_is_within_the_limits(capsys, argv, monkeypatch):
+    # stop where the work would start, after the limits are checked
+    class Started(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Started
+
+    for module, name in [
+        (zeno, "simulate_steering"),
+        (zeno, "steering_sweep_rows"),
+        (protocol, "eve_attack_success"),
+        (interferometer, "arrangement_rows"),
+    ]:
+        monkeypatch.setattr(module, name, stop)
+    with pytest.raises(Started):
+        main(argv)

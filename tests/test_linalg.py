@@ -3,19 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qentro.errors import DimensionMismatch, NonFinite, NotHermitian
+from qentro.errors import NonFinite, NotHermitian
 from qentro.linalg import (
     as_matrix,
-    conjugate_transpose,
     hermitian_eigen,
     is_hermitian,
     is_unitary,
-    multiply,
     random_unitary,
 )
 from qentro.states import alignment_matrix
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def eig2x2(m):
@@ -100,44 +96,6 @@ def test_eigenvector_phase_convention():
             mags = np.abs(col)
             first = col[np.argmax(mags > 1e-12 * mags.max())]
             assert first.real > 0 and abs(first.imag) < 1e-12
-
-
-def test_multiply_identity():
-    a = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert np.allclose(multiply(np.eye(2), a), a)
-
-
-def test_multiply_diagonal_inverse():
-    a = np.diag([2.0, 4.0]).astype(complex)
-    inv = np.diag([0.5, 0.25]).astype(complex)
-    assert np.allclose(multiply(a, inv), np.eye(2))
-
-
-def test_multiply_pauli_involution():
-    assert np.allclose(multiply(PAULI_X, PAULI_X), np.eye(2))
-
-
-def test_multiply_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        multiply(np.eye(2), np.eye(3))
-
-
-def test_multiply_associative():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        dim = rng.integers(2, 5)
-        a, b, c = (random_hermitian(dim, rng) for _ in range(3))
-        assert np.abs(multiply(multiply(a, b), c) - multiply(a, multiply(b, c))).max() <= 1e-12
-
-
-def test_conjugate_transpose():
-    sym = np.array([[1.0, 2.0], [2.0, 3.0]], dtype=complex)
-    assert np.allclose(conjugate_transpose(sym), sym)
-    m = np.array([[0, 1j], [0, 0]])
-    assert np.allclose(conjugate_transpose(m), [[0, 0], [-1j, 0]])
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(conjugate_transpose(conjugate_transpose(z)), z)
 
 
 def test_is_unitary():

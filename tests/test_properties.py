@@ -11,7 +11,19 @@ from hypothesis import strategies as st
 from qentro.cli import main
 from qentro.entropy import informational, von_neumann
 from qentro.linalg import random_unitary
-from qentro.states import evolve_unitary, random_density
+from qentro.states import (
+    DensityMatrix,
+    Ensemble,
+    MeasurementSet,
+    PureState,
+    density_of_pure,
+    dephase,
+    evolve_unitary,
+    measure_collapse,
+    mix,
+    random_density,
+    random_pure,
+)
 
 
 @settings(max_examples=100, deadline=None)
@@ -23,6 +35,33 @@ def test_unitary_evolution_keeps_spectrum_and_informational_bound(dim, seed):
     evolved = evolve_unitary(rho, random_unitary(dim, rng))
     assert informational(evolved).value >= von_neumann(rho).value - 1e-12
     assert np.abs(evolved.eigenvalues() - rho.eigenvalues()).max() <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_trusted_states_pass_the_validating_constructors(dim, seed):
+    # Wishart rho, Haar U and Haar pure states; every state derived from them
+    # skips validation, so the public constructors must accept it unchanged
+    rng = np.random.default_rng(seed)
+    rho = random_density(dim, rng)
+    u = random_unitary(dim, rng)
+    psi, phi = random_pure(dim, rng), random_pure(dim, rng)
+    weights = rng.dirichlet(np.ones(3))
+    ensemble = Ensemble([(weights[0], psi), (weights[1], phi)], (weights[2], rho))
+    basis = random_unitary(dim, rng)
+    mset = MeasurementSet([np.outer(v, v.conj()) for v in basis.T])
+    densities = [
+        density_of_pure(psi),
+        mix(ensemble),
+        evolve_unitary(rho, u),
+        dephase(rho),
+        dephase(psi),
+    ]
+    for state in densities:
+        assert np.array_equal(DensityMatrix(state.matrix).matrix, state.matrix)
+    pures = [evolve_unitary(psi, u), measure_collapse(psi, mset, rng)[1]]
+    for state in pures:
+        assert np.array_equal(PureState(state.amplitudes).amplitudes, state.amplitudes)
 
 
 # Numeric flag values for the CLI fuzz.  Sizes stay small so each run is
@@ -73,6 +112,17 @@ _ARGV = st.one_of(
     argv=["protocol", "estimate", "--adaptive", "--target-halfwidth-deg", "nan", "--shots", "10"],
     seed="0",
 )
+# sizes above the CLI's work limits: each escaped main or never returned
+@example(argv=["zeno", "--n-steps", str(10**30)], seed="0")
+@example(argv=["zeno", "--theta-deg", "1e-300"], seed="0")
+@example(argv=["zeno", "--theta-deg", "1e-7"], seed="0")
+@example(argv=["zeno", "--n-steps", "3", "--trials", str(10**30)], seed="0")
+@example(argv=["protocol", "attack", "--n", str(10**30)], seed="0")
+@example(argv=["protocol", "attack", "--trials", str(10**30)], seed="0")
+@example(argv=["protocol", "estimate", "--grid-n", str(10**30)], seed="0")
+@example(argv=["protocol", "estimate", "--shots", str(10**30)], seed="0")
+@example(argv=["protocol", "estimate", "--adaptive", "--shots", str(10**30)], seed="0")
+@example(argv=["mzi", "--arrangement", "rigid", "--photons", str(10**30)], seed="0")
 def test_cli_numeric_flags_keep_the_exit_code_contract(argv, seed):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -18,7 +18,6 @@ from qentro.protocol import (
     estimation_rows,
     eve_attack_success,
     honest_stream,
-    measure_in_basis,
     verify_signature,
 )
 
@@ -34,13 +33,13 @@ def test_source_validates_angle():
 
 def test_measure_aligned_basis_always_zero():
     src = HiddenQubitSource(0.7, seed=1)
-    assert all(measure_in_basis(src, 0.7) == 0 for _ in range(100))
+    assert all(src.measure(0.7) == 0 for _ in range(100))
     assert src.copies_used == 100
 
 
 def test_measure_orthogonal_basis_always_one():
     src = HiddenQubitSource(0.0, seed=2)
-    assert all(measure_in_basis(src, HALF_PI) == 1 for _ in range(100))
+    assert all(src.measure(HALF_PI) == 1 for _ in range(100))
 
 
 def test_measure_unbiased_at_45_degrees():

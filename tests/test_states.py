@@ -20,7 +20,6 @@ from qentro.states import (
     MeasurementSet,
     PureState,
     alignment_matrix,
-    alignment_matrix_complex,
     density_of_pure,
     dephase,
     evolve_unitary,
@@ -142,13 +141,6 @@ def test_alignment_sends_angled_state_to_zero():
         state = PureState.from_angle(theta)
         out = evolve_unitary(state, alignment_matrix(theta))
         assert out.equals_up_to_phase(ZERO, 1e-12)
-
-
-def test_alignment_complex_variant():
-    alpha, beta = 0.6, 0.8j
-    g = alignment_matrix_complex(alpha, beta)
-    out = evolve_unitary(PureState([alpha, beta]), g)
-    assert out.equals_up_to_phase(ZERO, 1e-12)
 
 
 def test_pauli_x_flips_basis_state():
