@@ -220,7 +220,7 @@ def bekenstein_bound(area_planck_units: float, base: str = BITS) -> EntropyResul
 # ---------------------------------------------------------------------------
 # Minimization of informational entropy over unitary conjugations.
 #
-# Cyclic Jacobi sweeps (Jacobi 1846; Golub & Van Loan, Matrix Computations,
+# Jacobi sweeps (Jacobi 1846; Golub & Van Loan, Matrix Computations,
 # sec. 8.5).  A complex Givens rotation on the coordinate pair (p, q) moves
 # only the diagonal entries m_pp and m_qq and keeps their sum fixed.  The
 # two-entry entropy is Schur-concave, so the best rotation for the pair is
@@ -229,6 +229,115 @@ def bekenstein_bound(area_planck_units: float, base: str = BITS) -> EntropyResul
 # and can never raise the objective; sweeping the pairs in turn drives the
 # working matrix to diagonal, where the objective equals the von Neumann
 # entropy.  No eigensolver is called.
+#
+# A sweep visits every pair once, in one of two orders chosen by dimension.
+# Below _ROUNDS_FROM_DIM it goes row by row, one pair at a time, on nested
+# lists of Python complex: a pair step touches two rows and two columns of
+# d entries each, too few to pay for a numpy call.  From there on it runs
+# the rounds of a round-robin tournament (the parallel Jacobi ordering of
+# Golub & Van Loan): each round is a set of disjoint pairs, so one block
+# rotation g turns them all with numpy, for ~30 us of call overhead per
+# round whatever its size.  Per matrix on a shared 2-vCPU x86-64 VM
+# (OpenBLAS, one thread), Wishart inputs, best of 5, median of 5 matrices,
+# lists -> rounds: d4 0.17 -> 0.38 ms, d6 0.46 -> 0.70 ms, d7 0.82 -> 1.00
+# ms, d8 1.24 -> 1.08 ms, d10 2.2 -> 1.4 ms, d16 10.8 -> 3.0 ms, d32 104 ->
+# 9.8 ms, d64 1145 -> 102 ms.
+
+_ROUNDS_FROM_DIM = 8
+_TINY = np.nextafter(0.0, 1.0)  # the smallest positive float
+
+
+def _sweep_lists(work, u, budget):
+    """One cyclic-by-rows sweep on nested lists, at most ``budget`` pair
+    visits; returns ``(visits, rotated, exhausted)``."""
+    dim = len(work)
+    visits = 0
+    rotated = False
+    for p in range(dim):
+        for q in range(p + 1, dim):
+            if visits >= budget:
+                return visits, rotated, True
+            visits += 1
+            b = work[p][q]
+            if b == 0:
+                continue
+            rotated = True
+            a, d = work[p][p].real, work[q][q].real
+            sgn = 1.0 if a >= d else -1.0
+            e = -sgn * b.conjugate() / abs(b)
+            theta = 0.5 * math.atan2(2.0 * abs(b), abs(a - d))
+            c, s = math.cos(theta), math.sin(theta)
+            g_pp, g_pq = c, -s * e.conjugate()
+            g_qp, g_qq = s * e, c
+            for rows in (work, u):
+                row_p, row_q = rows[p], rows[q]
+                for k in range(dim):
+                    x, y = row_p[k], row_q[k]
+                    row_p[k] = g_pp * x + g_pq * y
+                    row_q[k] = g_qp * x + g_qq * y
+            h_pq, h_qp = g_pq.conjugate(), g_qp.conjugate()
+            for row in work:
+                x, y = row[p], row[q]
+                row[p] = x * g_pp + y * h_pq
+                row[q] = x * h_qp + y * g_qq
+    return visits, rotated, False
+
+
+def _round_robin(dim):
+    """Pairs ``(p, q)``, ``p < q``, of a round-robin tournament on ``dim``
+    indices (circle method), as two int arrays with one row per round and
+    one column per pair.  Pairs within a round are disjoint and the rounds
+    hold every pair once; an odd ``dim`` plays a dummy index, so each real
+    index sits out one round."""
+    n = dim + dim % 2
+    r = np.arange(n - 1)[:, None]
+    i = np.arange(n // 2)
+    p, q = (r + i) % (n - 1), (r - i) % (n - 1)
+    q[:, 0] = n - 1
+    if dim % 2:
+        p, q = p[:, 1:], q[:, 1:]
+    return np.minimum(p, q), np.maximum(p, q)
+
+
+def _sweep_rounds(work, u, budget):
+    """One round-robin sweep on complex arrays, updated in place, at most
+    ``budget`` pair visits (the round that reaches it is cut short);
+    returns ``(visits, rotated, exhausted)``.  Each round computes the list
+    sweep's rotation elementwise over its pairs, a pair whose entry is 0
+    getting the identity block, and applies the block rotation g as
+    ``work <- g work g†``, ``u <- g u``."""
+    dim = len(work)
+    p, q = _round_robin(dim)
+    # flat indices of work[p, q], work[q, p], work[p, p] and work[q, q];
+    # work is only written in place, so these views of it stay current
+    pq, qp, pp, qq = p * dim + q, q * dim + p, p * (dim + 1), q * (dim + 1)
+    flat, diagonal = work.reshape(-1), work.diagonal().real
+    identity = np.eye(dim, dtype=complex)
+    visits = 0
+    rotated = False
+    for r in range(len(p)):
+        k = min(p.shape[1], max(budget - visits, 0))
+        visits += k
+        b = flat[pq[r, :k]]
+        if np.count_nonzero(b):
+            rotated = True
+            mod = np.abs(b)
+            diff = diagonal[p[r, :k]] - diagonal[q[r, :k]]
+            theta = 0.5 * np.arctan2(2.0 * mod, np.abs(diff))
+            c = np.cos(theta)
+            # the sign of a - d is the list sweep's sgn except for a = -0.0,
+            # d = 0.0, which a PSD matrix with b != 0 cannot have; _TINY
+            # leaves every mod > 0 as it is and keeps b == 0 at the identity
+            g_pq = np.copysign(np.sin(theta), diff) * b / np.maximum(mod, _TINY)
+            g = identity.copy()
+            g_flat = g.reshape(-1)
+            g_flat[pp[r, :k]], g_flat[qq[r, :k]] = c, c
+            g_flat[pq[r, :k]], g_flat[qp[r, :k]] = g_pq, -g_pq.conj()
+            np.matmul(g @ work, g.conj().T, out=work)
+            np.matmul(g, u, out=u)
+        if k < p.shape[1]:
+            return visits, rotated, True
+    return visits, rotated, False
 
 
 def min_informational_over_unitaries(
@@ -239,14 +348,16 @@ def min_informational_over_unitaries(
 ) -> UnitaryMinimizationReport:
     """Minimize ``informational(U rho U†)`` over unitaries ``U``.
 
-    Cyclic Jacobi sweeps over the coordinate pairs (p, q): each pair is
-    rotated by the complex Givens rotation that zeroes the off-diagonal
-    entry ``work[p, q]`` of the working matrix ``work = U rho U†``, which is
-    the exact minimizer of the objective over that pair.  Pairs whose entry
-    is already zero are skipped, so a diagonal input returns the identity.
-    The search stops after a sweep that rotates nothing or lowers the
-    objective by less than ``linalg.SWEEP_TOL * (1 + |value|)``; it never
-    reads the von Neumann entropy, which is computed only for the report.
+    Jacobi sweeps over the coordinate pairs (p, q): each pair is rotated by
+    the complex Givens rotation that zeroes the off-diagonal entry
+    ``work[p, q]`` of the working matrix ``work = U rho U†``, which is the
+    exact minimizer of the objective over that pair.  Pairs whose entry is
+    already zero are skipped, so a diagonal input returns the identity.  A
+    sweep visits the pairs row by row below dimension 8 and in round-robin
+    rounds of disjoint pairs from dimension 8 on.  The search stops after
+    a sweep that rotates nothing or lowers the objective by less than
+    ``linalg.SWEEP_TOL * (1 + |value|)``; it never reads the von Neumann
+    entropy, which is computed only for the report.
 
     The infimum equals the von Neumann entropy, attained at the eigenbasis
     rotation, so ``residual_vs_von_neumann`` measures search quality
@@ -259,47 +370,19 @@ def min_informational_over_unitaries(
     if not isinstance(rho, states.DensityMatrix):
         rho = states.DensityMatrix(rho)
     dim = rho.dim
-    # nested lists of Python complex: a pair step touches two rows and two
-    # columns of d entries each, too few for numpy's per-call overhead
-    work = rho.matrix.tolist()
-    u = np.eye(dim, dtype=complex).tolist()
+    if dim >= _ROUNDS_FROM_DIM:
+        sweep = _sweep_rounds
+        work, u = np.array(rho.matrix, dtype=complex), np.eye(dim, dtype=complex)
+    else:
+        sweep = _sweep_lists
+        work, u = rho.matrix.tolist(), np.eye(dim, dtype=complex).tolist()
     value = informational(rho, base).value
     evals = 0
-    exhausted = False
 
     while True:
         sweep_start = value
-        rotated = False
-        for p in range(dim):
-            for q in range(p + 1, dim):
-                if evals >= budget:
-                    exhausted = True
-                    break
-                evals += 1
-                b = work[p][q]
-                if b == 0:
-                    continue
-                rotated = True
-                a, d = work[p][p].real, work[q][q].real
-                sgn = 1.0 if a >= d else -1.0
-                e = -sgn * b.conjugate() / abs(b)
-                theta = 0.5 * math.atan2(2.0 * abs(b), abs(a - d))
-                c, s = math.cos(theta), math.sin(theta)
-                g_pp, g_pq = c, -s * e.conjugate()
-                g_qp, g_qq = s * e, c
-                for rows in (work, u):
-                    row_p, row_q = rows[p], rows[q]
-                    for k in range(dim):
-                        x, y = row_p[k], row_q[k]
-                        row_p[k] = g_pp * x + g_pq * y
-                        row_q[k] = g_qp * x + g_qq * y
-                h_pq, h_qp = g_pq.conjugate(), g_qp.conjugate()
-                for row in work:
-                    x, y = row[p], row[q]
-                    row[p] = x * g_pp + y * h_pq
-                    row[q] = x * h_qp + y * g_qq
-            if exhausted:
-                break
+        visits, rotated, exhausted = sweep(work, u, budget - evals)
+        evals += visits
         value = _plogp_sum([work[k][k].real for k in range(dim)], base)
         if exhausted or not rotated or sweep_start - value < SWEEP_TOL * (1.0 + abs(value)):
             break

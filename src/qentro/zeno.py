@@ -109,7 +109,12 @@ class SteeringPlan:
         if not 0.0 < self.theta_step <= HALF_PI:
             raise InvalidTheta(f"step angle must be in (0, pi/2], got {self.theta_step!r}")
         if self.n_steps == 0:
-            object.__setattr__(self, "n_steps", max(int(round(HALF_PI / self.theta_step)), 1))
+            steps = HALF_PI / self.theta_step
+            if not math.isfinite(steps):
+                raise InvalidTheta(
+                    f"step angle {self.theta_step!r} rad is too small: pi/2 over it is not finite"
+                )
+            object.__setattr__(self, "n_steps", max(int(round(steps)), 1))
         if self.n_steps < 1:
             raise NonpositiveN(f"n_steps must be >= 1, got {self.n_steps!r}")
         if abs(self.n_steps * self.theta_step - HALF_PI) > self.theta_step + ROUNDING_TOL:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qentro import entropy
 from qentro.entropy import (
     BITS,
     NATS,
@@ -374,6 +375,87 @@ def test_minimizer_calls_no_eigensolver(monkeypatch):
     report = min_informational_over_unitaries(rho)
     assert report.min_value == pytest.approx(expected, abs=1e-12)
     assert is_unitary(report.minimizer, 1e-10)
+
+
+# From entropy._ROUNDS_FROM_DIM on, sweeps run in round-robin rounds of
+# disjoint pairs; the tests below hold that path to the same contract.
+
+
+@pytest.mark.parametrize("dim", [17, 64])
+def test_round_sweeps_converge_at_odd_and_large_dims(dim):
+    # an odd dim gives each index a bye once per sweep
+    rho = random_density(dim, np.random.default_rng(6400 + dim))
+    report = min_informational_over_unitaries(rho)
+    assert not report.budget_exhausted
+    assert abs(report.residual_vs_von_neumann) <= 1e-10
+    assert is_unitary(report.minimizer, 1e-10)
+
+
+def test_round_sweeps_call_no_eigensolver(monkeypatch):
+    rho = random_density(16, np.random.default_rng(1616))
+    expected = von_neumann(rho).value
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolver called by the minimizer")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    report = min_informational_over_unitaries(rho)
+    assert report.min_value == pytest.approx(expected, abs=1e-12)
+    assert is_unitary(report.minimizer, 1e-10)
+
+
+def test_round_sweeps_leave_a_diagonal_input_alone():
+    diag = np.arange(1.0, 17.0)
+    report = min_informational_over_unitaries(DensityMatrix(np.diag(diag / diag.sum())))
+    # one sweep of 16 * 15 / 2 pair visits finds nothing to rotate
+    assert report.iterations == 120
+    assert np.array_equal(report.minimizer, np.eye(16))
+    assert report.residual_vs_von_neumann == pytest.approx(0.0, abs=1e-12)
+
+
+def test_round_sweeps_stop_at_the_budget_exactly():
+    # 50 visits end inside a round of 8 pairs, which is cut short
+    rho = random_density(16, np.random.default_rng(1650))
+    report = min_informational_over_unitaries(rho, budget=50)
+    assert report.budget_exhausted
+    assert report.iterations == 50
+    assert is_unitary(report.minimizer, 1e-10)
+    assert report.min_value >= von_neumann(rho).value - 1e-12
+
+
+
+@pytest.mark.parametrize("dim", [3, 16])
+@pytest.mark.parametrize("budget", [0, -3])
+def test_minimizer_with_no_budget_makes_no_visit(dim, budget):
+    rho = random_density(dim, np.random.default_rng(dim))
+    report = min_informational_over_unitaries(rho, budget=budget)
+    assert report.budget_exhausted
+    assert report.iterations == 0
+    assert np.array_equal(report.minimizer, np.eye(dim))
+    assert report.min_value == informational(rho).value
+
+@pytest.mark.parametrize("dim", [8, 9, 12])
+def test_round_and_list_sweeps_reach_the_same_minimum(monkeypatch, dim):
+    # the list sweep is the reference; the pair order differs, so the two
+    # minima agree to rounding, not bitwise
+    rho = random_density(dim, np.random.default_rng(800 + dim))
+    rounds = min_informational_over_unitaries(rho)
+    monkeypatch.setattr(entropy, "_ROUNDS_FROM_DIM", dim + 1)
+    lists = min_informational_over_unitaries(rho)
+    assert rounds.min_value == pytest.approx(lists.min_value, abs=1e-12)
+    assert not rounds.budget_exhausted and not lists.budget_exhausted
+
+
+@pytest.mark.parametrize("dim", range(2, 21))
+def test_round_robin_schedule_visits_each_pair_once(dim):
+    p, q = entropy._round_robin(dim)
+    assert (p < q).all()
+    # pairs within a round share no index
+    for row_p, row_q in zip(p, q):
+        assert len(set(row_p) | set(row_q)) == 2 * len(row_p)
+    pairs = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
+    assert pairs == [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qentro.cli import main
-from qentro.entropy import informational, von_neumann
-from qentro.linalg import random_unitary
+from qentro.entropy import informational, min_informational_over_unitaries, von_neumann
+from qentro.linalg import is_unitary, random_unitary
 from qentro.states import (
     DensityMatrix,
     Ensemble,
@@ -62,6 +62,27 @@ def test_trusted_states_pass_the_validating_constructors(dim, seed):
     pures = [evolve_unitary(psi, u), measure_collapse(psi, mset, rng)[1]]
     for state in pures:
         assert np.array_equal(PureState(state.amplitudes).amplitudes, state.amplitudes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(2, 20), seed=st.integers(0, 2**32 - 1), short=st.booleans())
+def test_minimizer_reaches_von_neumann_or_stops_at_its_budget(dim, seed, short):
+    # dims 2-20 draw both sweep orders (rows below the crossover, round-robin
+    # rounds from it on) and odd dims, whose rounds give each index a bye;
+    # a short budget ends inside the first few sweeps
+    rng = np.random.default_rng(seed)
+    rho = random_density(dim, rng)
+    budget = int(rng.integers(1, dim * dim)) if short else 200_000
+    report = min_informational_over_unitaries(rho, budget=budget)
+    assert report.iterations <= budget
+    assert is_unitary(report.minimizer, 1e-10)
+    rotated = evolve_unitary(rho, report.minimizer)
+    assert abs(informational(rotated).value - report.min_value) <= 1e-9
+    if report.budget_exhausted:
+        assert report.iterations == budget
+        assert report.min_value >= von_neumann(rho).value - 1e-12
+    else:
+        assert abs(report.residual_vs_von_neumann) <= 1e-10
 
 
 # Numeric flag values for the CLI fuzz.  Sizes stay small so each run is

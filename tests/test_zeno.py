@@ -169,6 +169,13 @@ def test_steering_plan_construction():
         SteeringPlan(math.pi / 4, n_steps=7)  # misses the quarter turn
 
 
+@pytest.mark.parametrize("theta", [1e-310, 5e-324])
+def test_steering_plan_rejects_a_step_too_small_to_count(theta):
+    # pi/2 over a subnormal step overflows to inf before it is rounded
+    with pytest.raises(InvalidTheta, match=repr(theta)):
+        SteeringPlan(theta)
+
+
 def test_steering_success_closed_form():
     assert steering_success_probability(SteeringPlan(math.pi / 4)) == pytest.approx(0.25, abs=1e-12)
     assert steering_success_probability(SteeringPlan.from_steps(90)) == pytest.approx(
