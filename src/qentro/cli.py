@@ -28,7 +28,9 @@ FORMATS = ("table", "csv", "json")
 WORK_LIMITS = {
     "trials": 10**7,  # --trials of zeno and protocol attack
     "steps": 10**6,  # zeno steps: --n-steps, about 90 / --theta-deg, or the top of --sweep
-    "draws": 10**9,  # trials x steps (summed over a sweep), trials x key length
+    # the size of the request, trials x steps (summed over a sweep) or trials
+    # x key length; the count-level samplers make far fewer draws than this
+    "draws": 10**9,
     "key angles": 64,  # protocol attack --n
     "grid levels": 1024,  # protocol estimate --grid-n
     "shots": 10**9,  # protocol estimate --shots

@@ -11,6 +11,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, InvalidTheta, NonpositiveN, NotHermitian
 from .linalg import DEFAULT_TOL, ROUNDING_TOL
+from .montecarlo import RateEstimate
 from .states import PureState
 
 HALF_PI = math.pi / 2.0
@@ -136,14 +137,14 @@ def steering_success_probability(plan: SteeringPlan) -> float:
 
 
 @dataclass(frozen=True)
-class SteeringResult:
+class SteeringResult(RateEstimate):
+    """Monte Carlo steering counts and the closed-form success probability
+    ``expected_rate`` they sample."""
+
     successes: int
     trials: int
     survivors_per_step: np.ndarray
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.trials
+    expected_rate: float = math.nan
 
 
 def simulate_steering(plan: SteeringPlan, trials: int, rng: np.random.Generator) -> SteeringResult:
@@ -153,19 +154,23 @@ def simulate_steering(plan: SteeringPlan, trials: int, rng: np.random.Generator)
     After a forward collapse at step k the state is exactly the step-k basis
     state, so each step is an independent forward collapse with probability
     cos^2(theta); a single backward collapse makes the trial a failure (no
-    resampling).  ``survivors_per_step`` records how many trials are still
-    on the forward ladder after each step.
+    resampling).  The trials are exchangeable, so the sampler tracks only
+    their count: step k draws ``Binomial(survivors_{k-1}, cos^2 theta)``,
+    one scalar draw per step whatever ``trials`` is, with exactly the law of
+    drawing every trial.  ``survivors_per_step`` records how many trials are
+    still on the forward ladder after each step.
     """
     if trials < 1:
         raise NonpositiveN(f"trials must be >= 1, got {trials!r}")
     p_forward = float(np.cos(plan.theta_step) ** 2)
-    alive = np.ones(trials, dtype=bool)
-    survivors = np.empty(plan.n_steps, dtype=int)
+    survivors = np.zeros(plan.n_steps, dtype=int)
+    alive = trials
     for k in range(plan.n_steps):
-        draws = rng.random(trials)
-        alive &= draws < p_forward
-        survivors[k] = int(alive.sum())
-    return SteeringResult(int(alive.sum()), trials, survivors)
+        alive = int(rng.binomial(alive, p_forward))
+        survivors[k] = alive
+        if alive == 0:
+            break
+    return SteeringResult(alive, trials, survivors, steering_success_probability(plan))
 
 
 def steering_row(plan: SteeringPlan, result: SteeringResult, seed: int) -> dict:

@@ -1,7 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -501,3 +504,72 @@ def test_readme_work_is_within_the_limits(capsys, argv, monkeypatch):
         monkeypatch.setattr(module, name, stop)
     with pytest.raises(Started):
         main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeno", "--n-steps", "100", "--trials", "10000000"],
+        ["protocol", "attack", "--n", "64", "--trials", "10000000", "--strategy", "guess-bits"],
+        ["protocol", "attack", "--n", "64", "--trials", "10000000", "--strategy", "replay"],
+    ],
+)
+def test_largest_allowed_request_finishes_within_budget(capsys, argv):
+    # --trials and --n sit at their limits; the count-level samplers do not
+    # scale with the trial count
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - t0
+    assert code == 0, err
+    assert "trials: 10000000" in out
+    assert elapsed <= 2.0
+
+
+def test_guess_angles_peak_memory_stays_bounded(capsys):
+    # one survivor chunk at a time: a trials x key-length array of float64
+    # at these sizes would be 512 MB, and one chunk of it 32 MB
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "protocol", "attack", "--n", "64", "--trials", "1000000", "--strategy", "guess-angles"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak <= 8 * 2**20
+
+
+# first 16 hex digits of the sha256 of stdout at --seed 8; a change here is
+# a change of RNG stream or of output format and must be made on purpose
+DIGEST_COMMANDS = {
+    "zeno": ["zeno", "--n-steps", "30"],
+    "sweep": ["zeno", "--sweep", "1:5"],
+    "guess-bits": ["protocol", "attack", "--strategy", "guess-bits"],
+    "guess-angles": ["protocol", "attack", "--strategy", "guess-angles"],
+    "replay": ["protocol", "attack", "--strategy", "replay"],
+}
+STDOUT_DIGESTS = {
+    ("zeno", "table"): "7712435e41a8fe88",
+    ("zeno", "csv"): "d696ef6d0fc4e5fa",
+    ("zeno", "json"): "8f7535f07270ada2",
+    ("sweep", "table"): "1165a71421947193",
+    ("sweep", "csv"): "5f6f0dced8340d43",
+    ("sweep", "json"): "d73bd73803b1300d",
+    ("guess-bits", "table"): "294719ed3f4cf2be",
+    ("guess-bits", "csv"): "eaa817b9c9878600",
+    ("guess-bits", "json"): "4413581e178a7e24",
+    ("guess-angles", "table"): "a2c97227dfb2c1ec",
+    ("guess-angles", "csv"): "f1fc5e9172688e46",
+    ("guess-angles", "json"): "cd9e56b218ae88f0",
+    ("replay", "table"): "afb9bbd934128f9a",
+    ("replay", "csv"): "8be0e7da815b5ab5",
+    ("replay", "json"): "6005b73a35824061",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(STDOUT_DIGESTS))
+def test_monte_carlo_stdout_is_pinned(capsys, command, fmt):
+    code, out, err = run(capsys, *DIGEST_COMMANDS[command], "--seed", "8", "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == STDOUT_DIGESTS[command, fmt]

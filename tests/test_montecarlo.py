@@ -1,0 +1,211 @@
+"""The count-level Monte Carlo samplers against per-trial reference samplers.
+
+``simulate_steering`` and ``eve_attack_success`` track only how many trials
+are still alive.  The reference functions below draw every trial at every
+step, as the library once did; over many seeds the two must give the same
+distribution of counts, checked by a two-sample chi-square test.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qentro import montecarlo, protocol
+from qentro.errors import QentroError
+from qentro.protocol import (
+    GUESS_ANGLES,
+    GUESS_BITS,
+    REPLAY,
+    SignatureKey,
+    attack_success_probability,
+    eve_attack_success,
+)
+from qentro.zeno import SteeringPlan, simulate_steering, steering_success_probability
+
+HALF_PI = math.pi / 2
+SEEDS = 1500
+
+# upper 0.1 % points of the chi-square distribution, by degrees of freedom
+CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515, 6: 22.458, 7: 24.322, 8: 26.124, 9: 27.877}
+# each bin holds at least this much of the exact law, so at most 10 bins
+MIN_MASS = 0.1
+
+MIXED_KEY = SignatureKey([0.0, math.pi / 8, math.pi / 4, HALF_PI])
+KEYS = {"mixed": MIXED_KEY, "45deg": SignatureKey.uniform(4)}
+
+
+def reference_steering(plan, trials, rng):
+    """Survivors per step, drawing one uniform per trial and step."""
+    p_forward = float(np.cos(plan.theta_step) ** 2)
+    alive = np.ones(trials, dtype=bool)
+    survivors = np.empty(plan.n_steps, dtype=int)
+    for k in range(plan.n_steps):
+        alive &= rng.random(trials) < p_forward
+        survivors[k] = int(alive.sum())
+    return survivors
+
+
+def reference_attack(key, strategy, trials, rng):
+    """Accepted forgeries, drawing a preparation and a verification per
+    trial and position."""
+    n = key.length
+    if strategy == GUESS_BITS:
+        prepared = rng.integers(0, 2, size=(trials, n)) * HALF_PI
+    elif strategy == GUESS_ANGLES:
+        prepared = rng.random((trials, n)) * HALF_PI
+    else:  # REPLAY: resend the computational-basis outcome of an honest photon
+        prepared = (rng.random((trials, n)) >= np.cos(key.angles) ** 2) * HALF_PI
+    p_zero = np.cos(prepared - key.angles[None, :]) ** 2
+    return int((rng.random((trials, n)) < p_zero).all(axis=1).sum())
+
+
+def binomial_bins(trials, q):
+    """Upper ends of bins of Binomial(trials, q) outcomes, each holding at
+    least ``MIN_MASS`` of the law; the last bin runs to ``trials``."""
+    uppers, mass = [], 0.0
+    for k in range(trials + 1):
+        mass += math.comb(trials, k) * q**k * (1.0 - q) ** (trials - k)
+        if mass >= MIN_MASS:
+            uppers.append(k)
+            mass = 0.0
+    uppers[-1] = trials
+    return np.array(uppers)
+
+
+def two_sample_chi2(a, b, uppers):
+    """Chi-square statistic for two equal-size samples of counts over the
+    same bins, and its degrees of freedom."""
+    ha = np.bincount(np.searchsorted(uppers, a), minlength=len(uppers))
+    hb = np.bincount(np.searchsorted(uppers, b), minlength=len(uppers))
+    both = ha + hb
+    used = both > 0
+    return float(np.sum((ha - hb)[used] ** 2 / both[used])), int(used.sum()) - 1
+
+
+def assert_same_law(new_counts, old_counts, trials, q):
+    uppers = binomial_bins(trials, q)
+    assert len(uppers) >= 2
+    stat, df = two_sample_chi2(np.asarray(new_counts), np.asarray(old_counts), uppers)
+    assert stat <= CHI2_999[df], (stat, df)
+
+
+def test_steering_survivors_per_step_match_the_per_trial_sampler():
+    plan = SteeringPlan.from_steps(6)
+    trials = 30
+    new = np.array(
+        [simulate_steering(plan, trials, np.random.default_rng([s, 0])).survivors_per_step for s in range(SEEDS)]
+    )
+    old = np.array([reference_steering(plan, trials, np.random.default_rng([s, 1])) for s in range(SEEDS)])
+    p_forward = math.cos(plan.theta_step) ** 2
+    for k in range(plan.n_steps):
+        assert_same_law(new[:, k], old[:, k], trials, p_forward ** (k + 1))
+
+
+@pytest.mark.parametrize("key_name", sorted(KEYS))
+@pytest.mark.parametrize("strategy", protocol.EVE_STRATEGIES)
+def test_attack_successes_match_the_per_trial_sampler(strategy, key_name):
+    key = KEYS[key_name]
+    trials = 40
+    new = [eve_attack_success(key, strategy, trials, np.random.default_rng([s, 0])).successes for s in range(SEEDS)]
+    old = [reference_attack(key, strategy, trials, np.random.default_rng([s, 1])) for s in range(SEEDS)]
+    assert_same_law(new, old, trials, attack_success_probability(key, strategy))
+
+
+def test_chi2_check_tells_different_laws_apart():
+    # the check has power: 2^-4 against 0.15 at 40 trials is far outside it
+    rng = np.random.default_rng(3)
+    a, b = rng.binomial(40, 1 / 16, SEEDS), rng.binomial(40, 0.15, SEEDS)
+    stat, df = two_sample_chi2(a, b, binomial_bins(40, 1 / 16))
+    assert stat > CHI2_999[df]
+
+
+class CountingGenerator:
+    """Passes the two draws the samplers make to a numpy Generator and
+    records how many variates each call drew."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def binomial(self, n, p):
+        self.sizes.append(1)
+        return self._rng.binomial(n, p)
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self._rng.random(size)
+
+
+@pytest.mark.parametrize("trials", [10, 10**7])
+def test_steering_draws_once_per_step(trials):
+    plan = SteeringPlan.from_steps(40)
+    rng = CountingGenerator(5)
+    simulate_steering(plan, trials, rng)
+    assert sum(rng.sizes) <= plan.n_steps
+
+
+@pytest.mark.parametrize("strategy", [GUESS_BITS, REPLAY])
+@pytest.mark.parametrize("trials", [10, 10**7])
+def test_two_angle_attacks_draw_three_times_per_position(strategy, trials):
+    key = SignatureKey.uniform(64)
+    rng = CountingGenerator(6)
+    eve_attack_success(key, strategy, trials, rng)
+    assert sum(rng.sizes) <= 3 * key.length
+
+
+def test_guess_angles_draws_only_for_survivors_in_bounded_chunks():
+    # against a 0-degree key each position passes half the survivors, so
+    # the draws total about 2 * trials * (1 + 1/2 + 1/4 + ...) = 4 * trials,
+    # against 2 * n * trials for drawing every trial at every position
+    trials = 200_000
+    rng = CountingGenerator(7)
+    eve_attack_success(SignatureKey(np.zeros(16)), GUESS_ANGLES, trials, rng)
+    assert max(rng.sizes) <= protocol._ATTACK_CHUNK
+    assert sum(rng.sizes) <= 4.05 * trials
+
+
+def test_results_carry_their_closed_form():
+    plan = SteeringPlan.from_steps(12)
+    steering = simulate_steering(plan, 50_000, np.random.default_rng(8))
+    assert steering.expected_rate == steering_success_probability(plan)
+    for strategy in protocol.EVE_STRATEGIES:
+        attack = eve_attack_success(MIXED_KEY, strategy, 50_000, np.random.default_rng(9))
+        assert attack.expected_rate == attack_success_probability(MIXED_KEY, strategy)
+        assert abs(attack.z) <= 3.0
+    assert abs(steering.z) <= 3.0
+
+
+def test_stderr_and_z_follow_the_closed_form():
+    result = protocol.AttackResult(GUESS_BITS, 400, 110, 0.25)
+    assert result.stderr == pytest.approx(math.sqrt(0.25 * 0.75 / 400), rel=1e-15)
+    assert result.z == pytest.approx((110 / 400 - 0.25) / result.stderr, rel=1e-15)
+    # a closed form of exactly 0 or 1 has no spread
+    assert protocol.AttackResult(REPLAY, 10, 10, 1.0).z == 0.0
+    assert protocol.AttackResult(REPLAY, 10, 9, 1.0).z == -math.inf
+    # a result built without its law reads NaN
+    unknown = protocol.AttackResult(GUESS_BITS, 100, 25)
+    assert math.isnan(unknown.stderr) and math.isnan(unknown.z)
+    assert isinstance(unknown, montecarlo.RateEstimate)
+
+
+@pytest.mark.parametrize(
+    "angle, per_position",
+    [
+        (math.pi / 4, {GUESS_BITS: 0.5, GUESS_ANGLES: 0.5 + 1 / math.pi, REPLAY: 0.5}),
+        (0.0, {GUESS_BITS: 0.5, GUESS_ANGLES: 0.5, REPLAY: 1.0}),
+    ],
+)
+def test_attack_success_probability_pinned(angle, per_position):
+    for strategy, p in per_position.items():
+        assert attack_success_probability(SignatureKey([angle]), strategy) == pytest.approx(p, abs=1e-15)
+        assert attack_success_probability(SignatureKey.uniform(5, angle), strategy) == pytest.approx(p**5, rel=1e-12)
+
+
+def test_attack_success_probability_multiplies_positions():
+    # mixed key 0, pi/8, pi/4, pi/2: replay passes 1, 3/4, 1/2, 1
+    assert attack_success_probability(MIXED_KEY, REPLAY) == pytest.approx(0.375, rel=1e-12)
+    expected = 0.5 * (0.5 + math.sqrt(0.5) / math.pi) * (0.5 + 1 / math.pi) * 0.5
+    assert attack_success_probability(MIXED_KEY, GUESS_ANGLES) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(QentroError):
+        attack_success_probability(MIXED_KEY, "guess-everything")
