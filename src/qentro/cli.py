@@ -27,9 +27,12 @@ FORMATS = ("table", "csv", "json")
 # simulation starts.  A request above a limit exits 2 and names the limit.
 WORK_LIMITS = {
     "trials": 10**7,  # --trials of zeno and protocol attack
-    "steps": 10**6,  # zeno steps: --n-steps, about 90 / --theta-deg, or the top of --sweep
+    # zeno steps: --n-steps, about 90 / --theta-deg, or the top of --sweep and
+    # its steps summed
+    "steps": 10**6,
     # the size of the request, trials x steps (summed over a sweep) or trials
-    # x key length; the count-level samplers make far fewer draws than this
+    # x key length; the samplers make one draw per step or key position,
+    # whatever the trial count, so the steps bound their time
     "draws": 10**9,
     "key angles": 64,  # protocol attack --n
     "grid levels": 1024,  # protocol estimate --grid-n
@@ -150,7 +153,9 @@ def _cmd_zeno(args) -> list[dict]:
         if lo > hi:
             raise ParseError(f"--sweep expects N1 <= N2, got {args.sweep!r}")
         _check_work("--sweep", hi, "steps")
-        _check_work("--sweep with --trials", sum(range(max(lo, 1), hi + 1)) * args.trials, "draws")
+        steps = sum(range(max(lo, 1), hi + 1))
+        _check_work("--sweep with --trials", steps * args.trials, "draws")
+        _check_work("--sweep summed over its step counts", steps, "steps")
         return zeno.steering_sweep_rows(range(lo, hi + 1), args.trials, args.seed)
     plan = _zeno_plan(args)
     _check_work("--trials with the planned steps", plan.n_steps * args.trials, "draws")

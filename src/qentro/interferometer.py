@@ -121,8 +121,9 @@ def simulate_photons(mirror: MirrorModel, count: int, rng: np.random.Generator) 
 def simulate_latent_mirror(prior: float, count: int, rng: np.random.Generator) -> dict:
     """Simulate the unknown arrangement with the mirror as a latent variable.
 
-    Each photon first draws whether the mirror is springy (probability
-    ``prior``), then an outcome from that mirror's distribution.  Returns
+    Each photon finds the mirror springy with probability ``prior`` and
+    then an outcome from that mirror's distribution, so the counts of the
+    six joint (mirror, outcome) cells are one multinomial draw.  Returns
     counts keyed by ``(mirror_kind, outcome)``; the springy fraction among
     D1 clicks estimates the Bayes posterior empirically.
     """
@@ -130,21 +131,12 @@ def simulate_latent_mirror(prior: float, count: int, rng: np.random.Generator) -
         raise NonpositiveN(f"photon count must be >= 1, got {count!r}")
     if not 0.0 <= prior <= 1.0:
         raise QentroError(f"prior must lie in [0, 1], got {prior!r}")
-    springy = rng.random(count) < prior
-    u = rng.random(count)
-    springy_edges = np.cumsum(_SPRINGY_DIST.as_array())
-    rigid_edges = np.cumsum(_RIGID_DIST.as_array())
-    outcome_idx = np.where(
-        springy,
-        np.searchsorted(springy_edges, u, side="right"),
-        np.searchsorted(rigid_edges, u, side="right"),
-    )
-    outcome_idx = np.clip(outcome_idx, 0, 2)
-    counts = {}
-    for is_springy, kind in ((True, SPRINGY), (False, RIGID)):
-        for idx, outcome in enumerate(OUTCOMES):
-            counts[(kind, outcome)] = int(((springy == is_springy) & (outcome_idx == idx)).sum())
-    return counts
+    # numpy's multinomial gives the last cell whatever the others leave; in
+    # this order that is springy D2, so rounding never puts a photon in a
+    # cell of probability 0
+    cells = [(RIGID, outcome) for outcome in OUTCOMES] + [(SPRINGY, outcome) for outcome in OUTCOMES]
+    probs = np.concatenate([(1.0 - prior) * _RIGID_DIST.as_array(), prior * _SPRINGY_DIST.as_array()])
+    return dict(zip(cells, (int(c) for c in rng.multinomial(count, probs))))
 
 
 def mirror_position_uncertainty(wavelength: float) -> float:

@@ -1,6 +1,27 @@
-"""Shared reading of a Monte Carlo success count against its closed form."""
+"""The one Monte Carlo sampler, and the shared reading of its success count
+against the closed form it samples."""
 
 import math
+
+import numpy as np
+
+
+def thin(trials: int, pass_probs, rng: np.random.Generator) -> np.ndarray:
+    """Survivors after each step of ``trials`` independent trials, each of
+    which passes step k with probability ``pass_probs[k]`` or drops out.
+
+    The trials are exchangeable, so only their count is tracked: step k
+    draws ``Binomial(survivors_{k-1}, pass_probs[k])``, one scalar draw per
+    step whatever ``trials`` is, with exactly the law of drawing every
+    trial.  Drawing stops once no trial survives; later steps read 0."""
+    survivors = np.zeros(len(pass_probs), dtype=int)
+    alive = trials
+    for k, p in enumerate(pass_probs):
+        alive = int(rng.binomial(alive, p))
+        survivors[k] = alive
+        if alive == 0:
+            break
+    return survivors
 
 
 class RateEstimate:

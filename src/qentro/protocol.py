@@ -19,7 +19,7 @@ from .errors import (
     NonpositiveN,
     QentroError,
 )
-from .montecarlo import RateEstimate
+from .montecarlo import RateEstimate, thin
 
 HALF_PI = math.pi / 2.0
 
@@ -27,8 +27,6 @@ GUESS_BITS = "guess-bits"
 GUESS_ANGLES = "guess-angles"
 REPLAY = "replay"
 EVE_STRATEGIES = (GUESS_BITS, GUESS_ANGLES, REPLAY)
-
-_ATTACK_CHUNK = 65536
 
 
 class HiddenQubitSource:
@@ -234,22 +232,27 @@ def verify_signature(key: SignatureKey, prepared_angles, rng: np.random.Generato
     return bool(np.all(rng.random(key.length) < p_zero))
 
 
+def _pass_probabilities(key: SignatureKey, strategy: str) -> np.ndarray:
+    a = key.angles
+    if strategy == GUESS_BITS:
+        return np.full(a.shape, 0.5)
+    if strategy == REPLAY:
+        return np.cos(a) ** 4 + np.sin(a) ** 4
+    if strategy == GUESS_ANGLES:
+        return 0.5 + np.sin(2.0 * a) / math.pi
+    raise QentroError(f"strategy must be one of {EVE_STRATEGIES}, got {strategy!r}")
+
+
 def attack_success_probability(key: SignatureKey, strategy: str) -> float:
     """Closed-form acceptance rate of ``strategy`` against ``key``: the
     product over positions of the probability of passing one position at
-    key angle a, which is 1/2 for guess-bits, cos^4 a + sin^4 a for replay
-    and 1/2 + sin(2a)/pi for guess-angles (cos^2 averaged over a uniform
-    preparation angle).  An unknown strategy raises ``QentroError``."""
-    a = key.angles
-    if strategy == GUESS_BITS:
-        per_position = np.full(a.shape, 0.5)
-    elif strategy == REPLAY:
-        per_position = np.cos(a) ** 4 + np.sin(a) ** 4
-    elif strategy == GUESS_ANGLES:
-        per_position = 0.5 + np.sin(2.0 * a) / math.pi
-    else:
-        raise QentroError(f"strategy must be one of {EVE_STRATEGIES}, got {strategy!r}")
-    return float(np.prod(per_position))
+    key angle a.  guess-bits prepares 0 or pi/2 by a fair coin and passes
+    with 1/2; replay (intercept-resend) prepares the computational-basis
+    outcome of one honest photon, 0 with probability cos^2 a, and passes
+    with cos^4 a + sin^4 a; guess-angles prepares a uniform angle in
+    [0, pi/2] and passes with cos^2 averaged over it, 1/2 + sin(2a)/pi.  An
+    unknown strategy raises ``QentroError``."""
+    return float(np.prod(_pass_probabilities(key, strategy)))
 
 
 @dataclass(frozen=True)
@@ -263,51 +266,26 @@ class AttackResult(RateEstimate):
     expected_rate: float = math.nan
 
 
-def _random_angle_passes(alive: int, key_angle: float, rng: np.random.Generator) -> int:
-    # per surviving trial: a uniform preparation angle, then one verification
-    # draw; at most _ATTACK_CHUNK trials are held at once
-    passed = 0
-    for start in range(0, alive, _ATTACK_CHUNK):
-        chunk = min(_ATTACK_CHUNK, alive - start)
-        prepared = rng.random(chunk) * HALF_PI
-        passed += int(np.count_nonzero(rng.random(chunk) < np.cos(prepared - key_angle) ** 2))
-    return passed
-
-
 def eve_attack_success(
     key: SignatureKey, strategy: str, trials: int, rng: np.random.Generator
 ) -> AttackResult:
     """Number of forged streams the verifier accepts out of ``trials``.
 
-    The verifier rejects a stream at its first failing position, so the
-    sampler walks the key one position at a time and draws only for the
-    trials still accepted.  guess-bits (a fair coin between 0 and pi/2) and
-    replay (intercept-resend: the computational-basis outcome of one honest
-    photon, 0 with probability cos^2 a) prepare one of two angles, so they
-    run at count level: the survivors split binomially by preparation, and
-    each group passes with cos^2 a or sin^2 a, three scalar draws per
-    position whatever ``trials`` is.  guess-angles draws a uniform
-    preparation angle and a verification uniform per surviving trial, in
-    chunks of at most ``_ATTACK_CHUNK``.  Either way the count has exactly
-    the law of drawing every trial at every position.
+    Each forged photon is prepared independently of the others and passes
+    its key position with a fixed probability (see
+    ``attack_success_probability``), and the verifier rejects a stream at
+    its first failing position, so the trials are thinned position by
+    position by ``montecarlo.thin``: one draw per position whatever
+    ``trials`` is, with exactly the law of drawing every trial.
 
     A forger who guesses computational-basis bits against an all-45-degree
     key passes each position with probability 1/2, so the acceptance rate
-    is 2^-n (``attack_success_probability``)."""
+    is 2^-n."""
     if trials < 1:
         raise NonpositiveN(f"trials must be >= 1, got {trials!r}")
-    expected = attack_success_probability(key, strategy)
-    alive = trials
-    for a in key.angles:
-        if alive == 0:
-            break
-        if strategy == GUESS_ANGLES:
-            alive = _random_angle_passes(alive, float(a), rng)
-        else:
-            cos2, sin2 = math.cos(a) ** 2, math.sin(a) ** 2
-            zeros = int(rng.binomial(alive, 0.5 if strategy == GUESS_BITS else cos2))
-            alive = int(rng.binomial(zeros, cos2)) + int(rng.binomial(alive - zeros, sin2))
-    return AttackResult(strategy, trials, alive, expected)
+    passes = _pass_probabilities(key, strategy)
+    successes = int(thin(trials, passes, rng)[-1])
+    return AttackResult(strategy, trials, successes, float(np.prod(passes)))
 
 
 def estimation_row(n: int, shots: int, theta_true: float, estimate, seed: int) -> dict:

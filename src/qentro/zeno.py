@@ -11,7 +11,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, InvalidTheta, NonpositiveN, NotHermitian
 from .linalg import DEFAULT_TOL, ROUNDING_TOL
-from .montecarlo import RateEstimate
+from .montecarlo import RateEstimate, thin
 from .states import PureState
 
 HALF_PI = math.pi / 2.0
@@ -154,23 +154,15 @@ def simulate_steering(plan: SteeringPlan, trials: int, rng: np.random.Generator)
     After a forward collapse at step k the state is exactly the step-k basis
     state, so each step is an independent forward collapse with probability
     cos^2(theta); a single backward collapse makes the trial a failure (no
-    resampling).  The trials are exchangeable, so the sampler tracks only
-    their count: step k draws ``Binomial(survivors_{k-1}, cos^2 theta)``,
-    one scalar draw per step whatever ``trials`` is, with exactly the law of
-    drawing every trial.  ``survivors_per_step`` records how many trials are
-    still on the forward ladder after each step.
+    resampling).  The trials are thinned by ``montecarlo.thin``, one draw
+    per step.  ``survivors_per_step`` records how many trials are still on
+    the forward ladder after each step.
     """
     if trials < 1:
         raise NonpositiveN(f"trials must be >= 1, got {trials!r}")
     p_forward = float(np.cos(plan.theta_step) ** 2)
-    survivors = np.zeros(plan.n_steps, dtype=int)
-    alive = trials
-    for k in range(plan.n_steps):
-        alive = int(rng.binomial(alive, p_forward))
-        survivors[k] = alive
-        if alive == 0:
-            break
-    return SteeringResult(alive, trials, survivors, steering_success_probability(plan))
+    survivors = thin(trials, [p_forward] * plan.n_steps, rng)
+    return SteeringResult(int(survivors[-1]), trials, survivors, steering_success_probability(plan))
 
 
 def steering_row(plan: SteeringPlan, result: SteeringResult, seed: int) -> dict:

@@ -468,6 +468,7 @@ BIG = str(10**30)
         (["protocol", "estimate", "--shots", BIG], "shots"),
         (["protocol", "estimate", "--adaptive", "--shots", BIG], "shots"),
         (["mzi", "--arrangement", "rigid", "--photons", BIG], "photons"),
+        (["zeno", "--sweep", "1:1414", "--trials", "1"], "steps"),
     ],
 )
 def test_work_above_a_limit_exits_2(capsys, argv, limit):
@@ -485,6 +486,7 @@ def test_work_above_a_limit_exits_2(capsys, argv, limit):
         ["zeno", "--sweep", "1:100"],
         ["zeno", "--n-steps", "90", "--trials", "100000"],
         ["mzi", "--arrangement", "unknown", "--photons", "100000"],
+        ["zeno", "--sweep", "1:1413", "--trials", "1"],
     ],
 )
 def test_readme_work_is_within_the_limits(capsys, argv, monkeypatch):
@@ -512,6 +514,7 @@ def test_readme_work_is_within_the_limits(capsys, argv, monkeypatch):
         ["zeno", "--n-steps", "100", "--trials", "10000000"],
         ["protocol", "attack", "--n", "64", "--trials", "10000000", "--strategy", "guess-bits"],
         ["protocol", "attack", "--n", "64", "--trials", "10000000", "--strategy", "replay"],
+        ["protocol", "attack", "--n", "64", "--trials", "10000000", "--strategy", "guess-angles"],
     ],
 )
 def test_largest_allowed_request_finishes_within_budget(capsys, argv):
@@ -526,8 +529,8 @@ def test_largest_allowed_request_finishes_within_budget(capsys, argv):
 
 
 def test_guess_angles_peak_memory_stays_bounded(capsys):
-    # one survivor chunk at a time: a trials x key-length array of float64
-    # at these sizes would be 512 MB, and one chunk of it 32 MB
+    # counts only, no per-trial arrays: a trials x key-length array of
+    # float64 at these sizes would be 512 MB
     tracemalloc.start()
     try:
         code, out, err = run(
@@ -556,15 +559,15 @@ STDOUT_DIGESTS = {
     ("sweep", "table"): "1165a71421947193",
     ("sweep", "csv"): "5f6f0dced8340d43",
     ("sweep", "json"): "d73bd73803b1300d",
-    ("guess-bits", "table"): "294719ed3f4cf2be",
-    ("guess-bits", "csv"): "eaa817b9c9878600",
-    ("guess-bits", "json"): "4413581e178a7e24",
-    ("guess-angles", "table"): "a2c97227dfb2c1ec",
-    ("guess-angles", "csv"): "f1fc5e9172688e46",
-    ("guess-angles", "json"): "cd9e56b218ae88f0",
-    ("replay", "table"): "afb9bbd934128f9a",
-    ("replay", "csv"): "8be0e7da815b5ab5",
-    ("replay", "json"): "6005b73a35824061",
+    ("guess-bits", "table"): "0d126cc98cec1260",
+    ("guess-bits", "csv"): "3e49608b575639e9",
+    ("guess-bits", "json"): "c528a84972918f18",
+    ("guess-angles", "table"): "d0a1cc8fe5dd795e",
+    ("guess-angles", "csv"): "cd85b0e1c0be36b3",
+    ("guess-angles", "json"): "89f16077c114427a",
+    ("replay", "table"): "2d82b0a218f86ac2",
+    ("replay", "csv"): "7bde6e7f8358f166",
+    ("replay", "json"): "7492188ccbf3efea",
 }
 
 

@@ -1,9 +1,10 @@
 """The count-level Monte Carlo samplers against per-trial reference samplers.
 
 ``simulate_steering`` and ``eve_attack_success`` track only how many trials
-are still alive.  The reference functions below draw every trial at every
-step, as the library once did; over many seeds the two must give the same
-distribution of counts, checked by a two-sample chi-square test.
+are still alive, and ``simulate_latent_mirror`` draws its joint counts at
+once.  The reference functions below draw every trial at every step, or
+every photon, as the library once did; over many seeds the two must give
+the same distribution of counts, checked by a two-sample chi-square test.
 """
 
 import math
@@ -13,6 +14,14 @@ import pytest
 
 from qentro import montecarlo, protocol
 from qentro.errors import QentroError
+from qentro.interferometer import (
+    OUTCOMES,
+    RIGID,
+    SPRINGY,
+    MirrorModel,
+    outcome_distribution,
+    simulate_latent_mirror,
+)
 from qentro.protocol import (
     GUESS_ANGLES,
     GUESS_BITS,
@@ -58,6 +67,26 @@ def reference_attack(key, strategy, trials, rng):
         prepared = (rng.random((trials, n)) >= np.cos(key.angles) ** 2) * HALF_PI
     p_zero = np.cos(prepared - key.angles[None, :]) ** 2
     return int((rng.random((trials, n)) < p_zero).all(axis=1).sum())
+
+
+def reference_latent_mirror(prior, count, rng):
+    """Joint (mirror, outcome) counts, drawing the mirror and then an
+    outcome for every photon."""
+    springy = rng.random(count) < prior
+    u = rng.random(count)
+    springy_edges = np.cumsum(outcome_distribution(MirrorModel.springy()).as_array())
+    rigid_edges = np.cumsum(outcome_distribution(MirrorModel.rigid()).as_array())
+    outcome_idx = np.where(
+        springy,
+        np.searchsorted(springy_edges, u, side="right"),
+        np.searchsorted(rigid_edges, u, side="right"),
+    )
+    outcome_idx = np.clip(outcome_idx, 0, 2)
+    counts = {}
+    for is_springy, kind in ((True, SPRINGY), (False, RIGID)):
+        for idx, outcome in enumerate(OUTCOMES):
+            counts[(kind, outcome)] = int(((springy == is_springy) & (outcome_idx == idx)).sum())
+    return counts
 
 
 def binomial_bins(trials, q):
@@ -112,6 +141,20 @@ def test_attack_successes_match_the_per_trial_sampler(strategy, key_name):
     assert_same_law(new, old, trials, attack_success_probability(key, strategy))
 
 
+def test_latent_mirror_cells_match_the_per_photon_sampler():
+    prior, photons = 0.3, 40
+    new = [simulate_latent_mirror(prior, photons, np.random.default_rng([s, 0])) for s in range(SEEDS)]
+    old = [reference_latent_mirror(prior, photons, np.random.default_rng([s, 1])) for s in range(SEEDS)]
+    for kind, weight in ((SPRINGY, prior), (RIGID, 1.0 - prior)):
+        dist = outcome_distribution(MirrorModel(kind)).as_array()
+        for outcome, p in zip(OUTCOMES, weight * dist):
+            cell = (kind, outcome)
+            if p == 0.0:
+                assert all(counts[cell] == 0 for counts in new), cell
+            else:
+                assert_same_law([c[cell] for c in new], [c[cell] for c in old], photons, p)
+
+
 def test_chi2_check_tells_different_laws_apart():
     # the check has power: 2^-4 against 0.15 at 40 trials is far outside it
     rng = np.random.default_rng(3)
@@ -121,7 +164,7 @@ def test_chi2_check_tells_different_laws_apart():
 
 
 class CountingGenerator:
-    """Passes the two draws the samplers make to a numpy Generator and
+    """Passes the one draw the samplers make to a numpy Generator and
     records how many variates each call drew."""
 
     def __init__(self, seed):
@@ -129,12 +172,8 @@ class CountingGenerator:
         self.sizes = []
 
     def binomial(self, n, p):
-        self.sizes.append(1)
+        self.sizes.append(np.broadcast(n, p).size)
         return self._rng.binomial(n, p)
-
-    def random(self, size):
-        self.sizes.append(size)
-        return self._rng.random(size)
 
 
 @pytest.mark.parametrize("trials", [10, 10**7])
@@ -145,24 +184,14 @@ def test_steering_draws_once_per_step(trials):
     assert sum(rng.sizes) <= plan.n_steps
 
 
-@pytest.mark.parametrize("strategy", [GUESS_BITS, REPLAY])
+@pytest.mark.parametrize("strategy", protocol.EVE_STRATEGIES)
 @pytest.mark.parametrize("trials", [10, 10**7])
-def test_two_angle_attacks_draw_three_times_per_position(strategy, trials):
+def test_attacks_draw_once_per_position(strategy, trials):
     key = SignatureKey.uniform(64)
     rng = CountingGenerator(6)
     eve_attack_success(key, strategy, trials, rng)
-    assert sum(rng.sizes) <= 3 * key.length
-
-
-def test_guess_angles_draws_only_for_survivors_in_bounded_chunks():
-    # against a 0-degree key each position passes half the survivors, so
-    # the draws total about 2 * trials * (1 + 1/2 + 1/4 + ...) = 4 * trials,
-    # against 2 * n * trials for drawing every trial at every position
-    trials = 200_000
-    rng = CountingGenerator(7)
-    eve_attack_success(SignatureKey(np.zeros(16)), GUESS_ANGLES, trials, rng)
-    assert max(rng.sizes) <= protocol._ATTACK_CHUNK
-    assert sum(rng.sizes) <= 4.05 * trials
+    assert len(rng.sizes) <= key.length
+    assert set(rng.sizes) <= {1}
 
 
 def test_results_carry_their_closed_form():
