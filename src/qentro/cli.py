@@ -111,6 +111,8 @@ def _cmd_entropy(args) -> list[dict]:
 
 
 def _cmd_unitary_min(args) -> list[dict]:
+    if args.budget < 0:
+        raise ParseError(f"--budget must be >= 0, got {args.budget}")
     rho = DensityMatrix(serialize.matrix_from_json(serialize.load_json(args.input)))
     report = ent.min_informational_over_unitaries(rho, args.base, budget=args.budget)
     if report.residual_vs_von_neumann > RESIDUAL_WARN:

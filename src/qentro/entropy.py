@@ -344,7 +344,6 @@ def min_informational_over_unitaries(
     rho,
     base: str = BITS,
     budget: int = 200_000,
-    seed: int = 0,
 ) -> UnitaryMinimizationReport:
     """Minimize ``informational(U rho U†)`` over unitaries ``U``.
 
@@ -364,7 +363,7 @@ def min_informational_over_unitaries(
     directly.  ``budget`` caps evaluations, one per pair visit, and
     ``iterations`` reports the pair visits made; on exhaustion the point
     reached so far is returned with ``budget_exhausted=True``.  The search
-    is deterministic: ``seed`` is accepted for compatibility and ignored.
+    is deterministic.
     """
     _check_base(base)
     if not isinstance(rho, states.DensityMatrix):

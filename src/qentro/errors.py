@@ -83,7 +83,3 @@ class NonpositiveN(QentroError):
 
 class LengthMismatch(QentroError):
     pass
-
-
-class BudgetExhausted(QentroError):
-    pass

@@ -4,7 +4,7 @@ identically prepared qubit copies, and the signature protocol built on it.
 The source emits copies of ``cos(theta)|0> + sin(theta)|1>`` for a hidden
 ``theta``; measuring a copy in a basis rotated by ``b`` yields outcome 0
 with probability ``cos^2(theta - b)``.  The angle is sealed behind the
-sampling interface: estimators only see outcome bits.
+sampling interface: estimators only see counts of outcomes.
 """
 
 import math
@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExhausted,
-    LengthMismatch,
-    NonFinite,
-    NonpositiveN,
-    QentroError,
-)
+from .errors import LengthMismatch, NonFinite, NonpositiveN, QentroError
 from .montecarlo import RateEstimate, thin
 
 HALF_PI = math.pi / 2.0
@@ -32,41 +26,33 @@ EVE_STRATEGIES = (GUESS_BITS, GUESS_ANGLES, REPLAY)
 class HiddenQubitSource:
     """Emits copies of a qubit state at a hidden angle in [0, pi/2].
 
-    ``spawn(key)`` derives an independent child source (same hidden angle,
-    statistically independent stream) keyed deterministically, so work can
-    be split per hypothesis or per trial without order dependence.
+    Each batch of copies is drawn from the stream keyed by an integer
+    ``stream``, ``SeedSequence(entropy=seed, spawn_key=(stream,))``, so work
+    split per hypothesis or per round does not depend on its order.  A key
+    names one batch: drawing the same batch again repeats its outcomes.
+    ``copies_used`` counts every copy measured, over all streams.
     """
 
-    def __init__(self, secret_theta: float, seed: int = 0, _spawn_key: tuple = ()):
+    def __init__(self, secret_theta: float, seed: int = 0):
         theta = float(secret_theta)
         if not 0.0 <= theta <= HALF_PI:
             raise QentroError(f"hidden angle must lie in [0, pi/2], got {theta!r}")
         self._theta = theta
         self._seed = int(seed)
-        self._spawn_key = tuple(_spawn_key)
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self._seed, spawn_key=self._spawn_key)
-        )
         self.copies_used = 0
 
-    def spawn(self, key: int) -> "HiddenQubitSource":
-        return HiddenQubitSource(self._theta, self._seed, self._spawn_key + (int(key),))
-
-    def measure(self, basis_angle: float) -> int:
-        """Measure one fresh copy in the rotated basis; 0 with probability
-        cos^2(theta - basis_angle), else 1."""
-        self.copies_used += 1
-        p_zero = math.cos(self._theta - basis_angle) ** 2
-        return 0 if self._rng.random() < p_zero else 1
-
-    def measure_batch(self, basis_angle: float, shots: int) -> int:
-        """Measure ``shots`` fresh copies in one basis; returns the count of
-        0 outcomes (binomial draw, identical in law to repeated singles)."""
+    def measure_batch(self, basis_angle: float, shots: int, stream: int) -> int:
+        """Measure ``shots`` fresh copies in one basis on stream ``stream``;
+        returns the count of 0 outcomes, a binomial draw with success
+        probability cos^2(theta - basis_angle)."""
         if shots < 1:
             raise NonpositiveN(f"shots must be >= 1, got {shots!r}")
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=self._seed, spawn_key=(int(stream),))
+        )
         self.copies_used += shots
         p_zero = math.cos(self._theta - basis_angle) ** 2
-        return int(self._rng.binomial(shots, min(p_zero, 1.0)))
+        return int(rng.binomial(shots, min(p_zero, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +75,6 @@ class QuantizationGrid:
 class BruteForceEstimate:
     theta_hat: float
     zero_counts: np.ndarray
-    log_likelihoods: np.ndarray
     copies_used: int
 
 
@@ -100,36 +85,21 @@ def estimate_theta_bruteforce(
 
     Hypothesis j is scored by its count of 0 outcomes (expected
     ``shots * cos^2(theta - theta_j)``, maximal when aligned); the winner is
-    the argmax with lowest-index tie-breaking.  Each hypothesis draws from
-    its own child stream keyed by index, so evaluation order is irrelevant.
-    The returned log-likelihoods score each hypothesis against the pooled
-    counts from all bases.
+    the argmax with lowest-index tie-breaking.  Hypothesis j draws from the
+    source's stream j, so evaluation order is irrelevant.  ``copies_used``
+    is what the source counted for this estimate.
     """
     if shots_per_hypothesis < 1:
         raise NonpositiveN(f"shots_per_hypothesis must be >= 1, got {shots_per_hypothesis!r}")
     hypotheses = grid.hypotheses
-    zeros = np.empty(grid.levels, dtype=int)
-    for j, basis in enumerate(hypotheses):
-        child = source.spawn(j)
-        zeros[j] = child.measure_batch(float(basis), shots_per_hypothesis)
-        source.copies_used += shots_per_hypothesis
-    winner = int(np.argmax(zeros))  # argmax returns the first maximal index
-
     shots = shots_per_hypothesis
-    log_likelihoods = np.empty(grid.levels)
-    for j, candidate in enumerate(hypotheses):
-        p = np.cos(candidate - hypotheses) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ll = zeros * np.log(p) + (shots - zeros) * np.log(1.0 - p)
-        ll = np.where((zeros == shots) & (p == 1.0), 0.0, ll)
-        ll = np.where((zeros == 0) & (p == 0.0), 0.0, ll)
-        log_likelihoods[j] = ll.sum() if np.all(np.isfinite(ll)) else -np.inf
-
+    spent = source.copies_used
+    zeros = np.array([source.measure_batch(float(b), shots, j) for j, b in enumerate(hypotheses)])
+    winner = int(np.argmax(zeros))  # argmax returns the first maximal index
     return BruteForceEstimate(
         theta_hat=float(hypotheses[winner]),
         zero_counts=zeros,
-        log_likelihoods=log_likelihoods,
-        copies_used=grid.levels * shots_per_hypothesis,
+        copies_used=source.copies_used - spent,
     )
 
 
@@ -142,10 +112,7 @@ class AdaptiveEstimate:
 
 
 def estimate_theta_adaptive(
-    source: HiddenQubitSource,
-    target_halfwidth: float,
-    confidence_shots: int = 200,
-    max_copies: int | None = None,
+    source: HiddenQubitSource, target_halfwidth: float, confidence_shots: int = 200
 ) -> AdaptiveEstimate:
     """Interval bisection on [0, pi/2], homing in on the hidden angle.
 
@@ -153,32 +120,26 @@ def estimate_theta_adaptive(
     with ``confidence_shots`` copies apiece and keeps the half whose probe
     basis collected more 0 outcomes (probing the full-interval midpoint
     itself cannot work: cos^2 is symmetric about the probe axis, so a
-    centered probe carries no side information).  Rounds continue until the
-    interval halfwidth is at most the target; the estimate is the final
-    midpoint.  Raises ``BudgetExhausted`` if the next round would exceed
-    ``max_copies``.
+    centered probe carries no side information).  Round r = 1, 2, ... draws
+    its left probe from the source's stream 2r and its right probe from
+    stream 2r + 1.  Rounds continue until the interval halfwidth is at most
+    the target; the estimate is the final midpoint.  ``copies_used`` is
+    what the source counted for this estimate.
     """
     if not target_halfwidth > 0:  # also rejects NaN
         raise QentroError(f"target halfwidth must be positive, got {target_halfwidth!r}")
     if confidence_shots < 1:
         raise NonpositiveN(f"confidence_shots must be >= 1, got {confidence_shots!r}")
     lo, hi = 0.0, HALF_PI
-    copies = 0
+    spent = source.copies_used
     rounds = 0
     while (hi - lo) / 2.0 > target_halfwidth:
-        if max_copies is not None and copies + 2 * confidence_shots > max_copies:
-            raise BudgetExhausted(
-                f"copy budget {max_copies} cannot fund another round of "
-                f"{2 * confidence_shots} measurements"
-            )
         mid = (lo + hi) / 2.0
         probe_left = (lo + mid) / 2.0
         probe_right = (mid + hi) / 2.0
         rounds += 1
-        zeros_left = source.spawn(2 * rounds).measure_batch(probe_left, confidence_shots)
-        zeros_right = source.spawn(2 * rounds + 1).measure_batch(probe_right, confidence_shots)
-        copies += 2 * confidence_shots
-        source.copies_used += 2 * confidence_shots
+        zeros_left = source.measure_batch(probe_left, confidence_shots, 2 * rounds)
+        zeros_right = source.measure_batch(probe_right, confidence_shots, 2 * rounds + 1)
         if zeros_left >= zeros_right:  # tie goes left for determinism
             hi = mid
         else:
@@ -186,7 +147,7 @@ def estimate_theta_adaptive(
     return AdaptiveEstimate(
         theta_hat=(lo + hi) / 2.0,
         halfwidth=(hi - lo) / 2.0,
-        copies_used=copies,
+        copies_used=source.copies_used - spent,
         rounds=rounds,
     )
 
@@ -318,29 +279,3 @@ def attack_row(key: SignatureKey, result: AttackResult, seed: int) -> dict:
         "rate": result.success_rate,
         "seed": seed,
     }
-
-
-def estimation_rows(
-    grid_levels, shots_per_hypothesis: int, theta_true: float, seed: int
-) -> list[dict]:
-    """Brute-force estimation cost curve, one ``estimation_row`` per grid
-    size, each estimate drawn from a source spawned by its size."""
-    rows = []
-    for n in grid_levels:
-        source = HiddenQubitSource(theta_true, seed=seed).spawn(int(n))
-        estimate = estimate_theta_bruteforce(
-            source, QuantizationGrid(int(n)), shots_per_hypothesis
-        )
-        rows.append(estimation_row(int(n), shots_per_hypothesis, theta_true, estimate, seed))
-    return rows
-
-
-def attack_rows(key_lengths, strategy: str, trials: int, seed: int) -> list[dict]:
-    """Forgery success curve, one ``attack_row`` per key length, each run on
-    its own stream spawned from ``seed``."""
-    rows = []
-    for n in key_lengths:
-        key = SignatureKey.uniform(int(n))
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(n),)))
-        rows.append(attack_row(key, eve_attack_success(key, strategy, trials, rng), seed))
-    return rows

@@ -35,16 +35,20 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError(f"matrix object must be a JSON object, got {type(obj).__name__}")
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
+        if isinstance(dim, float) and not dim.is_integer():  # also inf and NaN
+            raise ParseError(f"matrix dim must be a whole number, got {dim!r}")
+        dim = int(dim)
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix object: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ParseError(
             f"matrix parts must be {dim}x{dim}, got re {re.shape} and im {im.shape}"
         )
-    return re + 1j * im
+    with np.errstate(invalid="ignore"):  # an infinite part is rejected downstream
+        return re + 1j * im
 
 
 def state_to_json(state: PureState) -> dict:
@@ -60,7 +64,7 @@ def state_from_json(obj) -> PureState:
         raise ParseError("pure state object must contain 'amplitudes'")
     try:
         amps = [complex(entry["re"], entry["im"]) for entry in obj["amplitudes"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad amplitude list: {exc}") from exc
     return PureState(amps)
 
@@ -70,7 +74,7 @@ def probs_from_json(obj) -> np.ndarray:
         raise ParseError("probability object must contain 'probs'")
     try:
         return np.asarray(obj["probs"], dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad probability list: {exc}") from exc
 
 
@@ -91,7 +95,7 @@ def ensemble_from_json(obj) -> Ensemble:
             )
     except (ParseError, QentroError):
         raise  # schema errors and domain invariant violations keep their kind
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad ensemble object: {exc}") from exc
     return Ensemble(pure_parts, mixed_part)
 
@@ -102,7 +106,9 @@ def load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integer literals
+    # past Python's digit limit; RecursionError covers nesting too deep to parse
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
 
 

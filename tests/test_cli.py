@@ -257,12 +257,14 @@ def test_bound_non_finite_exits_3(capsys, area):
     assert "finite" in err
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would print to stderr
 @pytest.mark.parametrize(
     "which, obj",
     [
         ("informational", {"dim": 2, "re": [[math.nan, 0.0], [0.0, 0.5]], "im": [[0, 0], [0, 0]]}),
         ("pure", {"amplitudes": [{"re": math.nan, "im": 0.0}, {"re": 1.0, "im": 0.0}]}),
         ("shannon", {"probs": [math.nan, 1.0]}),
+        ("informational", {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0, math.inf], [0, 0]]}),
     ],
 )
 def test_nan_json_input_exits_3(capsys, tmp_path, which, obj):
@@ -313,6 +315,46 @@ def test_mzi_negative_photons_exits_2(capsys):
     assert out == ""
     assert err.startswith("error: parse:")
     assert "--photons must be >= 0" in err
+
+
+def test_unitary_min_negative_budget_exits_2(capsys, blend_file):
+    code, out, err = run(capsys, "unitary-min", blend_file, "--budget", "-3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse:")
+    assert "--budget must be >= 0" in err
+    rows = run_json(capsys, "unitary-min", blend_file, "--budget", "0")
+    assert rows[0]["iterations"] == 0
+
+
+# JSON documents that once escaped main with a traceback
+BROKEN_JSON = {
+    "not-utf8": b'{"dim": 2, "re": "\xff\xfe"}',
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "int-past-digit-limit": b'{"dim": ' + b"1" * 4301 + b"}",
+    "dim-overflows": b'{"dim": 1e400, "re": [[1]], "im": [[0]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_JSON))
+def test_broken_json_file_exits_2(capsys, tmp_path, name):
+    path = tmp_path / "broken.json"
+    path.write_bytes(BROKEN_JSON[name])
+    code, out, err = run(capsys, "entropy", str(path), "--which", "informational")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse:")
+
+
+@pytest.mark.parametrize("dim", ["2.7", "NaN", "-Infinity"])
+def test_matrix_dim_that_is_not_a_whole_number_exits_2(capsys, tmp_path, dim):
+    path = tmp_path / "dim.json"
+    path.write_text(f'{{"dim": {dim}, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}}')
+    code, out, err = run(capsys, "unitary-min", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse:")
+    assert "dim" in err
 
 
 def test_malformed_seed_env_var_exits_2(capsys, monkeypatch):
@@ -551,6 +593,8 @@ DIGEST_COMMANDS = {
     "guess-bits": ["protocol", "attack", "--strategy", "guess-bits"],
     "guess-angles": ["protocol", "attack", "--strategy", "guess-angles"],
     "replay": ["protocol", "attack", "--strategy", "replay"],
+    "estimate-grid": ["protocol", "estimate", "--grid-n", "8", "--theta-deg", "39.375"],
+    "estimate-adaptive": ["protocol", "estimate", "--adaptive"],
 }
 STDOUT_DIGESTS = {
     ("zeno", "table"): "7712435e41a8fe88",
@@ -568,6 +612,12 @@ STDOUT_DIGESTS = {
     ("replay", "table"): "2d82b0a218f86ac2",
     ("replay", "csv"): "7bde6e7f8358f166",
     ("replay", "json"): "7492188ccbf3efea",
+    ("estimate-grid", "table"): "7faf813309fc9889",
+    ("estimate-grid", "csv"): "31acfd5b79d4a838",
+    ("estimate-grid", "json"): "1c8279c656699d5e",
+    ("estimate-adaptive", "table"): "b8e707a4176f04de",
+    ("estimate-adaptive", "csv"): "6f247bb971ac0622",
+    ("estimate-adaptive", "json"): "be251a1419d299ae",
 }
 
 

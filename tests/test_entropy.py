@@ -302,14 +302,14 @@ def test_convert_round_trip():
 
 
 def test_minimizer_on_blend_a():
-    report = min_informational_over_unitaries(RHO_BLEND_A, seed=1)
+    report = min_informational_over_unitaries(RHO_BLEND_A)
     assert report.min_value == pytest.approx(H34_BITS, abs=1e-6)
     assert abs(report.residual_vs_von_neumann) <= 1e-6
     assert is_unitary(report.minimizer, 1e-8)
 
 
 def test_minimizer_on_diagonal_input_is_identity():
-    report = min_informational_over_unitaries(RHO_DIAG_34, seed=0)
+    report = min_informational_over_unitaries(RHO_DIAG_34)
     assert report.residual_vs_von_neumann == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(report.minimizer, np.eye(2))
 
@@ -317,7 +317,7 @@ def test_minimizer_on_diagonal_input_is_identity():
 def test_minimizer_random_3x3_matches_eigen_oracle():
     rng = np.random.default_rng(19)
     rho = random_density(3, rng)
-    report = min_informational_over_unitaries(rho, seed=3)
+    report = min_informational_over_unitaries(rho)
     assert report.residual_vs_von_neumann <= 1e-4
     # the report's minimum is reproducible from its own minimizer
     rotated = conjugate(rho, report.minimizer)
@@ -328,7 +328,7 @@ def test_minimizer_never_dips_below_von_neumann():
     rng = np.random.default_rng(20)
     for dim in (2, 3, 4):
         rho = random_density(dim, rng)
-        report = min_informational_over_unitaries(rho, seed=dim)
+        report = min_informational_over_unitaries(rho)
         assert report.min_value >= von_neumann(rho).value - 1e-6
 
 
@@ -336,7 +336,7 @@ def test_minimizer_converges_at_dim_8():
     # the upper end of the supported size range stays within the default
     # evaluation budget
     rho = random_density(8, np.random.default_rng(88))
-    report = min_informational_over_unitaries(rho, seed=2)
+    report = min_informational_over_unitaries(rho)
     assert not report.budget_exhausted
     assert report.residual_vs_von_neumann <= 1e-4
     assert is_unitary(report.minimizer, 1e-8)
@@ -345,7 +345,7 @@ def test_minimizer_converges_at_dim_8():
 def test_minimizer_budget_exhaustion_returns_best_so_far():
     rng = np.random.default_rng(21)
     rho = random_density(3, rng)
-    report = min_informational_over_unitaries(rho, budget=10, seed=0)
+    report = min_informational_over_unitaries(rho, budget=10)
     assert report.budget_exhausted
     # budget is checked per line search, so the overshoot is bounded by one
     # scan-plus-golden pass

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qentro.errors import BudgetExhausted, LengthMismatch, NonFinite, NonpositiveN, QentroError
+from qentro.errors import LengthMismatch, NonFinite, NonpositiveN, QentroError
 from qentro.protocol import (
     GUESS_ANGLES,
     GUESS_BITS,
@@ -12,10 +12,8 @@ from qentro.protocol import (
     HiddenQubitSource,
     QuantizationGrid,
     SignatureKey,
-    attack_rows,
     estimate_theta_adaptive,
     estimate_theta_bruteforce,
-    estimation_rows,
     eve_attack_success,
     honest_stream,
     verify_signature,
@@ -33,19 +31,19 @@ def test_source_validates_angle():
 
 def test_measure_aligned_basis_always_zero():
     src = HiddenQubitSource(0.7, seed=1)
-    assert all(src.measure(0.7) == 0 for _ in range(100))
+    assert src.measure_batch(0.7, 100, 0) == 100
     assert src.copies_used == 100
 
 
 def test_measure_orthogonal_basis_always_one():
     src = HiddenQubitSource(0.0, seed=2)
-    assert all(src.measure(HALF_PI) == 1 for _ in range(100))
+    assert src.measure_batch(HALF_PI, 100, 0) == 0
 
 
 def test_measure_unbiased_at_45_degrees():
     src = HiddenQubitSource(0.0, seed=3)
     shots = 100_000
-    zeros = src.measure_batch(math.pi / 4, shots)
+    zeros = src.measure_batch(math.pi / 4, shots, 0)
     assert abs(zeros / shots - 0.5) <= 0.005
 
 
@@ -58,19 +56,20 @@ def test_measure_frequencies_on_angle_grid():
         for j, basis in enumerate(angles):
             src = HiddenQubitSource(float(theta), seed=500 + 9 * i + j)
             p = math.cos(theta - basis) ** 2
-            zeros = src.measure_batch(float(basis), shots)
+            zeros = src.measure_batch(float(basis), shots, 0)
             sigma = math.sqrt(p * (1 - p) / shots)
             assert abs(zeros / shots - p) <= max(3 * sigma, 1e-12)
 
 
-def test_source_streams_are_reproducible_and_spawns_independent():
+def test_source_streams_are_reproducible_and_independent():
     a = HiddenQubitSource(0.4, seed=9)
     b = HiddenQubitSource(0.4, seed=9)
-    assert [a.measure(0.1) for _ in range(50)] == [b.measure(0.1) for _ in range(50)]
-    child0 = HiddenQubitSource(0.4, seed=9).spawn(0)
-    child1 = HiddenQubitSource(0.4, seed=9).spawn(1)
-    seq0 = [child0.measure(0.9) for _ in range(200)]
-    seq1 = [child1.measure(0.9) for _ in range(200)]
+    assert [a.measure_batch(0.1, 50, k) for k in range(20)] == [
+        b.measure_batch(0.1, 50, k) for k in range(20)
+    ]
+    src = HiddenQubitSource(0.4, seed=9)
+    seq0 = [src.measure_batch(0.9, shots, 0) for shots in range(1, 201)]
+    seq1 = [src.measure_batch(0.9, shots, 1) for shots in range(1, 201)]
     assert seq0 != seq1
 
 
@@ -128,18 +127,10 @@ def test_bruteforce_permutation_stable():
     src = HiddenQubitSource(0.5, seed=31)
     est = estimate_theta_bruteforce(src, grid, 500)
     shuffled_scores = np.empty(6, dtype=int)
+    shuffled = HiddenQubitSource(0.5, seed=31)
     for j in reversed(range(6)):
-        child = HiddenQubitSource(0.5, seed=31).spawn(j)
-        shuffled_scores[j] = child.measure_batch(float(grid.hypotheses[j]), 500)
+        shuffled_scores[j] = shuffled.measure_batch(float(grid.hypotheses[j]), 500, j)
     assert np.array_equal(est.zero_counts, shuffled_scores)
-
-
-def test_bruteforce_loglikelihood_peaks_at_winner():
-    grid = QuantizationGrid(8)
-    theta = float(grid.hypotheses[2])
-    est = estimate_theta_bruteforce(HiddenQubitSource(theta, seed=4), grid, 5000)
-    assert int(np.argmax(est.log_likelihoods)) == 2
-    assert np.all(np.asarray(est.log_likelihoods) <= 0.0)
 
 
 def test_bruteforce_validates_shots():
@@ -167,12 +158,6 @@ def test_adaptive_immediate_return_for_loose_target():
     assert est.theta_hat == pytest.approx(math.pi / 4)
 
 
-def test_adaptive_budget_exhausted():
-    src = HiddenQubitSource(0.3, seed=0)
-    with pytest.raises(BudgetExhausted):
-        estimate_theta_adaptive(src, math.pi / 256, confidence_shots=100, max_copies=150)
-
-
 def test_adaptive_cheaper_than_bruteforce_at_matched_precision():
     # head-to-head fixture: adaptive at pi/64 vs a 64-level grid sweep
     rng = np.random.default_rng(12)
@@ -188,6 +173,16 @@ def test_adaptive_cheaper_than_bruteforce_at_matched_precision():
         )
         brute_copies.append(est_b.copies_used)
     assert np.median(adaptive_copies) < np.median(brute_copies)
+
+
+def test_source_counts_the_copies_each_estimator_reports():
+    src = HiddenQubitSource(0.6, seed=3)
+    est = estimate_theta_bruteforce(src, QuantizationGrid(8), 300)
+    assert src.copies_used == est.copies_used == 8 * 300
+    src = HiddenQubitSource(0.6, seed=3)
+    est = estimate_theta_adaptive(src, math.pi / 64, confidence_shots=120)
+    assert est.rounds > 0
+    assert src.copies_used == est.copies_used == est.rounds * 2 * 120
 
 
 def test_signature_key_validation():
@@ -296,17 +291,6 @@ def test_accepted_forgery_does_not_replay_at_future_times():
 
 def test_attack_result_rate():
     assert AttackResult("guess-bits", 100, 25).success_rate == 0.25
-
-
-def test_rows_emitters_deterministic():
-    est1 = estimation_rows([4, 8], 200, 0.4, seed=5)
-    est2 = estimation_rows([4, 8], 200, 0.4, seed=5)
-    assert est1 == est2
-    assert [row["n"] for row in est1] == [4, 8]
-    atk1 = attack_rows([2, 4], GUESS_BITS, 20_000, seed=6)
-    atk2 = attack_rows([2, 4], GUESS_BITS, 20_000, seed=6)
-    assert atk1 == atk2
-    assert all(row["successes"] <= row["trials"] for row in atk1)
 
 
 def test_signature_key_rejects_nonpositive_length_and_nan():
