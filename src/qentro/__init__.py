@@ -10,7 +10,6 @@ from .entropy import (
     EntropyResult,
     UnitaryMinimizationReport,
     bekenstein_bound,
-    convert,
     differential_entropy,
     ensemble_bound_check,
     informational,

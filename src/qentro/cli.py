@@ -4,9 +4,14 @@ One binary with subcommands (entropy, unitary-min, zeno, mzi, protocol,
 bound), global flags for seed, log base, and output format, and JSON/CSV
 emitters that are byte-identical for identical invocations.  Exit codes:
 0 ok, 2 input parse error, 3 domain invariant violation.
+
+``main(argv)`` may be called any number of times in one process: it builds
+the argument parser on its first call and reuses it, and reads the
+``QENTRO_SEED`` default of ``--seed`` on every call.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -221,9 +226,7 @@ def _add_global_args(parser, suppress: bool):
     parser.add_argument(
         "--seed",
         type=int,
-        # a string default is converted by type=int, so a malformed
-        # QENTRO_SEED is reported as a parse error like a bad --seed
-        default=default(os.environ.get("QENTRO_SEED", "0")),
+        default=default("0"),  # main replaces it with QENTRO_SEED on each call
         help="random seed (default: QENTRO_SEED env var or 0)",
     )
     parser.add_argument("--base", choices=(ent.BITS, ent.NATS), default=default(ent.BITS))
@@ -289,8 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, not at import, and kept for the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
+    # a string default is converted by type=int, so a malformed QENTRO_SEED
+    # is reported as a parse error like a bad --seed
+    parser.set_defaults(seed=os.environ.get("QENTRO_SEED", "0"))
     args = parser.parse_args(argv)
     if args.seed < 0:
         print("error: parse: --seed must be a nonnegative integer", file=sys.stderr)

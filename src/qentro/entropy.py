@@ -75,15 +75,6 @@ def _log(x, base: str):
     return np.log2(x) if base == BITS else np.log(x)
 
 
-def convert(result: EntropyResult, base: str) -> EntropyResult:
-    """Re-express an entropy value in another base (1 bit = ln 2 nats)."""
-    _check_base(base)
-    if result.base == base:
-        return result
-    factor = math.log(2.0) if base == NATS else 1.0 / math.log(2.0)
-    return EntropyResult(result.value * factor, base)
-
-
 def _plogp_sum(probs: np.ndarray, base: str) -> float:
     """``-sum p log p`` over the positive entries (0 log 0 = 0); never -0.0."""
     p = np.asarray(probs, dtype=float)
@@ -151,10 +142,16 @@ def quantized_entropy(h: EntropyResult, delta_x: float) -> EntropyResult:
 
 def von_neumann(rho, base: str = BITS) -> EntropyResult:
     """Entropy ``-sum_x lambda_x log lambda_x`` of the eigenvalues of a
-    density matrix.  Zero for every pure state."""
+    density matrix.  Zero for every pure state, and equal to
+    :func:`informational` exactly when the matrix is diagonal."""
     _check_base(base)
     if not isinstance(rho, states.DensityMatrix):
         rho = states.DensityMatrix(rho)
+    m = rho.matrix
+    # a diagonal matrix's spectrum is its diagonal: summed in the diagonal's
+    # order, as informational sums it, and not sorted, the two agree to the bit
+    if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
+        return EntropyResult(_plogp_sum(rho.diagonal(), base), base)
     return EntropyResult(_plogp_sum(rho.eigenvalues(), base), base)
 
 

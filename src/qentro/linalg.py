@@ -74,11 +74,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Return ``V diag(w) V†``; equals the input matrix up to tolerance."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     # Fix the gauge freedom of a nonzero vector: rotate it so its first

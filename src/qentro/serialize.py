@@ -36,6 +36,9 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ParseError(f"matrix object must be a JSON object, got {type(obj).__name__}")
     try:
         dim = obj["dim"]
+        # a JSON integer or a whole float; bool is an int subclass, so test it first
+        if isinstance(dim, bool) or not isinstance(dim, (int, float)):
+            raise ParseError(f"matrix dim must be a number, got {type(dim).__name__}")
         if isinstance(dim, float) and not dim.is_integer():  # also inf and NaN
             raise ParseError(f"matrix dim must be a whole number, got {dim!r}")
         dim = int(dim)
@@ -47,8 +50,12 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ParseError(
             f"matrix parts must be {dim}x{dim}, got re {re.shape} and im {im.shape}"
         )
-    with np.errstate(invalid="ignore"):  # an infinite part is rejected downstream
-        return re + 1j * im
+    # assign the parts, not re + 1j*im, so that every float (signed zeros too)
+    # comes back exactly and an infinite part does not make a NaN
+    m = np.empty((dim, dim), dtype=complex)
+    m.real = re
+    m.imag = im
+    return m
 
 
 def state_to_json(state: PureState) -> dict:

@@ -1,10 +1,9 @@
 """Pure states, density matrices, ensembles, and the two ways a state
 can change: unitary evolution and projective measurement collapse.
 
-Pure states are compared up to global phase; the canonical form fixes the
-first non-negligible amplitude to be positive real.  Every stochastic
-operation takes an explicit ``numpy.random.Generator`` so identical seeds
-reproduce identical outcome sequences.
+Pure states are compared up to global phase.  Every stochastic operation
+takes an explicit ``numpy.random.Generator`` so identical seeds reproduce
+identical outcome sequences.
 
 Validation happens once, at the boundary: the public constructors
 (``PureState(...)``, ``PureState.normalized``, ``DensityMatrix(...)``,
@@ -73,11 +72,6 @@ class PureState:
         amps[index] = 1.0
         return cls(amps)
 
-    @classmethod
-    def from_angle(cls, theta: float) -> "PureState":
-        """Qubit ``cos(theta)|0> + sin(theta)|1>`` with real amplitudes."""
-        return cls([np.cos(theta), np.sin(theta)])
-
     @property
     def amplitudes(self) -> np.ndarray:
         return self._amps
@@ -89,11 +83,6 @@ class PureState:
     def probabilities(self) -> np.ndarray:
         """Computational-basis outcome probabilities ``|c_k|^2``."""
         return np.abs(self._amps) ** 2
-
-    def canonical(self) -> "PureState":
-        """Global-phase-fixed representative: first significant amplitude
-        rotated to be positive real."""
-        return PureState(linalg._fix_phase(self._amps))
 
     def equals_up_to_phase(self, other: "PureState", tol: float = LOOSE_TOL) -> bool:
         if self.dim != other.dim:
@@ -318,13 +307,6 @@ def dephase(state) -> DensityMatrix:
             state = DensityMatrix(state)
         diag = state.diagonal()
     return DensityMatrix._trusted(np.diag(diag.astype(complex)))
-
-
-def alignment_matrix(theta: float) -> np.ndarray:
-    """Real symmetric unitary mapping ``cos(theta)|0> + sin(theta)|1>``
-    to ``|0>`` (a reflection, its own inverse)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [s, -c]], dtype=complex)
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> PureState:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -241,6 +242,80 @@ def test_seed_env_var_default(capsys, monkeypatch):
     assert rows[0]["seed"] == 123
 
 
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one call, argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_main_calls_reuse_one_parser(capsys, monkeypatch, blend_file):
+    rigid = ["mzi", "--arrangement", "rigid", "--format", "json"]
+
+    def seed_of(*argv):
+        code, out, err = outcome(capsys, argv)
+        assert code == 0, err
+        return json.loads(out)[0]["seed"]
+
+    # QENTRO_SEED is read on every call, and an explicit --seed is not kept
+    monkeypatch.setenv("QENTRO_SEED", "7")
+    assert seed_of(*rigid) == 7
+    monkeypatch.setenv("QENTRO_SEED", "9")
+    assert seed_of(*rigid) == 9
+    assert seed_of("--seed", "5", *rigid) == 5
+    assert seed_of(*rigid) == 9
+    assert seed_of(*rigid, "--seed", "5") == 5
+    monkeypatch.delenv("QENTRO_SEED")
+    assert seed_of(*rigid) == 0
+
+    probes = [
+        ["zeno", "--n-steps", "20", "--trials", "1000", "--format", "csv"],
+        ["entropy", blend_file, "--which", "informational", "--base", "nats"],
+        ["protocol", "attack", "--n", "4", "--trials", "100", "--seed", "3"],
+        ["bound", "4", "--format", "json"],
+        ["bound", "x"],
+        ["zeno", "--help"],
+    ]
+    mix = [
+        ["--seed", "11", "--format", "json", "zeno", "--sweep", "1:3", "--trials", "10"],
+        ["mzi", "--arrangement", "unknown", "--photons", "20", "--base", "nats"],
+        ["protocol", "estimate", "--adaptive", "--format", "csv"],
+        ["unitary-min", blend_file, "--budget", "1"],
+        ["entropy", blend_file],
+        ["nosuch"],
+        ["--seed", "-1", "bound", "4"],
+        ["zeno", "--sweep", "5:1"],
+        ["bound", "4", "--seed", "abc"],
+    ]
+    # the same bytes whether a probe runs on a new parser or after the mix
+    cli._parser.cache_clear()
+    first = [outcome(capsys, argv) for argv in probes]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 0]
+    mixed = [outcome(capsys, argv) for argv in mix]
+    assert [code for code, _, _ in mixed] == [0, 0, 0, 0, 2, 2, 2, 2, 2]
+    assert [outcome(capsys, argv) for argv in probes] == first
+    # a call that argparse rejects leaves the next valid call unchanged
+    for rejected, probe, expected in zip(mix[4:], probes, first):
+        outcome(capsys, rejected)
+        assert outcome(capsys, probe) == expected
+
+    # once built, the parser is reused: 30 more calls construct no parser
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (probes + mix) * 2:
+        outcome(capsys, argv)
+    assert built == []
+
+
 def test_table_output_shows_base_label(capsys, blend_file):
     code, out, _ = run(capsys, "entropy", blend_file, "--which", "von-neumann")
     assert code == 0
@@ -346,7 +421,7 @@ def test_broken_json_file_exits_2(capsys, tmp_path, name):
     assert err.startswith("error: parse:")
 
 
-@pytest.mark.parametrize("dim", ["2.7", "NaN", "-Infinity"])
+@pytest.mark.parametrize("dim", ["2.7", "NaN", "-Infinity", "true", '"2"'])
 def test_matrix_dim_that_is_not_a_whole_number_exits_2(capsys, tmp_path, dim):
     path = tmp_path / "dim.json"
     path.write_text(f'{{"dim": {dim}, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}}')

@@ -8,7 +8,6 @@ from qentro.entropy import (
     BITS,
     NATS,
     bekenstein_bound,
-    convert,
     differential_entropy,
     ensemble_bound_check,
     informational,
@@ -288,14 +287,6 @@ def test_bekenstein_bound():
     assert bekenstein_bound(0.0, NATS).value == 0.0
     with pytest.raises(NegativeArea):
         bekenstein_bound(-1.0)
-
-
-def test_convert_round_trip():
-    from qentro.entropy import EntropyResult
-
-    one_bit = EntropyResult(1.0, BITS)
-    assert convert(one_bit, NATS).value == pytest.approx(math.log(2.0))
-    assert convert(convert(one_bit, NATS), BITS).value == pytest.approx(1.0)
 
 
 # --------------------------------------------- minimization over unitaries

@@ -9,13 +9,20 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qentro.cli import main
-from qentro.entropy import informational, min_informational_over_unitaries, von_neumann
+from qentro.entropy import (
+    BITS,
+    NATS,
+    informational,
+    min_informational_over_unitaries,
+    shannon,
+    von_neumann,
+)
 from qentro.linalg import is_unitary, random_unitary
-from qentro.serialize import matrix_to_json, state_to_json
+from qentro.serialize import matrix_from_json, matrix_to_json, state_from_json, state_to_json
 from qentro.states import (
     DensityMatrix,
     Ensemble,
@@ -40,6 +47,67 @@ def test_unitary_evolution_keeps_spectrum_and_informational_bound(dim, seed):
     evolved = evolve_unitary(rho, random_unitary(dim, rng))
     assert informational(evolved).value >= von_neumann(rho).value - 1e-12
     assert np.abs(evolved.eigenvalues() - rho.eigenvalues()).max() <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+def test_informational_equals_von_neumann_exactly_on_diagonal_matrices(weights):
+    assume(sum(weights) > 0)
+    rho = DensityMatrix(np.diag(np.array(weights) / sum(weights)))
+    for base in (BITS, NATS):
+        assert informational(rho, base).value == von_neumann(rho, base).value
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), target=st.floats(1e-3, 1.0))
+def test_informational_exceeds_von_neumann_off_the_diagonal(dim, seed, target):
+    # keep the Wishart diagonal and scale the coherences so that the largest
+    # off-diagonal modulus is min(target, its own value), never below 1e-3
+    m = random_density(dim, np.random.default_rng(seed)).matrix
+    diagonal = np.diag(np.diag(m))
+    largest = np.abs(m - diagonal).max()
+    assume(largest >= 1e-3)
+    rho = DensityMatrix(diagonal + min(1.0, target / largest) * (m - diagonal))
+    for base in (BITS, NATS):
+        assert informational(rho, base).value > von_neumann(rho, base).value
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 5.0))
+def test_entropies_in_nats_are_bits_times_ln2(dim, seed, alpha):
+    # full-rank, skewed and pure inputs; the relation is checked on the two
+    # computed values, with no conversion helper in between
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.full(dim, alpha))
+    cases = [(shannon, probs)]
+    for rho in (random_density(dim, rng), DensityMatrix(np.diag(probs)), density_of_pure(random_pure(dim, rng))):
+        cases += [(informational, rho), (von_neumann, rho)]
+    for measure, arg in cases:
+        nats, bits = measure(arg, NATS).value, measure(arg, BITS).value
+        assert math.isclose(nats, bits * math.log(2.0), rel_tol=1e-12, abs_tol=0.0), (measure, nats, bits)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 5), data=st.data())
+def test_matrix_json_round_trip_is_exact(dim, data):
+    parts = [data.draw(st.lists(_FLOATS, min_size=dim * dim, max_size=dim * dim)) for _ in "ri"]
+    m = np.empty((dim, dim), dtype=complex)
+    m.real, m.imag = (np.reshape(part, (dim, dim)) for part in parts)
+    back = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+    assert back.dtype == m.dtype and back.tobytes() == m.tobytes()  # signed zeros too
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=8))
+def test_state_json_round_trip_is_exact(parts):
+    amps = np.array([complex(re, im) for re, im in parts])
+    assume(np.linalg.norm(amps) >= 1e-3)
+    state = PureState.normalized(amps)
+    back = state_from_json(json.loads(json.dumps(state_to_json(state))))
+    assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -230,6 +298,9 @@ def _mutated_documents(draw):
 @example(document=b'{"probs": [' + b"1" * 4301 + b"]}")
 @example(document=b'{"dim": 1e400, "re": [[1]], "im": [[0]]}')
 @example(document=b'{"probs": [1' + b"0" * 400 + b"]}")
+# each of these once passed a JSON bool or string as a matrix dim
+@example(document=b'{"dim": true, "re": [[1]], "im": [[0]]}')
+@example(document=b'{"dim": "2", "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}')
 def test_cli_json_files_keep_the_exit_code_contract(document):
     with tempfile.TemporaryDirectory() as tmpdir:
         path = os.path.join(tmpdir, "input.json")
