@@ -7,12 +7,12 @@ projections onto a slowly rotating basis drag the state from |0> to |1>
 with probability (cos^2 theta)^n, written to a CSV curve.
 """
 
-import csv
 import math
 import sys
 
 import numpy as np
 
+from qentro.serialize import write_csv
 from qentro.states import PureState
 from qentro.zeno import (
     Hamiltonian,
@@ -73,7 +73,5 @@ print("emits the statistics and leaves the model fitting to the reader.")
 rows = steering_sweep_rows(range(1, 101), trials=20_000, seed=99)
 path = sys.argv[1] if len(sys.argv) > 1 else "steering_curve.csv"
 with open(path, "w", newline="") as handle:
-    writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
+    write_csv(rows, handle)
 print(f"\nWrote the n = 1..100 closed-form vs empirical curve to {path}")

@@ -32,13 +32,10 @@ FORMATS = ("table", "csv", "json")
 # simulation starts.  A request above a limit exits 2 and names the limit.
 WORK_LIMITS = {
     "trials": 10**7,  # --trials of zeno and protocol attack
-    # zeno steps: --n-steps, about 90 / --theta-deg, or the top of --sweep and
-    # its steps summed
+    # zeno steps: --n-steps, about 90 / --theta-deg, or summed over a --sweep;
+    # the samplers make one draw per step or key position, whatever the trial
+    # count, so the steps and key angles bound their time
     "steps": 10**6,
-    # the size of the request, trials x steps (summed over a sweep) or trials
-    # x key length; the samplers make one draw per step or key position,
-    # whatever the trial count, so the steps bound their time
-    "draws": 10**9,
     "key angles": 64,  # protocol attack --n
     "grid levels": 1024,  # protocol estimate --grid-n
     "shots": 10**9,  # protocol estimate --shots
@@ -49,6 +46,8 @@ WORK_LIMITS = {
 def _fmt(value):
     if isinstance(value, float):
         return f"{value:.6g}"
+    if isinstance(value, (dict, list)):
+        return json.dumps(value)
     return str(value)
 
 
@@ -66,23 +65,13 @@ def _emit(rows: list[dict], fmt: str, stream) -> None:
         json.dump(rows, stream, indent=2, default=_json_default)
         stream.write("\n")
     elif fmt == "csv":
-        serialize.write_csv(
-            [
-                {k: (json.dumps(v) if isinstance(v, (dict, list)) else v) for k, v in row.items()}
-                for row in rows
-            ],
-            stream,
-        )
+        serialize.write_csv(rows, stream)
     else:
         for i, row in enumerate(rows):
             if i:
                 stream.write("\n")
             for key, value in row.items():
-                if isinstance(value, (dict, list)):
-                    value = json.dumps(value)
-                    stream.write(f"{key}: {value}\n")
-                else:
-                    stream.write(f"{key}: {_fmt(value)}\n")
+                stream.write(f"{key}: {_fmt(value)}\n")
 
 
 def _check_work(flag: str, amount, unit: str) -> None:
@@ -159,13 +148,11 @@ def _cmd_zeno(args) -> list[dict]:
             raise ParseError(f"--sweep expects N1:N2, got {args.sweep!r}") from exc
         if lo > hi:
             raise ParseError(f"--sweep expects N1 <= N2, got {args.sweep!r}")
-        _check_work("--sweep", hi, "steps")
-        steps = sum(range(max(lo, 1), hi + 1))
-        _check_work("--sweep with --trials", steps * args.trials, "draws")
+        first = max(lo, 1)  # step counts below 1 are rejected by the plan
+        steps = (hi * (hi + 1) - (first - 1) * first) // 2 if hi >= first else 0
         _check_work("--sweep summed over its step counts", steps, "steps")
         return zeno.steering_sweep_rows(range(lo, hi + 1), args.trials, args.seed)
     plan = _zeno_plan(args)
-    _check_work("--trials with the planned steps", plan.n_steps * args.trials, "draws")
     result = zeno.simulate_steering(plan, args.trials, np.random.default_rng(args.seed))
     return [zeno.steering_row(plan, result, args.seed)]
 
@@ -174,12 +161,8 @@ def _cmd_mzi(args) -> list[dict]:
     if args.photons < 0:
         raise ParseError(f"--photons must be >= 0, got {args.photons}")
     _check_work("--photons", args.photons, "photons")
-    if args.arrangement == "rigid":
-        mirror = mzi.MirrorModel.rigid()
-    elif args.arrangement == "springy":
-        mirror = mzi.MirrorModel.springy()
-    else:
-        mirror = mzi.MirrorModel.unknown(args.prior)
+    prior = args.prior if args.arrangement == mzi.UNKNOWN else None
+    mirror = mzi.MirrorModel(args.arrangement, prior)
     return mzi.arrangement_rows(mirror, args.photons, args.seed)
 
 
@@ -187,7 +170,6 @@ def _cmd_protocol(args) -> list[dict]:
     if args.mode == "attack":
         _check_work("--n", args.n, "key angles")
         _check_work("--trials", args.trials, "trials")
-        _check_work("--trials with --n", args.n * args.trials, "draws")
         key = protocol.SignatureKey.uniform(args.n, math.radians(args.key_angle_deg))
         rng = np.random.default_rng(args.seed)
         result = protocol.eve_attack_success(key, args.strategy, args.trials, rng)

@@ -6,6 +6,11 @@ detector D1), a springy mirror that absorbs the photon on the lower path
 some prior probability.  A D2 click only ever happens with the springy
 mirror, which is what makes the click informative without the photon
 having touched the mirror.
+
+The whole law is one joint table P(mirror, outcome), the prior-weighted
+rows of P(outcome | mirror): its column sums are the outcome distribution,
+a column's springy share is the Bayes posterior, and the flattened table is
+the latent-mirror multinomial.  Rigid is prior 0 and springy prior 1.
 """
 
 import math
@@ -39,8 +44,7 @@ class MirrorModel:
         if self.kind not in (RIGID, SPRINGY, UNKNOWN):
             raise QentroError(f"unknown mirror kind {self.kind!r}")
         if self.kind == UNKNOWN:
-            if self.prior_springy is None or not 0.0 <= self.prior_springy <= 1.0:
-                raise QentroError(f"prior must lie in [0, 1], got {self.prior_springy!r}")
+            _joint(self.prior_springy)
 
     @classmethod
     def rigid(cls) -> "MirrorModel":
@@ -67,20 +71,25 @@ class OutcomeDistribution:
         return np.array([self.p_absorbed, self.p_d1, self.p_d2])
 
 
-_RIGID_DIST = OutcomeDistribution(0.0, 1.0, 0.0)
-_SPRINGY_DIST = OutcomeDistribution(0.5, 0.25, 0.25)
+# P(outcome | mirror): rows rigid, springy; columns in OUTCOMES order
+_LIKELIHOOD = ((0.0, 1.0, 0.0), (0.5, 0.25, 0.25))
+
+
+def _joint(prior_springy) -> list[list[float]]:
+    """P(mirror, outcome) when the mirror is springy with the given prior:
+    rows rigid, springy; columns in ``OUTCOMES`` order."""
+    if prior_springy is None or not 0.0 <= prior_springy <= 1.0:
+        raise QentroError(f"prior must lie in [0, 1], got {prior_springy!r}")
+    rigid, springy = _LIKELIHOOD
+    return [[(1.0 - prior_springy) * p for p in rigid], [prior_springy * p for p in springy]]
 
 
 def outcome_distribution(mirror: MirrorModel) -> OutcomeDistribution:
-    """Outcome probabilities for an arrangement; the unknown case is the
-    prior-weighted mixture of the rigid and springy cases."""
-    if mirror.kind == RIGID:
-        return _RIGID_DIST
-    if mirror.kind == SPRINGY:
-        return _SPRINGY_DIST
-    q = mirror.prior_springy
-    blend = q * _SPRINGY_DIST.as_array() + (1.0 - q) * _RIGID_DIST.as_array()
-    return OutcomeDistribution(*blend)
+    """Outcome probabilities for an arrangement: the column sums of its
+    joint table, so the unknown case is the prior-weighted mixture of the
+    rigid and springy cases."""
+    prior_springy = {RIGID: 0.0, SPRINGY: 1.0}.get(mirror.kind, mirror.prior_springy)
+    return OutcomeDistribution(*(r + s for r, s in zip(*_joint(prior_springy))))
 
 
 def arrangement_entropy(mirror: MirrorModel, base: str = BITS) -> EntropyResult:
@@ -97,17 +106,14 @@ def posterior_springy(prior: float, outcome: str) -> float:
     probability.  An absorption is conclusive (the rigid arrangement never
     absorbs), as is a D2 click.
     """
-    if not 0.0 <= prior <= 1.0:
-        raise QentroError(f"prior must lie in [0, 1], got {prior!r}")
+    joint = _joint(prior)
     if outcome not in OUTCOMES:
         raise QentroError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
-    idx = OUTCOMES.index(outcome)
-    p_given_springy = _SPRINGY_DIST.as_array()[idx]
-    p_given_rigid = _RIGID_DIST.as_array()[idx]
-    total = prior * p_given_springy + (1.0 - prior) * p_given_rigid
+    rigid, springy = (row[OUTCOMES.index(outcome)] for row in joint)
+    total = rigid + springy
     if total == 0.0:
         raise ImpossibleOutcome(f"outcome {outcome!r} has probability 0 at prior {prior!r}")
-    return prior * p_given_springy / total
+    return springy / total
 
 
 def simulate_photons(mirror: MirrorModel, count: int, rng: np.random.Generator) -> dict:
@@ -129,13 +135,11 @@ def simulate_latent_mirror(prior: float, count: int, rng: np.random.Generator) -
     """
     if count < 1:
         raise NonpositiveN(f"photon count must be >= 1, got {count!r}")
-    if not 0.0 <= prior <= 1.0:
-        raise QentroError(f"prior must lie in [0, 1], got {prior!r}")
     # numpy's multinomial gives the last cell whatever the others leave; in
     # this order that is springy D2, so rounding never puts a photon in a
     # cell of probability 0
-    cells = [(RIGID, outcome) for outcome in OUTCOMES] + [(SPRINGY, outcome) for outcome in OUTCOMES]
-    probs = np.concatenate([(1.0 - prior) * _RIGID_DIST.as_array(), prior * _SPRINGY_DIST.as_array()])
+    probs = [p for row in _joint(prior) for p in row]
+    cells = [(kind, outcome) for kind in (RIGID, SPRINGY) for outcome in OUTCOMES]
     return dict(zip(cells, (int(c) for c in rng.multinomial(count, probs))))
 
 

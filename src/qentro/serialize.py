@@ -122,12 +122,19 @@ def load_json(path: str):
 def write_csv(rows: list[dict], stream) -> None:
     """Write dict rows with a header; full-precision floats via repr so
     identical inputs produce byte-identical output.  Float subclasses such
-    as numpy scalars are written as plain floats."""
+    as numpy scalars are written as plain floats, and nested dicts and lists
+    as JSON."""
     if not rows:
         return
     writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     for row in rows:
-        writer.writerow(
-            {k: (repr(float(v)) if isinstance(v, float) else v) for k, v in row.items()}
-        )
+        writer.writerow({k: _csv_cell(v) for k, v in row.items()})
+
+
+def _csv_cell(value):
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, (dict, list)):
+        return json.dumps(value)
+    return value

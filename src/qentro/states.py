@@ -158,7 +158,8 @@ class Ensemble:
 
     ``pure_parts`` is a sequence of ``(weight, PureState)`` pairs and
     ``mixed_part`` an optional ``(weight, DensityMatrix)``.  Weights must be
-    nonnegative and sum to 1.
+    nonnegative and sum to 1, and every component must have the same
+    dimension, kept as ``dim``.
     """
 
     def __init__(self, pure_parts, mixed_part=None):
@@ -171,14 +172,18 @@ class Ensemble:
             raise QentroError(
                 f"mixed part must be a DensityMatrix, got {type(self.mixed_part[1]).__name__}"
             )
-        weights = [w for w, _ in self.pure_parts]
-        if self.mixed_part is not None:
-            weights.append(self.mixed_part[0])
+        parts = self.pure_parts + ([] if self.mixed_part is None else [self.mixed_part])
+        weights = [w for w, _ in parts]
         if any(w < -ROUNDING_TOL for w in weights):
             raise WeightSumInvalid(f"negative weight in {weights}")
         total = sum(weights)
         if not abs(total - 1.0) <= DEFAULT_TOL:  # also rejects a NaN weight
             raise WeightSumInvalid(f"weights sum to {total!r}, expected 1")
+        # weights summing to 1 leave at least one component
+        dims = [c.dim for _, c in parts]
+        if len(set(dims)) != 1:
+            raise DimensionMismatch(f"ensemble components differ in dimension: {dims}")
+        self.dim = dims[0]
 
 
 class MeasurementSet:
@@ -236,14 +241,7 @@ def density_of_pure(state: PureState) -> DensityMatrix:
 def mix(ensemble: Ensemble) -> DensityMatrix:
     """Density matrix of a weighted ensemble:
     ``sum_i p_i |phi_i><phi_i| + p_o rho_o``."""
-    dims = [s.dim for _, s in ensemble.pure_parts]
-    if ensemble.mixed_part is not None:
-        dims.append(ensemble.mixed_part[1].dim)
-    if not dims:
-        raise WeightSumInvalid("ensemble has no components")
-    if len(set(dims)) != 1:
-        raise DimensionMismatch(f"ensemble components differ in dimension: {dims}")
-    rho = np.zeros((dims[0], dims[0]), dtype=complex)
+    rho = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
     for weight, state in ensemble.pure_parts:
         amps = state.amplitudes
         rho += weight * np.outer(amps, amps.conj())

@@ -81,6 +81,21 @@ def test_entropy_bound_check(capsys, tmp_path):
     assert rows[0]["holds"] is True
 
 
+def test_entropy_bound_check_dimension_mismatch_exits_3(capsys, tmp_path):
+    obj = {
+        "pure_parts": [
+            {"weight": 0.5, "state": {"amplitudes": [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]}}
+        ],
+        "mixed_part": {"weight": 0.5, "matrix": matrix_to_json(np.eye(3) / 3)},
+    }
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "entropy", str(path), "--which", "bound-check")
+    assert code == 3
+    assert out == ""
+    assert err == "error: domain: ensemble components differ in dimension: [2, 3]\n"
+
+
 def test_entropy_malformed_json_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{")
@@ -352,6 +367,14 @@ def test_nan_json_input_exits_3(capsys, tmp_path, which, obj):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("sweep", ["0:3", "-4:-2"])
+def test_zeno_sweep_below_one_step_exits_3(capsys, sweep):
+    code, out, err = run(capsys, "zeno", f"--sweep={sweep}")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: domain: n_steps must be >= 1")
+
+
 def test_zeno_sweep_reversed_exits_2(capsys):
     code, out, err = run(capsys, "zeno", "--sweep", "5:1", "--format", "csv")
     assert code == 2
@@ -577,8 +600,8 @@ BIG = str(10**30)
         (["zeno", "--theta-deg", "1e-7"], "steps"),
         (["zeno", "--trials", BIG, "--n-steps", "3"], "trials"),
         (["zeno", "--sweep", "1:" + BIG], "steps"),
-        (["zeno", "--sweep", "1:100000", "--trials", "10"], "draws"),
-        (["zeno", "--n-steps", "100000", "--trials", "100000"], "draws"),
+        (["zeno", "--sweep", "1:100000", "--trials", "10"], "steps"),
+        (["zeno", "--sweep", f"{10**30 - 5}:{BIG}"], "steps"),
         (["protocol", "attack", "--n", BIG], "key angles"),
         (["protocol", "attack", "--trials", BIG], "trials"),
         (["protocol", "estimate", "--grid-n", BIG], "grid levels"),
@@ -632,16 +655,17 @@ def test_readme_work_is_within_the_limits(capsys, argv, monkeypatch):
         ["protocol", "attack", "--n", "64", "--trials", "10000000", "--strategy", "guess-bits"],
         ["protocol", "attack", "--n", "64", "--trials", "10000000", "--strategy", "replay"],
         ["protocol", "attack", "--n", "64", "--trials", "10000000", "--strategy", "guess-angles"],
+        ["zeno", "--n-steps", "100000", "--trials", "100000"],
     ],
 )
 def test_largest_allowed_request_finishes_within_budget(capsys, argv):
-    # --trials and --n sit at their limits; the count-level samplers do not
-    # scale with the trial count
+    # --trials and --n sit at their limits, or trials x steps is far past
+    # 10^9; the count-level samplers do not scale with the trial count
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
     elapsed = time.perf_counter() - t0
     assert code == 0, err
-    assert "trials: 10000000" in out
+    assert f"trials: {argv[argv.index('--trials') + 1]}" in out
     assert elapsed <= 2.0
 
 
@@ -670,6 +694,9 @@ DIGEST_COMMANDS = {
     "replay": ["protocol", "attack", "--strategy", "replay"],
     "estimate-grid": ["protocol", "estimate", "--grid-n", "8", "--theta-deg", "39.375"],
     "estimate-adaptive": ["protocol", "estimate", "--adaptive"],
+    "mzi-unknown": ["mzi", "--arrangement", "unknown", "--prior", "0.3", "--photons", "1000"],
+    "mzi-rigid": ["mzi", "--arrangement", "rigid", "--photons", "1000"],
+    "mzi-springy": ["mzi", "--arrangement", "springy", "--photons", "1000"],
 }
 STDOUT_DIGESTS = {
     ("zeno", "table"): "7712435e41a8fe88",
@@ -693,6 +720,15 @@ STDOUT_DIGESTS = {
     ("estimate-adaptive", "table"): "b8e707a4176f04de",
     ("estimate-adaptive", "csv"): "6f247bb971ac0622",
     ("estimate-adaptive", "json"): "be251a1419d299ae",
+    ("mzi-unknown", "table"): "c88ecdcb74cb26ce",
+    ("mzi-unknown", "csv"): "1d57c5a346924ab1",
+    ("mzi-unknown", "json"): "595542fe1caea2bc",
+    ("mzi-rigid", "table"): "5fdce09fd413a5a7",
+    ("mzi-rigid", "csv"): "92546069b44bbc65",
+    ("mzi-rigid", "json"): "1c342c3f30c9f9c6",
+    ("mzi-springy", "table"): "68e2814c64159553",
+    ("mzi-springy", "csv"): "1f028b922a4214dc",
+    ("mzi-springy", "json"): "b67f277978052020",
 }
 
 

@@ -114,3 +114,13 @@ def test_write_csv_full_precision_and_determinism():
     assert out1.getvalue() == out2.getvalue()
     assert repr(1 / 3) in out1.getvalue()  # full precision, not rounded
     assert out1.getvalue().splitlines()[0] == "n,value,label"
+
+
+def test_write_csv_encodes_nested_cells_as_json():
+    minimizer = matrix_to_json(np.eye(2))
+    out = io.StringIO()
+    write_csv([{"minimizer": minimizer, "levels": [1, 2], "value": 0.5}], out)
+    header, row = out.getvalue().splitlines()
+    assert header == "minimizer,levels,value"
+    cell = json.dumps(minimizer).replace('"', '""')
+    assert row == f'"{cell}","[1, 2]",0.5'

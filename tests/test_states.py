@@ -108,6 +108,17 @@ def test_mix_weight_validation():
         Ensemble([(1.5, PLUS), (-0.5, ZERO)])
 
 
+def test_ensemble_components_must_share_a_dimension():
+    mixed = DensityMatrix(np.eye(3) / 3)
+    for pure_parts, mixed_part in [
+        ([(0.5, PureState([1, 0])), (0.5, PureState([1, 0, 0]))], None),
+        ([(0.5, PureState([1, 0]))], (0.5, mixed)),
+    ]:
+        with pytest.raises(DimensionMismatch, match=r"differ in dimension: \[2, 3\]"):
+            Ensemble(pure_parts, mixed_part)
+    assert Ensemble([(0.5, PureState([1, 0, 0]))], (0.5, mixed)).dim == 3
+
+
 def test_mix_is_linear():
     rng = np.random.default_rng(11)
     for _ in range(50):
