@@ -1,9 +1,10 @@
 """Command-line interface.
 
 One binary with subcommands (entropy, unitary-min, zeno, mzi, protocol,
-bound), global flags for seed, log base, and output format, and JSON/CSV
-emitters that are byte-identical for identical invocations.  Exit codes:
-0 ok, 2 input parse error, 3 domain invariant violation.
+bound) and global flags for seed, log base, and output format.  The rows
+each subcommand builds are written by ``serialize.write_rows``, so
+identical invocations print identical bytes.  Exit codes: 0 ok, 2 input
+parse error, 3 domain invariant violation.
 
 ``main(argv)`` may be called any number of times in one process: it builds
 the argument parser on its first call and reuses it, and reads the
@@ -12,21 +13,16 @@ the argument parser on its first call and reuses it, and reads the
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 
-import numpy as np
-
 from . import entropy as ent
 from . import interferometer as mzi
-from . import protocol, serialize, zeno
+from . import montecarlo, protocol, serialize, zeno
 from .errors import ParseError, QentroError
 from .linalg import RESIDUAL_WARN
 from .states import DensityMatrix
-
-FORMATS = ("table", "csv", "json")
 
 # Work limits: the most that one invocation may ask for, checked before any
 # simulation starts.  A request above a limit exits 2 and names the limit.
@@ -41,37 +37,6 @@ WORK_LIMITS = {
     "shots": 10**9,  # protocol estimate --shots
     "photons": 10**9,  # mzi --photons
 }
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    if isinstance(value, (dict, list)):
-        return json.dumps(value)
-    return str(value)
-
-
-def _json_default(value):
-    # keep stray numpy scalars as JSON numbers, never strings
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    raise TypeError(f"not JSON-serializable: {type(value).__name__}")
-
-
-def _emit(rows: list[dict], fmt: str, stream) -> None:
-    if fmt == "json":
-        json.dump(rows, stream, indent=2, default=_json_default)
-        stream.write("\n")
-    elif fmt == "csv":
-        serialize.write_csv(rows, stream)
-    else:
-        for i, row in enumerate(rows):
-            if i:
-                stream.write("\n")
-            for key, value in row.items():
-                stream.write(f"{key}: {_fmt(value)}\n")
 
 
 def _check_work(flag: str, amount, unit: str) -> None:
@@ -153,7 +118,7 @@ def _cmd_zeno(args) -> list[dict]:
         _check_work("--sweep summed over its step counts", steps, "steps")
         return zeno.steering_sweep_rows(range(lo, hi + 1), args.trials, args.seed)
     plan = _zeno_plan(args)
-    result = zeno.simulate_steering(plan, args.trials, np.random.default_rng(args.seed))
+    result = zeno.simulate_steering(plan, args.trials, montecarlo.seeded(args.seed))
     return [zeno.steering_row(plan, result, args.seed)]
 
 
@@ -171,8 +136,7 @@ def _cmd_protocol(args) -> list[dict]:
         _check_work("--n", args.n, "key angles")
         _check_work("--trials", args.trials, "trials")
         key = protocol.SignatureKey.uniform(args.n, math.radians(args.key_angle_deg))
-        rng = np.random.default_rng(args.seed)
-        result = protocol.eve_attack_success(key, args.strategy, args.trials, rng)
+        result = protocol.eve_attack_success(key, args.strategy, args.trials, montecarlo.seeded(args.seed))
         return [protocol.attack_row(key, result, args.seed)]
     _check_work("--shots", args.shots, "shots")
     theta_true = math.radians(args.theta_deg)
@@ -212,7 +176,7 @@ def _add_global_args(parser, suppress: bool):
         help="random seed (default: QENTRO_SEED env var or 0)",
     )
     parser.add_argument("--base", choices=(ent.BITS, ent.NATS), default=default(ent.BITS))
-    parser.add_argument("--format", choices=FORMATS, default=default("table"))
+    parser.add_argument("--format", choices=serialize.FORMATS, default=default("table"))
     parser.add_argument("--out", default=default(None), help="write output to a file")
 
 
@@ -298,7 +262,7 @@ def main(argv=None) -> int:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 3
     if not args.out:
-        _emit(rows, args.format, sys.stdout)
+        serialize.write_rows(rows, args.format, sys.stdout)
         return 0
     try:
         handle = open(args.out, "w", newline="")
@@ -306,7 +270,7 @@ def main(argv=None) -> int:
         print(f"error: parse: cannot write --out {args.out!r}: {exc.strerror}", file=sys.stderr)
         return 2
     with handle:
-        _emit(rows, args.format, handle)
+        serialize.write_rows(rows, args.format, handle)
     return 0
 
 

@@ -40,9 +40,6 @@ class EntropyResult:
     value: float
     base: str
 
-    def __float__(self):
-        return self.value
-
 
 @dataclass(frozen=True)
 class BoundCheck:
@@ -209,7 +206,7 @@ def bekenstein_bound(area_planck_units: float, base: str = BITS) -> EntropyResul
         raise NonFinite(f"area must be finite, got {area_planck_units!r}")
     if area_planck_units < 0:
         raise NegativeArea(f"area must be nonnegative, got {area_planck_units!r}")
-    nats = area_planck_units / 4.0
+    nats = area_planck_units / 4.0 + 0.0  # adding 0.0 turns an area of -0.0 into +0.0
     value = nats if base == NATS else nats / math.log(2.0)
     return EntropyResult(value, base)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .entropy import BITS, EntropyResult, shannon
 from .errors import ImpossibleOutcome, NonpositiveN, NonpositiveWavelength, QentroError
+from .montecarlo import seeded
 
 ABSORBED = "absorbed"
 D1 = "d1"
@@ -35,7 +36,7 @@ UNKNOWN = "unknown"
 @dataclass(frozen=True)
 class MirrorModel:
     """Mirror arrangement: rigid, springy, or springy with probability
-    ``prior_springy``."""
+    ``prior_springy``, which only the unknown kind takes."""
 
     kind: str
     prior_springy: Optional[float] = None
@@ -45,6 +46,8 @@ class MirrorModel:
             raise QentroError(f"unknown mirror kind {self.kind!r}")
         if self.kind == UNKNOWN:
             _joint(self.prior_springy)
+        elif self.prior_springy is not None:
+            raise QentroError(f"a {self.kind} mirror takes no prior, got {self.prior_springy!r}")
 
     @classmethod
     def rigid(cls) -> "MirrorModel":
@@ -80,8 +83,9 @@ def _joint(prior_springy) -> list[list[float]]:
     rows rigid, springy; columns in ``OUTCOMES`` order."""
     if prior_springy is None or not 0.0 <= prior_springy <= 1.0:
         raise QentroError(f"prior must lie in [0, 1], got {prior_springy!r}")
+    prior = prior_springy + 0.0  # a prior of -0.0 reads as 0.0, so no cell is -0.0
     rigid, springy = _LIKELIHOOD
-    return [[(1.0 - prior_springy) * p for p in rigid], [prior_springy * p for p in springy]]
+    return [[(1.0 - prior) * p for p in rigid], [prior * p for p in springy]]
 
 
 def outcome_distribution(mirror: MirrorModel) -> OutcomeDistribution:
@@ -159,11 +163,11 @@ def arrangement_rows(mirror: MirrorModel, photons: int, seed: int) -> list[dict]
     dist = outcome_distribution(mirror)
     row = {
         "arrangement": mirror.kind,
-        "prior": mirror.prior_springy if mirror.kind == UNKNOWN else "",
+        "prior": "" if mirror.prior_springy is None else mirror.prior_springy,
         "p_absorbed": dist.p_absorbed,
         "p_d1": dist.p_d1,
         "p_d2": dist.p_d2,
-        "entropy_bits": arrangement_entropy(mirror, BITS).value,
+        "entropy_bits": shannon(dist.as_array(), BITS).value,
         "seed": seed,
     }
     if mirror.kind == UNKNOWN:
@@ -172,7 +176,7 @@ def arrangement_rows(mirror: MirrorModel, photons: int, seed: int) -> list[dict]
             posterior = posterior_springy(mirror.prior_springy, outcome) if possible else ""
             row[f"posterior_{outcome}"] = posterior
     if photons != 0:
-        counts = simulate_photons(mirror, photons, np.random.default_rng(seed))
+        counts = simulate_photons(mirror, photons, seeded(seed))
         for outcome in OUTCOMES:
             row[f"count_{outcome}"] = counts[outcome]
     return [row]

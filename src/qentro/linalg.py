@@ -52,11 +52,6 @@ def _unitary_deviation(m: np.ndarray) -> float:
     return max_abs(m.conj().T @ m - np.eye(m.shape[0]))
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``max |a - a†| <= tol``."""
-    return _hermitian_deviation(as_matrix(a)) <= tol
-
-
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``max |a†a - I| <= tol``."""
     return _unitary_deviation(as_matrix(a)) <= tol

@@ -1,9 +1,18 @@
-"""The one Monte Carlo sampler, and the shared reading of its success count
-against the closed form it samples."""
+"""The one constructor of seeded random streams, the one Monte Carlo
+sampler, and the shared reading of its success count against the closed
+form it samples."""
 
 import math
 
 import numpy as np
+
+
+def seeded(seed: int, *key: int) -> np.random.Generator:
+    """The random stream of ``seed`` keyed by ``key``:
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``.  With no key
+    it is the stream of ``default_rng(seed)``, and streams with different
+    keys are independent whatever order they are drawn in."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def thin(trials: int, pass_probs, rng: np.random.Generator) -> np.ndarray:
@@ -26,8 +35,7 @@ def thin(trials: int, pass_probs, rng: np.random.Generator) -> np.ndarray:
 
 class RateEstimate:
     """Mixin for a frozen result with ``successes`` out of ``trials`` and the
-    closed-form success probability ``expected_rate`` it samples (NaN when
-    the law is not known)."""
+    closed-form success probability ``expected_rate`` it samples."""
 
     @property
     def success_rate(self) -> float:
@@ -45,7 +53,7 @@ class RateEstimate:
         errors."""
         diff = self.success_rate - self.expected_rate
         stderr = self.stderr
-        if stderr > 0.0 or math.isnan(stderr):
+        if stderr > 0.0:
             return diff / stderr
         # a closed form of exactly 0 or 1 has no spread: any miss is infinitely far
         return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NonFinite, NonpositiveN, QentroError
-from .montecarlo import RateEstimate, thin
+from .montecarlo import RateEstimate, seeded, thin
 
 HALF_PI = math.pi / 2.0
 
@@ -27,8 +27,8 @@ class HiddenQubitSource:
     """Emits copies of a qubit state at a hidden angle in [0, pi/2].
 
     Each batch of copies is drawn from the stream keyed by an integer
-    ``stream``, ``SeedSequence(entropy=seed, spawn_key=(stream,))``, so work
-    split per hypothesis or per round does not depend on its order.  A key
+    ``stream``, ``montecarlo.seeded(seed, stream)``, so work split per
+    hypothesis or per round does not depend on its order.  A key
     names one batch: drawing the same batch again repeats its outcomes.
     ``copies_used`` counts every copy measured, over all streams.
     """
@@ -47,9 +47,7 @@ class HiddenQubitSource:
         probability cos^2(theta - basis_angle)."""
         if shots < 1:
             raise NonpositiveN(f"shots must be >= 1, got {shots!r}")
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self._seed, spawn_key=(int(stream),))
-        )
+        rng = seeded(self._seed, int(stream))
         self.copies_used += shots
         p_zero = math.cos(self._theta - basis_angle) ** 2
         return int(rng.binomial(shots, min(p_zero, 1.0)))
@@ -224,7 +222,7 @@ class AttackResult(RateEstimate):
     strategy: str
     trials: int
     successes: int
-    expected_rate: float = math.nan
+    expected_rate: float
 
 
 def eve_attack_success(

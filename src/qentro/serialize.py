@@ -1,5 +1,6 @@
 """JSON interchange for matrices, pure states, probability vectors, and
-ensembles, plus the CSV writer used by the command line.
+ensembles, plus the row writers of the command line: one per output format
+in ``FORMATS``, all behind ``write_rows``.
 
 Schemas (field names are fixed for interchange):
 
@@ -119,6 +120,27 @@ def load_json(path: str):
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
+FORMATS = ("table", "csv", "json")
+
+
+def write_rows(rows: list[dict], fmt: str, stream) -> None:
+    """Write dict rows in one of ``FORMATS``: ``table`` as ``key: value``
+    lines with floats to 6 significant digits and a blank line between
+    rows, ``csv`` by ``write_csv``, ``json`` as an indented array.
+    Identical rows give identical bytes."""
+    if fmt == "json":
+        json.dump(rows, stream, indent=2)
+        stream.write("\n")
+    elif fmt == "csv":
+        write_csv(rows, stream)
+    else:
+        for i, row in enumerate(rows):
+            if i:
+                stream.write("\n")
+            for key, value in row.items():
+                stream.write(f"{key}: {_cell(value, _TABLE_FLOAT)}\n")
+
+
 def write_csv(rows: list[dict], stream) -> None:
     """Write dict rows with a header; full-precision floats via repr so
     identical inputs produce byte-identical output.  Float subclasses such
@@ -129,12 +151,16 @@ def write_csv(rows: list[dict], stream) -> None:
     writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: _csv_cell(v) for k, v in row.items()})
+        writer.writerow({k: _cell(v, float.__repr__) for k, v in row.items()})
 
 
-def _csv_cell(value):
+_TABLE_FLOAT = "{:.6g}".format
+
+
+def _cell(value, float_text):
+    # a text cell: floats by the format's rule, nested dicts and lists as JSON
     if isinstance(value, float):
-        return repr(float(value))
+        return float_text(value)
     if isinstance(value, (dict, list)):
         return json.dumps(value)
     return value

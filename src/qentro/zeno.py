@@ -11,7 +11,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, InvalidTheta, NonpositiveN, NotHermitian
 from .linalg import DEFAULT_TOL, ROUNDING_TOL
-from .montecarlo import RateEstimate, thin
+from .montecarlo import RateEstimate, seeded, thin
 from .states import PureState
 
 HALF_PI = math.pi / 2.0
@@ -144,7 +144,7 @@ class SteeringResult(RateEstimate):
     successes: int
     trials: int
     survivors_per_step: np.ndarray
-    expected_rate: float = math.nan
+    expected_rate: float
 
 
 def simulate_steering(plan: SteeringPlan, trials: int, rng: np.random.Generator) -> SteeringResult:
@@ -189,6 +189,6 @@ def steering_sweep_rows(n_values, trials: int, seed: int) -> list[dict]:
     rows = []
     for n in n_values:
         plan = SteeringPlan.from_steps(int(n))
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(n),)))
-        rows.append(steering_row(plan, simulate_steering(plan, trials, rng), seed))
+        result = simulate_steering(plan, trials, seeded(seed, plan.n_steps))
+        rows.append(steering_row(plan, result, seed))
     return rows

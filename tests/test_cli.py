@@ -407,6 +407,23 @@ def test_zero_entropies_print_positive_zero(capsys, tmp_path):
         assert math.copysign(1.0, value) == 1.0
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv, computed",
+    [
+        (["bound", "-0.0"], ["nats", "bits"]),
+        (["mzi", "--arrangement", "unknown", "--prior", "-0.0"], ["p_absorbed", "p_d2", "posterior_d1"]),
+    ],
+)
+def test_negative_zero_input_prints_positive_zero(capsys, argv, computed, fmt):
+    # a column that echoes the input may keep the sign that was typed
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 0, err
+    row = parse_row(out, fmt)
+    for key in computed:
+        assert str(row[key]) in ("0", "0.0"), key
+
+
 def test_mzi_negative_photons_exits_2(capsys):
     code, out, err = run(capsys, "mzi", "--arrangement", "rigid", "--photons", "-3")
     assert code == 2

@@ -53,6 +53,13 @@ def test_prior_validation():
         MirrorModel.unknown(-0.1)
 
 
+@pytest.mark.parametrize("kind", ["rigid", "springy"])
+@pytest.mark.parametrize("prior", [0.7, 0.0])
+def test_known_mirror_rejects_a_prior(kind, prior):
+    with pytest.raises(QentroError, match=f"a {kind} mirror takes no prior, got {prior!r}"):
+        MirrorModel(kind, prior)
+
+
 def test_arrangement_entropies():
     assert arrangement_entropy(MirrorModel.rigid()).value == 0.0
     assert arrangement_entropy(MirrorModel.springy()).value == pytest.approx(1.5, abs=1e-12)

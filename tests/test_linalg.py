@@ -7,7 +7,6 @@ from qentro.errors import NonFinite, NotHermitian
 from qentro.linalg import (
     as_matrix,
     hermitian_eigen,
-    is_hermitian,
     is_unitary,
     random_unitary,
 )
@@ -113,11 +112,6 @@ def test_is_unitary():
     product = g.conj().T @ g
     assert np.abs(product - np.eye(2)).max() <= 1e-12
     assert is_unitary(g)
-
-
-def test_is_hermitian():
-    assert is_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]))
-    assert not is_hermitian(np.array([[1.0, 1j], [1j, 2.0]]))
 
 
 def test_random_unitary_is_unitary():

@@ -212,10 +212,7 @@ def test_stderr_and_z_follow_the_closed_form():
     # a closed form of exactly 0 or 1 has no spread
     assert protocol.AttackResult(REPLAY, 10, 10, 1.0).z == 0.0
     assert protocol.AttackResult(REPLAY, 10, 9, 1.0).z == -math.inf
-    # a result built without its law reads NaN
-    unknown = protocol.AttackResult(GUESS_BITS, 100, 25)
-    assert math.isnan(unknown.stderr) and math.isnan(unknown.z)
-    assert isinstance(unknown, montecarlo.RateEstimate)
+    assert isinstance(result, montecarlo.RateEstimate)
 
 
 @pytest.mark.parametrize(
@@ -238,3 +235,12 @@ def test_attack_success_probability_multiplies_positions():
     assert attack_success_probability(MIXED_KEY, GUESS_ANGLES) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(QentroError):
         attack_success_probability(MIXED_KEY, "guess-everything")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 + 3, 10**23])
+def test_seeded_streams(seed):
+    # no key is the plain seeded stream; a key is the spawned child stream
+    assert montecarlo.seeded(seed).random(4).tolist() == np.random.default_rng(seed).random(4).tolist()
+    child = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
+    assert montecarlo.seeded(seed, 7).random(4).tolist() == child.random(4).tolist()
+    assert montecarlo.seeded(seed, 7).random(4).tolist() != montecarlo.seeded(seed, 8).random(4).tolist()

@@ -290,7 +290,7 @@ def test_accepted_forgery_does_not_replay_at_future_times():
 
 
 def test_attack_result_rate():
-    assert AttackResult("guess-bits", 100, 25).success_rate == 0.25
+    assert AttackResult("guess-bits", 100, 25, 0.25).success_rate == 0.25
 
 
 def test_signature_key_rejects_nonpositive_length_and_nan():
