@@ -12,6 +12,7 @@ the argument parser on its first call and reuses it, and reads the
 """
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -44,29 +45,21 @@ def _check_work(flag: str, amount, unit: str) -> None:
         raise ParseError(f"{flag} asks for more than the work limit of {WORK_LIMITS[unit]} {unit}")
 
 
+# entropy --which: the measure of each choice and the decoder of its JSON input
+_MEASURES = {
+    "shannon": (ent.shannon, serialize.probs_from_json),
+    "von-neumann": (ent.von_neumann, serialize.matrix_from_json),
+    "informational": (ent.informational, serialize.matrix_from_json),
+    "pure": (ent.pure_entropy, serialize.state_from_json),
+    "bound-check": (ent.ensemble_bound_check, serialize.ensemble_from_json),
+}
+
+
 def _cmd_entropy(args) -> list[dict]:
-    obj = serialize.load_json(args.input)
-    which = args.which
-    if which == "shannon":
-        result = ent.shannon(serialize.probs_from_json(obj), args.base)
-    elif which == "von-neumann":
-        result = ent.von_neumann(DensityMatrix(serialize.matrix_from_json(obj)), args.base)
-    elif which == "informational":
-        result = ent.informational(DensityMatrix(serialize.matrix_from_json(obj)), args.base)
-    elif which == "pure":
-        result = ent.pure_entropy(serialize.state_from_json(obj), args.base)
-    else:  # bound-check
-        check = ent.ensemble_bound_check(serialize.ensemble_from_json(obj), args.base)
-        return [
-            {
-                "measure": "bound-check",
-                "lhs": check.lhs,
-                "rhs": check.rhs,
-                "holds": check.holds,
-                "base": check.base,
-            }
-        ]
-    return [{"measure": which, "value": result.value, "base": result.base}]
+    measure, decode = _MEASURES[args.which]
+    result = measure(decode(serialize.load_json(args.input)), args.base)
+    # the columns are the result dataclass's fields, in their order
+    return [{"measure": args.which, **vars(result)}]
 
 
 def _cmd_unitary_min(args) -> list[dict]:
@@ -92,21 +85,9 @@ def _cmd_unitary_min(args) -> list[dict]:
     ]
 
 
-def _zeno_plan(args) -> zeno.SteeringPlan:
-    if args.n_steps is not None:
-        _check_work("--n-steps", args.n_steps, "steps")
-        return zeno.SteeringPlan.from_steps(args.n_steps)
-    if args.theta_deg is None:
-        raise QentroError("give either --theta-deg or --n-steps")
-    # a step of theta degrees plans about 90 / theta steps, maybe inf: check first
-    if args.theta_deg > 0:
-        _check_work("--theta-deg", 90.0 / args.theta_deg, "steps")
-    return zeno.SteeringPlan(math.radians(args.theta_deg))
-
-
 def _cmd_zeno(args) -> list[dict]:
     _check_work("--trials", args.trials, "trials")
-    if args.sweep:
+    if args.sweep is not None:
         try:
             lo, hi = (int(part) for part in args.sweep.split(":"))
         except ValueError as exc:
@@ -117,7 +98,14 @@ def _cmd_zeno(args) -> list[dict]:
         steps = (hi * (hi + 1) - (first - 1) * first) // 2 if hi >= first else 0
         _check_work("--sweep summed over its step counts", steps, "steps")
         return zeno.steering_sweep_rows(range(lo, hi + 1), args.trials, args.seed)
-    plan = _zeno_plan(args)
+    if args.n_steps is not None:
+        _check_work("--n-steps", args.n_steps, "steps")
+        plan = zeno.SteeringPlan.from_steps(args.n_steps)
+    else:
+        # a step of theta degrees plans about 90 / theta steps, maybe inf: check first
+        if args.theta_deg > 0:
+            _check_work("--theta-deg", 90.0 / args.theta_deg, "steps")
+        plan = zeno.SteeringPlan(math.radians(args.theta_deg))
     result = zeno.simulate_steering(plan, args.trials, montecarlo.seeded(args.seed))
     return [zeno.steering_row(plan, result, args.seed)]
 
@@ -193,11 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", parents=[common], help="entropy measures of a serialized state or matrix")
     p.add_argument("input", help="JSON input file")
-    p.add_argument(
-        "--which",
-        required=True,
-        choices=("shannon", "von-neumann", "informational", "pure", "bound-check"),
-    )
+    p.add_argument("--which", required=True, choices=tuple(_MEASURES))
     p.set_defaults(handler=_cmd_entropy)
 
     p = sub.add_parser("unitary-min", parents=[common], help="minimize informational entropy over unitaries")
@@ -206,10 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_unitary_min)
 
     p = sub.add_parser("zeno", parents=[common], help="measurement steering: closed form vs Monte Carlo")
-    p.add_argument("--theta-deg", type=float, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
+    plan = p.add_mutually_exclusive_group(required=True)
+    plan.add_argument("--theta-deg", type=float)
+    plan.add_argument("--n-steps", type=int)
+    plan.add_argument("--sweep", metavar="N1:N2", help="sweep step counts")
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--sweep", default=None, metavar="N1:N2", help="sweep step counts")
     p.set_defaults(handler=_cmd_zeno)
 
     p = sub.add_parser("mzi", parents=[common], help="interferometer outcome distributions and posteriors")
@@ -250,27 +235,23 @@ def main(argv=None) -> int:
     # is reported as a parse error like a bad --seed
     parser.set_defaults(seed=os.environ.get("QENTRO_SEED", "0"))
     args = parser.parse_args(argv)
-    if args.seed < 0:
-        print("error: parse: --seed must be a nonnegative integer", file=sys.stderr)
-        return 2
     try:
+        if args.seed < 0:
+            raise ParseError("--seed must be a nonnegative integer")
         rows = args.handler(args)
+        # the --out file is opened only once the handler has rows to write
+        try:
+            out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+        except OSError as exc:
+            raise ParseError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+        with out as stream:
+            serialize.write_rows(rows, args.format, stream)
     except ParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return 2
     except QentroError as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 3
-    if not args.out:
-        serialize.write_rows(rows, args.format, sys.stdout)
-        return 0
-    try:
-        handle = open(args.out, "w", newline="")
-    except OSError as exc:
-        print(f"error: parse: cannot write --out {args.out!r}: {exc.strerror}", file=sys.stderr)
-        return 2
-    with handle:
-        serialize.write_rows(rows, args.format, handle)
     return 0
 
 

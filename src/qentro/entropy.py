@@ -238,24 +238,25 @@ def bekenstein_bound(area_planck_units: float, base: str = BITS) -> EntropyResul
 # 9.8 ms, d64 1145 -> 102 ms.
 
 _ROUNDS_FROM_DIM = 8
-_TINY = np.nextafter(0.0, 1.0)  # the smallest positive float
+# numpy takes b / |b| as b * (1 / |b|), which overflows once |b| is subnormal or 0, so the round
+# sweep divides b * _SCALE by its modulus floored at _TINY: for a normal b, the same quotient
+_SCALE = 2.0**512
+_TINY = np.finfo(float).tiny
 
 
 def _sweep_lists(work, u, budget):
     """One cyclic-by-rows sweep on nested lists, at most ``budget`` pair
-    visits; returns ``(visits, rotated, exhausted)``."""
+    visits; returns ``(visits, exhausted)``."""
     dim = len(work)
     visits = 0
-    rotated = False
     for p in range(dim):
         for q in range(p + 1, dim):
             if visits >= budget:
-                return visits, rotated, True
+                return visits, True
             visits += 1
             b = work[p][q]
             if b == 0:
                 continue
-            rotated = True
             a, d = work[p][p].real, work[q][q].real
             sgn = 1.0 if a >= d else -1.0
             e = -sgn * b.conjugate() / abs(b)
@@ -274,7 +275,7 @@ def _sweep_lists(work, u, budget):
                 x, y = row[p], row[q]
                 row[p] = x * g_pp + y * h_pq
                 row[q] = x * h_qp + y * g_qq
-    return visits, rotated, False
+    return visits, False
 
 
 def _round_robin(dim):
@@ -296,7 +297,7 @@ def _round_robin(dim):
 def _sweep_rounds(work, u, budget):
     """One round-robin sweep on complex arrays, updated in place, at most
     ``budget`` pair visits (the round that reaches it is cut short);
-    returns ``(visits, rotated, exhausted)``.  Each round computes the list
+    returns ``(visits, exhausted)``.  Each round computes the list
     sweep's rotation elementwise over its pairs, a pair whose entry is 0
     getting the identity block, and applies the block rotation g as
     ``work <- g work g†``, ``u <- g u``."""
@@ -308,21 +309,20 @@ def _sweep_rounds(work, u, budget):
     flat, diagonal = work.reshape(-1), work.diagonal().real
     identity = np.eye(dim, dtype=complex)
     visits = 0
-    rotated = False
     for r in range(len(p)):
         k = min(p.shape[1], max(budget - visits, 0))
         visits += k
         b = flat[pq[r, :k]]
         if np.count_nonzero(b):
-            rotated = True
             mod = np.abs(b)
             diff = diagonal[p[r, :k]] - diagonal[q[r, :k]]
             theta = 0.5 * np.arctan2(2.0 * mod, np.abs(diff))
             c = np.cos(theta)
             # the sign of a - d is the list sweep's sgn except for a = -0.0,
-            # d = 0.0, which a PSD matrix with b != 0 cannot have; _TINY
-            # leaves every mod > 0 as it is and keeps b == 0 at the identity
-            g_pq = np.copysign(np.sin(theta), diff) * b / np.maximum(mod, _TINY)
+            # d = 0.0, which a PSD matrix with b != 0 cannot have; a b of 0
+            # gets sin(theta) = 0 and so the identity block
+            scaled = b * _SCALE
+            g_pq = np.copysign(np.sin(theta), diff) * scaled / np.maximum(np.abs(scaled), _TINY)
             g = identity.copy()
             g_flat = g.reshape(-1)
             g_flat[pp[r, :k]], g_flat[qq[r, :k]] = c, c
@@ -330,8 +330,8 @@ def _sweep_rounds(work, u, budget):
             np.matmul(g @ work, g.conj().T, out=work)
             np.matmul(g, u, out=u)
         if k < p.shape[1]:
-            return visits, rotated, True
-    return visits, rotated, False
+            return visits, True
+    return visits, False
 
 
 def min_informational_over_unitaries(
@@ -347,10 +347,10 @@ def min_informational_over_unitaries(
     exact minimizer of the objective over that pair.  Pairs whose entry is
     already zero are skipped, so a diagonal input returns the identity.  A
     sweep visits the pairs row by row below dimension 8 and in round-robin
-    rounds of disjoint pairs from dimension 8 on.  The search stops after
-    a sweep that rotates nothing or lowers the objective by less than
-    ``linalg.SWEEP_TOL * (1 + |value|)``; it never reads the von Neumann
-    entropy, which is computed only for the report.
+    rounds of disjoint pairs from dimension 8 on.  The search stops on its
+    objective alone: after a sweep that lowers it by less than
+    ``linalg.SWEEP_TOL * (1 + |value|)``, as a sweep that rotates nothing
+    does, by exactly 0.  The von Neumann entropy is only reported.
 
     The infimum equals the von Neumann entropy, attained at the eigenbasis
     rotation, so ``residual_vs_von_neumann`` measures search quality
@@ -374,10 +374,10 @@ def min_informational_over_unitaries(
 
     while True:
         sweep_start = value
-        visits, rotated, exhausted = sweep(work, u, budget - evals)
+        visits, exhausted = sweep(work, u, budget - evals)
         evals += visits
         value = _plogp_sum([work[k][k].real for k in range(dim)], base)
-        if exhausted or not rotated or sweep_start - value < SWEEP_TOL * (1.0 + abs(value)):
+        if exhausted or sweep_start - value < SWEEP_TOL * (1.0 + abs(value)):
             break
 
     return UnitaryMinimizationReport(

@@ -14,7 +14,7 @@ the latent-mirror multinomial.  Rigid is prior 0 and springy prior 1.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,22 +32,39 @@ RIGID = "rigid"
 SPRINGY = "springy"
 UNKNOWN = "unknown"
 
+# P(outcome | mirror): rows rigid, springy; columns in OUTCOMES order
+_LIKELIHOOD = ((0.0, 1.0, 0.0), (0.5, 0.25, 0.25))
+
 
 @dataclass(frozen=True)
 class MirrorModel:
     """Mirror arrangement: rigid, springy, or springy with probability
-    ``prior_springy``, which only the unknown kind takes."""
+    ``prior_springy``, which only the unknown kind takes.  ``joint``, built
+    here once, is its law: the module docstring's table, which every reader
+    of the law reads and which equality, hashing and the repr ignore."""
 
     kind: str
     prior_springy: Optional[float] = None
+    joint: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (RIGID, SPRINGY, UNKNOWN):
             raise QentroError(f"unknown mirror kind {self.kind!r}")
         if self.kind == UNKNOWN:
-            _joint(self.prior_springy)
+            if self.prior_springy is None or not 0.0 <= self.prior_springy <= 1.0:
+                raise QentroError(f"prior must lie in [0, 1], got {self.prior_springy!r}")
         elif self.prior_springy is not None:
             raise QentroError(f"a {self.kind} mirror takes no prior, got {self.prior_springy!r}")
+        # rigid is prior 0 and springy prior 1; a prior of -0.0 reads as 0.0, so no cell is -0.0
+        prior = {RIGID: 0.0, SPRINGY: 1.0}.get(self.kind, self.prior_springy) + 0.0
+        rigid, springy = _LIKELIHOOD
+        joint = (tuple((1.0 - prior) * p for p in rigid), tuple(prior * p for p in springy))
+        object.__setattr__(self, "joint", joint)
+
+    def _posterior(self, outcome):
+        # the springy share of the outcome's column of the table; None if the column is 0
+        rigid, springy = (row[OUTCOMES.index(outcome)] for row in self.joint)
+        return springy / (rigid + springy) if rigid + springy else None
 
     @classmethod
     def rigid(cls) -> "MirrorModel":
@@ -74,26 +91,11 @@ class OutcomeDistribution:
         return np.array([self.p_absorbed, self.p_d1, self.p_d2])
 
 
-# P(outcome | mirror): rows rigid, springy; columns in OUTCOMES order
-_LIKELIHOOD = ((0.0, 1.0, 0.0), (0.5, 0.25, 0.25))
-
-
-def _joint(prior_springy) -> list[list[float]]:
-    """P(mirror, outcome) when the mirror is springy with the given prior:
-    rows rigid, springy; columns in ``OUTCOMES`` order."""
-    if prior_springy is None or not 0.0 <= prior_springy <= 1.0:
-        raise QentroError(f"prior must lie in [0, 1], got {prior_springy!r}")
-    prior = prior_springy + 0.0  # a prior of -0.0 reads as 0.0, so no cell is -0.0
-    rigid, springy = _LIKELIHOOD
-    return [[(1.0 - prior) * p for p in rigid], [prior * p for p in springy]]
-
-
 def outcome_distribution(mirror: MirrorModel) -> OutcomeDistribution:
     """Outcome probabilities for an arrangement: the column sums of its
     joint table, so the unknown case is the prior-weighted mixture of the
     rigid and springy cases."""
-    prior_springy = {RIGID: 0.0, SPRINGY: 1.0}.get(mirror.kind, mirror.prior_springy)
-    return OutcomeDistribution(*(r + s for r, s in zip(*_joint(prior_springy))))
+    return OutcomeDistribution(*(r + s for r, s in zip(*mirror.joint)))
 
 
 def arrangement_entropy(mirror: MirrorModel, base: str = BITS) -> EntropyResult:
@@ -110,14 +112,13 @@ def posterior_springy(prior: float, outcome: str) -> float:
     probability.  An absorption is conclusive (the rigid arrangement never
     absorbs), as is a D2 click.
     """
-    joint = _joint(prior)
+    mirror = MirrorModel(UNKNOWN, prior)
     if outcome not in OUTCOMES:
         raise QentroError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
-    rigid, springy = (row[OUTCOMES.index(outcome)] for row in joint)
-    total = rigid + springy
-    if total == 0.0:
+    posterior = mirror._posterior(outcome)
+    if posterior is None:
         raise ImpossibleOutcome(f"outcome {outcome!r} has probability 0 at prior {prior!r}")
-    return springy / total
+    return posterior
 
 
 def simulate_photons(mirror: MirrorModel, count: int, rng: np.random.Generator) -> dict:
@@ -142,7 +143,7 @@ def simulate_latent_mirror(prior: float, count: int, rng: np.random.Generator) -
     # numpy's multinomial gives the last cell whatever the others leave; in
     # this order that is springy D2, so rounding never puts a photon in a
     # cell of probability 0
-    probs = [p for row in _joint(prior) for p in row]
+    probs = [p for row in MirrorModel(UNKNOWN, prior).joint for p in row]
     cells = [(kind, outcome) for kind in (RIGID, SPRINGY) for outcome in OUTCOMES]
     return dict(zip(cells, (int(c) for c in rng.multinomial(count, probs))))
 
@@ -172,9 +173,8 @@ def arrangement_rows(mirror: MirrorModel, photons: int, seed: int) -> list[dict]
     }
     if mirror.kind == UNKNOWN:
         for outcome in (D1, D2, ABSORBED):
-            possible = getattr(dist, f"p_{outcome}") > 0
-            posterior = posterior_springy(mirror.prior_springy, outcome) if possible else ""
-            row[f"posterior_{outcome}"] = posterior
+            posterior = mirror._posterior(outcome)
+            row[f"posterior_{outcome}"] = "" if posterior is None else posterior
     if photons != 0:
         counts = simulate_photons(mirror, photons, seeded(seed))
         for outcome in OUTCOMES:

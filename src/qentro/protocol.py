@@ -50,7 +50,7 @@ class HiddenQubitSource:
         rng = seeded(self._seed, int(stream))
         self.copies_used += shots
         p_zero = math.cos(self._theta - basis_angle) ** 2
-        return int(rng.binomial(shots, min(p_zero, 1.0)))
+        return int(rng.binomial(shots, p_zero))
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,27 @@ decoded objects are checked by their constructors, not here.
 """
 
 import csv
+import itertools
 import json
 
 import numpy as np
 
 from .errors import ParseError, QentroError
 from .states import DensityMatrix, Ensemble, PureState
+
+
+def _check_numbers(entries, what) -> None:
+    # the one rule for a JSON number: an int or a float, but not a bool (an int
+    # subclass), nor a string or null, however it would convert; each type among
+    # the entries is checked once, by name, so that the message is deterministic
+    for cls in sorted(set(map(type, entries)) - {int, float}, key=str):
+        if not issubclass(cls, (int, float)) or issubclass(cls, bool):
+            raise ParseError(f"{what} must be a number, got {cls.__name__}")
+
+
+def _weight(part) -> float:
+    _check_numbers((part["weight"],), "ensemble weight")
+    return float(part["weight"])
 
 
 def matrix_to_json(matrix) -> dict:
@@ -37,9 +52,7 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ParseError(f"matrix object must be a JSON object, got {type(obj).__name__}")
     try:
         dim = obj["dim"]
-        # a JSON integer or a whole float; bool is an int subclass, so test it first
-        if isinstance(dim, bool) or not isinstance(dim, (int, float)):
-            raise ParseError(f"matrix dim must be a number, got {type(dim).__name__}")
+        _check_numbers((dim,), "matrix dim")
         if isinstance(dim, float) and not dim.is_integer():  # also inf and NaN
             raise ParseError(f"matrix dim must be a whole number, got {dim!r}")
         dim = int(dim)
@@ -51,6 +64,7 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ParseError(
             f"matrix parts must be {dim}x{dim}, got re {re.shape} and im {im.shape}"
         )
+    _check_numbers(itertools.chain(*obj["re"], *obj["im"]), "matrix entry")  # rows of dim entries
     # assign the parts, not re + 1j*im, so that every float (signed zeros too)
     # comes back exactly and an infinite part does not make a NaN
     m = np.empty((dim, dim), dtype=complex)
@@ -71,7 +85,9 @@ def state_from_json(obj) -> PureState:
     if not isinstance(obj, dict) or "amplitudes" not in obj:
         raise ParseError("pure state object must contain 'amplitudes'")
     try:
-        amps = [complex(entry["re"], entry["im"]) for entry in obj["amplitudes"]]
+        parts = [(entry["re"], entry["im"]) for entry in obj["amplitudes"]]
+        _check_numbers(itertools.chain.from_iterable(parts), "amplitude")
+        amps = [complex(re, im) for re, im in parts]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad amplitude list: {exc}") from exc
     return PureState(amps)
@@ -81,26 +97,25 @@ def probs_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "probs" not in obj:
         raise ParseError("probability object must contain 'probs'")
     try:
-        return np.asarray(obj["probs"], dtype=float).reshape(-1)
+        probs = np.asarray(obj["probs"], dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad probability list: {exc}") from exc
+    entries = (obj["probs"],)  # a number or lists of them, nested as deep as the array
+    for _ in range(probs.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    _check_numbers(entries, "probs")
+    return probs.reshape(-1)
 
 
 def ensemble_from_json(obj) -> Ensemble:
     if not isinstance(obj, dict) or "pure_parts" not in obj:
         raise ParseError("ensemble object must contain 'pure_parts'")
     try:
-        pure_parts = [
-            (float(part["weight"]), state_from_json(part["state"]))
-            for part in obj["pure_parts"]
-        ]
+        pure_parts = [(_weight(part), state_from_json(part["state"])) for part in obj["pure_parts"]]
         mixed = obj.get("mixed_part")
         mixed_part = None
         if mixed is not None:
-            mixed_part = (
-                float(mixed["weight"]),
-                DensityMatrix(matrix_from_json(mixed["matrix"])),
-            )
+            mixed_part = (_weight(mixed), DensityMatrix(matrix_from_json(mixed["matrix"])))
     except (ParseError, QentroError):
         raise  # schema errors and domain invariant violations keep their kind
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -259,17 +259,15 @@ def evolve_unitary(state, u):
     u = linalg.as_matrix(u)
     if linalg._unitary_deviation(u) > LOOSE_TOL:
         raise NotUnitary("matrix is not unitary within tolerance")
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    if state.dim != u.shape[0]:
+        raise DimensionMismatch(f"state dim {state.dim} != unitary dim {u.shape[0]}")
     if isinstance(state, PureState):
-        if state.dim != u.shape[0]:
-            raise DimensionMismatch(f"state dim {state.dim} != unitary dim {u.shape[0]}")
         # renormalize away the (<= LOOSE_TOL) drift allowed by the unitarity check
         return PureState._trusted_normalized(u @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        if state.dim != u.shape[0]:
-            raise DimensionMismatch(f"state dim {state.dim} != unitary dim {u.shape[0]}")
-        rho = u @ state.matrix @ u.conj().T
-        return DensityMatrix._trusted(rho / rho.trace().real)
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    rho = u @ state.matrix @ u.conj().T
+    return DensityMatrix._trusted(rho / rho.trace().real)
 
 
 def measure_collapse(state: PureState, mset: MeasurementSet, rng: np.random.Generator):

@@ -128,6 +128,22 @@ def test_unitary_min_diagonal_identity(capsys, tmp_path):
     assert np.allclose(minimizer, np.eye(2))
 
 
+def test_unitary_min_d16_pure_state_prints_a_finite_minimizer(capsys, tmp_path):
+    # the round sweep once took the phase of a subnormal entry as b * (1 / |b|),
+    # which overflowed: every minimizer entry was NaN and numpy warned on stderr
+    v = np.exp(1j * np.arange(16))
+    v /= np.linalg.norm(v)
+    path = tmp_path / "pure16.json"
+    path.write_text(json.dumps(matrix_to_json(np.outer(v, v.conj()))))
+    code, out, err = run(capsys, "unitary-min", str(path), "--format", "json")
+    assert code == 0
+    assert err == ""
+    minimizer = json.loads(out)[0]["minimizer"]
+    u = np.asarray(minimizer["re"]) + 1j * np.asarray(minimizer["im"])
+    assert np.isfinite(u).all()
+    assert np.abs(u.conj().T @ u - np.eye(16)).max() <= 1e-10
+
+
 def test_unitary_min_random_4x4_fixture(capsys, tmp_path):
     rng = np.random.default_rng(77)
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -393,6 +409,40 @@ def test_out_into_missing_directory_exits_2(capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        (["--sweep", "1-5"], "error: parse: --sweep expects N1:N2, got '1-5'"),
+        (["--sweep", ""], "error: parse: --sweep expects N1:N2, got ''"),
+        ([], "one of the arguments --theta-deg --n-steps --sweep is required"),
+        (["--n-steps", "3", "--theta-deg", "10"], "argument --theta-deg: not allowed with argument --n-steps"),
+        (["--n-steps", "3", "--sweep", "1:3"], "argument --sweep: not allowed with argument --n-steps"),
+    ],
+)
+def test_zeno_takes_exactly_one_well_formed_plan(capsys, plan, message):
+    # argparse rejects a missing or doubled plan by exiting with 2
+    try:
+        code = main(["zeno", *plan, "--trials", "10"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_failed_command_creates_no_out_file(capsys, tmp_path):
+    target = tmp_path / "bound.csv"
+    code, out, err = run(capsys, "bound", "nan", "--format", "csv", "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: domain:")
+    assert not target.exists()
+    code, out, err = run(capsys, "--seed", "-1", "bound", "4", "--out", str(target))
+    assert (code, out, err) == (2, "", "error: parse: --seed must be a nonnegative integer\n")
+    assert not target.exists()
+
+
 def test_zero_entropies_print_positive_zero(capsys, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"probs": [1, 0]}))
@@ -442,23 +492,52 @@ def test_unitary_min_negative_budget_exits_2(capsys, blend_file):
     assert rows[0]["iterations"] == 0
 
 
-# JSON documents that once escaped main with a traceback
+_PURE_PART = b'"state": {"amplitudes": [{"re": 1, "im": 0}, {"re": 0, "im": 0}]}'
+
+# JSON documents that once escaped main with a traceback, and documents with
+# a bool, a string or null where a number belongs, which once exited 0 or 3:
+# each with the entropy it is read for and a part of the message it gets
 BROKEN_JSON = {
-    "not-utf8": b'{"dim": 2, "re": "\xff\xfe"}',
-    "too-deep": b"[" * 100_000 + b"]" * 100_000,
-    "int-past-digit-limit": b'{"dim": ' + b"1" * 4301 + b"}",
-    "dim-overflows": b'{"dim": 1e400, "re": [[1]], "im": [[0]]}',
+    "not-utf8": ("informational", b'{"dim": 2, "re": "\xff\xfe"}', "malformed JSON"),
+    "too-deep": ("informational", b"[" * 100_000 + b"]" * 100_000, "malformed JSON"),
+    "int-past-digit-limit": ("informational", b'{"dim": ' + b"1" * 4301 + b"}", "malformed JSON"),
+    "dim-overflows": ("informational", b'{"dim": 1e400, "re": [[1]], "im": [[0]]}', "whole number"),
+    "probs-bools": ("shannon", b'{"probs": [true, false]}', "probs must be a number, got bool"),
+    "probs-strings": ("shannon", b'{"probs": ["0.5", "0.5"]}', "probs must be a number, got str"),
+    "probs-null": ("shannon", b'{"probs": [null, 1.0]}', "probs must be a number, got NoneType"),
+    "matrix-re-strings": (
+        "informational",
+        b'{"dim": 2, "re": [["0.5", 0], [0, "0.5"]], "im": [[0, 0], [0, 0]]}',
+        "matrix entry must be a number, got str",
+    ),
+    "matrix-bools": (
+        "von-neumann",
+        b'{"dim": 1, "re": [[true]], "im": [[false]]}',
+        "matrix entry must be a number, got bool",
+    ),
+    "amplitude-bools": (
+        "pure",
+        b'{"amplitudes": [{"re": true, "im": false}, {"re": 0, "im": 0}]}',
+        "amplitude must be a number, got bool",
+    ),
+    "ensemble-weight-string": (
+        "bound-check",
+        b'{"pure_parts": [{"weight": "1", ' + _PURE_PART + b"}]}",
+        "ensemble weight must be a number, got str",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_JSON))
 def test_broken_json_file_exits_2(capsys, tmp_path, name):
+    which, document, message = BROKEN_JSON[name]
     path = tmp_path / "broken.json"
-    path.write_bytes(BROKEN_JSON[name])
-    code, out, err = run(capsys, "entropy", str(path), "--which", "informational")
+    path.write_bytes(document)
+    code, out, err = run(capsys, "entropy", str(path), "--which", which)
     assert code == 2
     assert out == ""
     assert err.startswith("error: parse:")
+    assert message in err
 
 
 @pytest.mark.parametrize("dim", ["2.7", "NaN", "-Infinity", "true", '"2"'])
@@ -501,10 +580,12 @@ def test_mzi_unknown_csv_fields_are_plain_numbers(capsys):
         (["protocol", "attack", "--n=-1"], "at least one angle"),
         (["protocol", "attack", "--key-angle-deg", "nan"], "NaN"),
         (["protocol", "estimate", "--adaptive", "--target-halfwidth-deg", "nan"], "halfwidth"),
+        (["protocol", "estimate", "--adaptive", "--shots", "0"], "confidence_shots must be >= 1"),
     ],
 )
 def test_protocol_invalid_numbers_exit_3(capsys, argv, invariant):
-    code, out, err = run(capsys, *argv, "--trials", "10", "--shots", "10")
+    # small sizes first, so that a size in argv overrides them
+    code, out, err = run(capsys, *argv[:2], "--trials", "10", "--shots", "10", *argv[2:])
     assert code == 3
     assert out == ""
     assert err.startswith("error: domain:")

@@ -405,6 +405,26 @@ def test_round_sweeps_leave_a_diagonal_input_alone():
     assert report.residual_vs_von_neumann == pytest.approx(0.0, abs=1e-12)
 
 
+def _one_coherence(dim, entry):
+    m = np.eye(dim, dtype=complex) / dim
+    m[0, 1], m[1, 0] = entry, np.conj(entry)
+    m[2, 5] = m[5, 2] = 0.02
+    return DensityMatrix(m)
+
+
+@pytest.mark.parametrize("dim", [8, 9])
+@pytest.mark.parametrize("entry", [0.01, 1e-310, 5e-324, 1e-320 + 3e-321j])
+def test_round_sweeps_handle_zero_and_subnormal_entries(dim, entry):
+    # a round whose pairs mix zero and nonzero entries once made a NaN block
+    # (0 * (1 / 5e-324)), and a subnormal entry over an equal diagonal once
+    # made a rotation that was not unitary
+    rho = _one_coherence(dim, entry)
+    report = min_informational_over_unitaries(rho)
+    assert np.isfinite(report.minimizer).all()
+    assert is_unitary(report.minimizer, 1e-14)
+    assert abs(report.residual_vs_von_neumann) <= 1e-12
+
+
 def test_round_sweeps_stop_at_the_budget_exactly():
     # 50 visits end inside a round of 8 pairs, which is cut short
     rho = random_density(16, np.random.default_rng(1650))

@@ -60,6 +60,37 @@ def test_known_mirror_rejects_a_prior(kind, prior):
         MirrorModel(kind, prior)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MirrorModel("bogus"), QentroError, "unknown mirror kind 'bogus'"),
+        (lambda: posterior_springy(0.5, "bogus"), QentroError, "outcome must be one of"),
+        (lambda: posterior_springy(None, D1), QentroError, "prior must lie in [0, 1], got None"),
+        (
+            lambda: simulate_latent_mirror(0.5, 0, np.random.default_rng(0)),
+            NonpositiveN,
+            "photon count must be >= 1, got 0",
+        ),
+    ],
+    ids=["kind", "outcome", "prior", "latent-count"],
+)
+def test_interferometer_rejects_bad_arguments(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert message in str(exc.value)
+
+
+def test_mirror_model_holds_its_joint_table():
+    mirror = MirrorModel.unknown(0.5)
+    assert mirror.joint == ((0.0, 0.5, 0.0), (0.25, 0.125, 0.125))
+    assert MirrorModel.rigid().joint == ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0))
+    assert MirrorModel.springy().joint == ((0.0, 0.0, 0.0), (0.5, 0.25, 0.25))
+    # the table takes no part in equality, hashing or the repr
+    assert mirror == MirrorModel("unknown", 0.5)
+    assert hash(mirror) == hash(("unknown", 0.5))
+    assert repr(mirror) == "MirrorModel(kind='unknown', prior_springy=0.5)"
+
+
 def test_arrangement_entropies():
     assert arrangement_entropy(MirrorModel.rigid()).value == 0.0
     assert arrangement_entropy(MirrorModel.springy()).value == pytest.approx(1.5, abs=1e-12)

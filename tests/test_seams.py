@@ -1,7 +1,9 @@
-"""Two rules have one owner each: ``serialize.write_rows`` turns rows into
-the bytes of every output format, and ``montecarlo.seeded`` turns a seed
-into a random stream.  The CLI parses, checks work limits and picks exit
-codes, and reaches both rules only through those functions."""
+"""Rules with one owner each: ``serialize.write_rows`` turns rows into the
+bytes of every output format, ``montecarlo.seeded`` turns a seed into a
+random stream, and ``interferometer.MirrorModel`` turns an arrangement into
+its joint table.  The CLI parses, checks work limits and picks exit codes,
+each at one place, and reaches the first two rules only through those
+functions."""
 
 import ast
 import tokenize
@@ -43,3 +45,19 @@ def test_cli_writes_rows_only_through_serialize():
 def test_seeded_streams_are_built_only_in_montecarlo():
     builders = sorted(path.name for path in SRC.glob("*.py") if names(path) & {"default_rng", "SeedSequence"})
     assert builders == ["montecarlo.py"]
+
+
+def test_cli_prints_each_error_kind_at_one_site():
+    text = (SRC / "cli.py").read_text()
+    assert text.count("error: parse:") == 1
+    assert text.count("error: domain:") == 1
+
+
+def test_only_the_mirror_model_reads_the_likelihood_table():
+    readers = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id == "_LIKELIHOOD" and isinstance(node.ctx, ast.Load):
+                    readers.add((path.name, getattr(top, "name", None)))
+    assert readers == {("interferometer.py", "MirrorModel")}

@@ -167,6 +167,35 @@ def test_evolve_unitary_errors():
         evolve_unitary(ZERO, np.eye(3))
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MeasurementSet([]), IncompleteMeasurementSet, "measurement set is empty"),
+        (lambda: MeasurementSet([np.eye(2), np.eye(3)]), DimensionMismatch, "differ in dimension"),
+        (
+            lambda: MeasurementSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], ["only"]),
+            DimensionMismatch,
+            "one label per operator",
+        ),
+        (
+            lambda: evolve_unitary(DensityMatrix(np.eye(2) / 2), np.eye(3)),
+            DimensionMismatch,
+            "state dim 2 != unitary dim 3",
+        ),
+        (lambda: evolve_unitary([1.0, 0.0], np.eye(2)), TypeError, "expected PureState or DensityMatrix, got list"),
+        (
+            lambda: measure_collapse(ZERO, MeasurementSet.computational(3), np.random.default_rng(0)),
+            DimensionMismatch,
+            "state dim 2 != measurement dim 3",
+        ),
+    ],
+    ids=["empty-set", "mixed-dims", "label-count", "evolve-density-dims", "evolve-non-state", "collapse-dims"],
+)
+def test_states_reject_bad_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_evolve_unitary_preserves_invariants():
     rng = np.random.default_rng(42)
     for _ in range(200):

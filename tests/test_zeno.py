@@ -129,6 +129,23 @@ def test_zeno_survival_reductions():
         zeno_survival(PAULI_X, t, 0, ZERO)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: zeno_survival(PAULI_X, 1.0, 3, ZERO, mode="bogus"), ValueError, "mode must be 'exact'"),
+        (
+            lambda: energy_variance(PAULI_X, PureState.basis_state(3, 0)),
+            DimensionMismatch,
+            "Hamiltonian dim 2 != state dim 3",
+        ),
+    ],
+    ids=["survival-mode", "variance-dims"],
+)
+def test_zeno_rejects_bad_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_zeno_survival_closed_form_n100():
     value = zeno_survival(PAULI_X, 1.0, 100, ZERO)
     assert value == pytest.approx(math.cos(0.01) ** 200, abs=1e-12)
