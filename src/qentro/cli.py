@@ -37,6 +37,10 @@ WORK_LIMITS = {
     "grid levels": 1024,  # protocol estimate --grid-n
     "shots": 10**9,  # protocol estimate --shots
     "photons": 10**9,  # mzi --photons
+    # the dim of a JSON matrix read by entropy or unitary-min: a default-budget
+    # unitary-min spends O(dim^2) per pair visit and takes ~0.1 s on a d64
+    # Wishart matrix, 0.2-0.6 s with the other core of a 2-vCPU host busy, ~1 s at d128
+    "dim": 64,
 }
 
 
@@ -45,11 +49,17 @@ def _check_work(flag: str, amount, unit: str) -> None:
         raise ParseError(f"{flag} asks for more than the work limit of {WORK_LIMITS[unit]} {unit}")
 
 
+def _matrix_from_json(obj):
+    # the dim is checked against its limit before any entry is read
+    _check_work("matrix dim", serialize.matrix_dim(obj), "dim")
+    return serialize.matrix_from_json(obj)
+
+
 # entropy --which: the measure of each choice and the decoder of its JSON input
 _MEASURES = {
     "shannon": (ent.shannon, serialize.probs_from_json),
-    "von-neumann": (ent.von_neumann, serialize.matrix_from_json),
-    "informational": (ent.informational, serialize.matrix_from_json),
+    "von-neumann": (ent.von_neumann, _matrix_from_json),
+    "informational": (ent.informational, _matrix_from_json),
     "pure": (ent.pure_entropy, serialize.state_from_json),
     "bound-check": (ent.ensemble_bound_check, serialize.ensemble_from_json),
 }
@@ -65,7 +75,7 @@ def _cmd_entropy(args) -> list[dict]:
 def _cmd_unitary_min(args) -> list[dict]:
     if args.budget < 0:
         raise ParseError(f"--budget must be >= 0, got {args.budget}")
-    rho = DensityMatrix(serialize.matrix_from_json(serialize.load_json(args.input)))
+    rho = DensityMatrix(_matrix_from_json(serialize.load_json(args.input)))
     report = ent.min_informational_over_unitaries(rho, args.base, budget=args.budget)
     if report.residual_vs_von_neumann > RESIDUAL_WARN:
         print(

@@ -14,6 +14,7 @@ nonpositive entries (eigenvalues within rounding of zero) contribute
 nothing.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -230,12 +231,14 @@ def bekenstein_bound(area_planck_units: float, base: str = BITS) -> EntropyResul
 # d entries each, too few to pay for a numpy call.  From there on it runs
 # the rounds of a round-robin tournament (the parallel Jacobi ordering of
 # Golub & Van Loan): each round is a set of disjoint pairs, so one block
-# rotation g turns them all with numpy, for ~30 us of call overhead per
-# round whatever its size.  Per matrix on a shared 2-vCPU x86-64 VM
-# (OpenBLAS, one thread), Wishart inputs, best of 5, median of 5 matrices,
-# lists -> rounds: d4 0.17 -> 0.38 ms, d6 0.46 -> 0.70 ms, d7 0.82 -> 1.00
-# ms, d8 1.24 -> 1.08 ms, d10 2.2 -> 1.4 ms, d16 10.8 -> 3.0 ms, d32 104 ->
-# 9.8 ms, d64 1145 -> 102 ms.
+# rotation g turns them all with numpy, for ~35 us of call overhead per
+# round whatever its size; the tournament's index tables depend on the
+# dimension alone and are built once per dimension (_schedule).  Per
+# matrix on a shared 2-vCPU x86-64 VM (OpenBLAS, one thread), Wishart
+# inputs, best of 5, median of 5 matrices and of 3 runs, lists -> rounds:
+# d4 0.28 -> 0.45 ms, d6 0.84 -> 0.91 ms, d7 1.26 -> 1.26 ms, d8 1.86 ->
+# 1.49 ms, d10 3.6 -> 2.0 ms, d16 15.8 -> 4.1 ms, d32 165 -> 14.9 ms, d64
+# 1350 -> 94 ms.
 
 _ROUNDS_FROM_DIM = 8
 # numpy takes b / |b| as b * (1 / |b|), which overflows once |b| is subnormal or 0, so the round
@@ -294,6 +297,22 @@ def _round_robin(dim):
     return np.minimum(p, q), np.maximum(p, q)
 
 
+@functools.cache
+def _schedule(dim):
+    """The round sweep's tables for ``dim``, kept write-protected (~44 dim^2
+    bytes): per round of ``_round_robin(dim)``, its ``p`` and ``q``, the flat
+    indices ``pq`` of ``work[p, q]`` and the ``scatter`` indices of
+    ``g[p, p]``, ``g[q, q]``, ``g[p, q]`` and ``g[q, p]`` in turn; and the
+    identity."""
+    p, q = _round_robin(dim)
+    pq = p * dim + q
+    scatter = np.concatenate((p * (dim + 1), q * (dim + 1), pq, q * dim + p), axis=1)
+    identity = np.eye(dim, dtype=complex)
+    for table in (p, q, pq, scatter, identity):
+        table.flags.writeable = False
+    return tuple(zip(p, q, pq, scatter)), identity
+
+
 def _sweep_rounds(work, u, budget):
     """One round-robin sweep on complex arrays, updated in place, at most
     ``budget`` pair visits (the round that reaches it is cut short);
@@ -301,21 +320,20 @@ def _sweep_rounds(work, u, budget):
     sweep's rotation elementwise over its pairs, a pair whose entry is 0
     getting the identity block, and applies the block rotation g as
     ``work <- g work g†``, ``u <- g u``."""
-    dim = len(work)
-    p, q = _round_robin(dim)
-    # flat indices of work[p, q], work[q, p], work[p, p] and work[q, q];
+    rounds, identity = _schedule(len(work))
+    size = len(rounds[0][0])
     # work is only written in place, so these views of it stay current
-    pq, qp, pp, qq = p * dim + q, q * dim + p, p * (dim + 1), q * (dim + 1)
     flat, diagonal = work.reshape(-1), work.diagonal().real
-    identity = np.eye(dim, dtype=complex)
     visits = 0
-    for r in range(len(p)):
-        k = min(p.shape[1], max(budget - visits, 0))
+    for p, q, pq, scatter in rounds:
+        k = min(size, max(budget - visits, 0))
         visits += k
-        b = flat[pq[r, :k]]
+        if k < size:  # the round the budget cuts short: its first k pairs
+            p, q, pq, scatter = p[:k], q[:k], pq[:k], scatter.reshape(4, size)[:, :k].reshape(-1)
+        b = flat[pq]
         if np.count_nonzero(b):
             mod = np.abs(b)
-            diff = diagonal[p[r, :k]] - diagonal[q[r, :k]]
+            diff = diagonal[p] - diagonal[q]
             theta = 0.5 * np.arctan2(2.0 * mod, np.abs(diff))
             c = np.cos(theta)
             # the sign of a - d is the list sweep's sgn except for a = -0.0,
@@ -324,12 +342,10 @@ def _sweep_rounds(work, u, budget):
             scaled = b * _SCALE
             g_pq = np.copysign(np.sin(theta), diff) * scaled / np.maximum(np.abs(scaled), _TINY)
             g = identity.copy()
-            g_flat = g.reshape(-1)
-            g_flat[pp[r, :k]], g_flat[qq[r, :k]] = c, c
-            g_flat[pq[r, :k]], g_flat[qp[r, :k]] = g_pq, -g_pq.conj()
+            g.reshape(-1)[scatter] = np.concatenate((c, c, g_pq, -g_pq.conj()))
             np.matmul(g @ work, g.conj().T, out=work)
             np.matmul(g, u, out=u)
-        if k < p.shape[1]:
+        if k < size:
             return visits, True
     return visits, False
 
@@ -376,7 +392,8 @@ def min_informational_over_unitaries(
         sweep_start = value
         visits, exhausted = sweep(work, u, budget - evals)
         evals += visits
-        value = _plogp_sum([work[k][k].real for k in range(dim)], base)
+        diagonal = work.diagonal().real if sweep is _sweep_rounds else [work[k][k].real for k in range(dim)]
+        value = _plogp_sum(diagonal, base)
         if exhausted or sweep_start - value < SWEEP_TOL * (1.0 + abs(value)):
             break
 

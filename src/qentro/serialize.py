@@ -47,15 +47,24 @@ def matrix_to_json(matrix) -> dict:
     }
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def matrix_dim(obj) -> int:
+    """The ``dim`` of a matrix object, read by the number rule before any
+    entry is: a JSON integer or a whole-number float."""
     if not isinstance(obj, dict):
         raise ParseError(f"matrix object must be a JSON object, got {type(obj).__name__}")
     try:
         dim = obj["dim"]
-        _check_numbers((dim,), "matrix dim")
-        if isinstance(dim, float) and not dim.is_integer():  # also inf and NaN
-            raise ParseError(f"matrix dim must be a whole number, got {dim!r}")
-        dim = int(dim)
+    except KeyError as exc:
+        raise ParseError(f"bad matrix object: {exc}") from exc
+    _check_numbers((dim,), "matrix dim")
+    if isinstance(dim, float) and not dim.is_integer():  # also inf and NaN
+        raise ParseError(f"matrix dim must be a whole number, got {dim!r}")
+    return int(dim)
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    dim = matrix_dim(obj)
+    try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -96,15 +105,15 @@ def state_from_json(obj) -> PureState:
 def probs_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "probs" not in obj:
         raise ParseError("probability object must contain 'probs'")
+    entries = obj["probs"]
     try:
-        probs = np.asarray(obj["probs"], dtype=float)
+        probs = np.asarray(entries, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad probability list: {exc}") from exc
-    entries = (obj["probs"],)  # a number or lists of them, nested as deep as the array
-    for _ in range(probs.ndim):
-        entries = itertools.chain.from_iterable(entries)
-    _check_numbers(entries, "probs")
-    return probs.reshape(-1)
+    if not isinstance(entries, list):
+        raise ParseError(f"probs must be a JSON list, got {type(entries).__name__}")
+    _check_numbers(entries, "probs")  # a nested list is not a number either
+    return probs
 
 
 def ensemble_from_json(obj) -> Ensemble:

@@ -14,6 +14,7 @@ from qentro import cli, interferometer, protocol, zeno
 from qentro.cli import main
 from qentro.entropy import von_neumann
 from qentro.serialize import matrix_to_json
+from qentro.states import random_density
 
 EX_BLEND = {"dim": 2, "re": [[0.5, 0.25], [0.25, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 
@@ -495,8 +496,9 @@ def test_unitary_min_negative_budget_exits_2(capsys, blend_file):
 _PURE_PART = b'"state": {"amplitudes": [{"re": 1, "im": 0}, {"re": 0, "im": 0}]}'
 
 # JSON documents that once escaped main with a traceback, and documents with
-# a bool, a string or null where a number belongs, which once exited 0 or 3:
-# each with the entropy it is read for and a part of the message it gets
+# a bool, a string or null where a number belongs, or probs that are not a
+# flat list, which once exited 0 or 3: each with the entropy it is read for
+# and a part of the message it gets
 BROKEN_JSON = {
     "not-utf8": ("informational", b'{"dim": 2, "re": "\xff\xfe"}', "malformed JSON"),
     "too-deep": ("informational", b"[" * 100_000 + b"]" * 100_000, "malformed JSON"),
@@ -505,6 +507,8 @@ BROKEN_JSON = {
     "probs-bools": ("shannon", b'{"probs": [true, false]}', "probs must be a number, got bool"),
     "probs-strings": ("shannon", b'{"probs": ["0.5", "0.5"]}', "probs must be a number, got str"),
     "probs-null": ("shannon", b'{"probs": [null, 1.0]}', "probs must be a number, got NoneType"),
+    "probs-bare-number": ("shannon", b'{"probs": 1}', "probs must be a JSON list, got int"),
+    "probs-nested": ("shannon", b'{"probs": [[0.5], [0.5]]}', "probs must be a number, got list"),
     "matrix-re-strings": (
         "informational",
         b'{"dim": 2, "re": [["0.5", 0], [0, "0.5"]], "im": [[0, 0], [0, 0]]}',
@@ -746,6 +750,16 @@ def test_readme_work_is_within_the_limits(capsys, argv, monkeypatch):
         main(argv)
 
 
+def wishart_file(tmp_path, dim):
+    path = tmp_path / f"wishart{dim}.json"
+    path.write_text(json.dumps(matrix_to_json(random_density(dim, np.random.default_rng(dim)).matrix)))
+    return str(path)
+
+
+# stands for a file holding a Wishart matrix of the largest allowed dim
+LARGEST_MATRIX = "<largest matrix>"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -754,17 +768,37 @@ def test_readme_work_is_within_the_limits(capsys, argv, monkeypatch):
         ["protocol", "attack", "--n", "64", "--trials", "10000000", "--strategy", "replay"],
         ["protocol", "attack", "--n", "64", "--trials", "10000000", "--strategy", "guess-angles"],
         ["zeno", "--n-steps", "100000", "--trials", "100000"],
+        ["unitary-min", LARGEST_MATRIX],
     ],
 )
-def test_largest_allowed_request_finishes_within_budget(capsys, argv):
-    # --trials and --n sit at their limits, or trials x steps is far past
-    # 10^9; the count-level samplers do not scale with the trial count
+def test_largest_allowed_request_finishes_within_budget(capsys, tmp_path, argv):
+    # --trials, --n and the matrix dim sit at their limits, or trials x steps
+    # is far past 10^9; the count-level samplers do not scale with the trial
+    # count, and a default-budget unitary-min converges
+    argv = [wishart_file(tmp_path, cli.WORK_LIMITS["dim"]) if arg == LARGEST_MATRIX else arg for arg in argv]
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
     elapsed = time.perf_counter() - t0
     assert code == 0, err
-    assert f"trials: {argv[argv.index('--trials') + 1]}" in out
+    if "--trials" in argv:
+        assert f"trials: {argv[argv.index('--trials') + 1]}" in out
+    else:
+        assert "budget_exhausted: False" in out and err == ""
     assert elapsed <= 2.0
+
+
+@pytest.mark.parametrize("which", ["unitary-min", "informational", "von-neumann"])
+def test_matrix_dim_above_the_limit_exits_2(capsys, tmp_path, which):
+    dim = cli.WORK_LIMITS["dim"] + 1
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"dim": dim}))
+    # a whole matrix, or only its dim: the limit is checked before any entry is read
+    for path in (wishart_file(tmp_path, dim), str(bare)):
+        argv = ["unitary-min", path] if which == "unitary-min" else ["entropy", path, "--which", which]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: parse: matrix dim asks for more than the work limit of {dim - 1} dim\n"
 
 
 def test_guess_angles_peak_memory_stays_bounded(capsys):

@@ -426,14 +426,56 @@ def test_round_sweeps_handle_zero_and_subnormal_entries(dim, entry):
 
 
 def test_round_sweeps_stop_at_the_budget_exactly():
-    # 50 visits end inside a round of 8 pairs, which is cut short
-    rho = random_density(16, np.random.default_rng(1650))
-    report = min_informational_over_unitaries(rho, budget=50)
-    assert report.budget_exhausted
-    assert report.iterations == 50
-    assert is_unitary(report.minimizer, 1e-10)
-    assert report.min_value >= von_neumann(rho).value - 1e-12
+    # a budget that ends inside a round of m pairs cuts it short after each
+    # position 1 ... m - 1, in the first sweep and in the second; 50 visits
+    # end inside a round of 8 pairs at d16, and d9 plays a bye in each round
+    for dim in (16, 9):
+        rho = random_density(dim, np.random.default_rng(1650 + dim))
+        m, rounds = dim // 2, dim - 1 + dim % 2
+        cuts = [k * m + j for k in (3, rounds + 1) for j in range(1, m)]
+        for budget in cuts + [50] * (dim == 16):
+            report = min_informational_over_unitaries(rho, budget=budget)
+            assert report.budget_exhausted
+            assert report.iterations == budget
+            assert is_unitary(report.minimizer, 1e-10)
+            assert report.min_value >= von_neumann(rho).value - 1e-12
 
+
+def test_round_schedule_is_built_once_per_dim(monkeypatch):
+    built = []
+
+    def counted(dim):
+        built.append(dim)
+        return round_robin(dim)
+
+    round_robin = entropy._round_robin
+    monkeypatch.setattr(entropy, "_round_robin", counted)
+    entropy._schedule.cache_clear()
+    try:
+        rho = random_density(16, np.random.default_rng(1616))
+        for _ in range(2):
+            assert min_informational_over_unitaries(rho).iterations > 120  # more than one sweep
+    finally:
+        entropy._schedule.cache_clear()
+    assert built == [16]
+
+
+@pytest.mark.parametrize("dim", [8, 9, 16])
+def test_round_schedule_is_read_only_and_scatters_each_rounds_block(dim):
+    rounds, identity = entropy._schedule(dim)
+    all_p, all_q = entropy._round_robin(dim)
+    assert len(rounds) == len(all_p)
+    for (p, q, pq, scatter), round_p, round_q in zip(rounds, all_p, all_q):
+        assert np.array_equal(p, round_p) and np.array_equal(q, round_q)
+        assert np.array_equal(pq, np.ravel_multi_index((p, q), (dim, dim)))
+        # g[p, p], g[q, q], g[p, q] and g[q, p], in that order, and nothing else
+        rows, cols = np.unravel_index(scatter, (dim, dim))
+        assert np.array_equal(rows, np.concatenate((p, q, p, q)))
+        assert np.array_equal(cols, np.concatenate((p, q, q, p)))
+        assert not any(table.flags.writeable for table in (p, q, pq, scatter))
+    assert np.array_equal(identity, np.eye(dim)) and not identity.flags.writeable
+    with pytest.raises(ValueError):
+        rounds[0][3][0] = 0
 
 
 @pytest.mark.parametrize("dim", [3, 16])

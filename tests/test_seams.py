@@ -3,7 +3,8 @@ bytes of every output format, ``montecarlo.seeded`` turns a seed into a
 random stream, and ``interferometer.MirrorModel`` turns an arrangement into
 its joint table.  The CLI parses, checks work limits and picks exit codes,
 each at one place, and reaches the first two rules only through those
-functions."""
+functions.  The minimizer's round-robin tournament is built only by
+``entropy._schedule``, once per dimension."""
 
 import ast
 import tokenize
@@ -53,11 +54,25 @@ def test_cli_prints_each_error_kind_at_one_site():
     assert text.count("error: domain:") == 1
 
 
-def test_only_the_mirror_model_reads_the_likelihood_table():
-    readers = set()
+def readers(name):
+    # (module, top-level definition) of every load of the name, bare or as an attribute
+    found = set()
     for path in SRC.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Name) and node.id == "_LIKELIHOOD" and isinstance(node.ctx, ast.Load):
-                    readers.add((path.name, getattr(top, "name", None)))
-    assert readers == {("interferometer.py", "MirrorModel")}
+                loaded = isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                if loaded and getattr(node, "id", getattr(node, "attr", None)) == name:
+                    found.add((path.name, getattr(top, "name", None)))
+    return found
+
+
+def test_only_the_mirror_model_reads_the_likelihood_table():
+    assert readers("_LIKELIHOOD") == {("interferometer.py", "MirrorModel")}
+
+
+def test_the_round_robin_is_built_only_by_the_cached_schedule():
+    # a sweep that rebuilt the tournament would call _round_robin itself
+    assert readers("_round_robin") == {("entropy.py", "_schedule")}
+    tops = ast.parse((SRC / "entropy.py").read_text()).body
+    schedule = next(top for top in tops if getattr(top, "name", None) == "_schedule")
+    assert [ast.unparse(decorator) for decorator in schedule.decorator_list] == ["functools.cache"]
