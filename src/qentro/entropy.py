@@ -60,6 +60,7 @@ class UnitaryMinimizationReport:
     min_value: float
     iterations: int
     residual_vs_von_neumann: float
+    certified_gap: float
     base: str
     budget_exhausted: bool = False
 
@@ -225,6 +226,14 @@ def bekenstein_bound(area_planck_units: float, base: str = BITS) -> EntropyResul
 # working matrix to diagonal, where the objective equals the von Neumann
 # entropy.  No eigensolver is called.
 #
+# The search stops after a sweep that lowers the objective by less than
+# SWEEP_TOL (1 + |value|), or once _certified_gap, an upper bound on the
+# remaining gap read off the working matrix's entries in O(d^2), is at most
+# that.  The bound is of the order of the squared off-diagonal entries, so it
+# passes the tolerance at the end of the sweep that converges, where the drop
+# needs one more sweep, lowering the objective by exactly 0, to show it; on
+# full-rank inputs that sweep would be 15-20 % of the pair visits.
+#
 # A sweep visits every pair once, in one of two orders chosen by dimension.
 # Below _ROUNDS_FROM_DIM it goes row by row, one pair at a time, on nested
 # lists of Python complex: a pair step touches two rows and two columns of
@@ -236,13 +245,15 @@ def bekenstein_bound(area_planck_units: float, base: str = BITS) -> EntropyResul
 # dimension alone and are built once per dimension (_schedule).  Per
 # matrix on a shared 2-vCPU x86-64 VM (OpenBLAS, one thread), Wishart
 # inputs, best of 5, median of 5 matrices and of 3 runs, lists -> rounds:
-# d4 0.28 -> 0.45 ms, d6 0.84 -> 0.91 ms, d7 1.26 -> 1.26 ms, d8 1.86 ->
-# 1.49 ms, d10 3.6 -> 2.0 ms, d16 15.8 -> 4.1 ms, d32 165 -> 14.9 ms, d64
-# 1350 -> 94 ms.
+# d4 0.25 -> 0.38 ms, d6 0.85 -> 0.80 ms, d7 1.27 -> 1.17 ms, d8 1.73 ->
+# 1.34 ms, d10 3.3 -> 1.8 ms, d16 14.1 -> 2.4 ms, d32 119 -> 9.1 ms, d64
+# 1200 -> 83 ms.  The host's speed swings by up to 1.5x from one run of this
+# table to the next.
 
 _ROUNDS_FROM_DIM = 8
-# numpy takes b / |b| as b * (1 / |b|), which overflows once |b| is subnormal or 0, so the round
-# sweep divides b * _SCALE by its modulus floored at _TINY: for a normal b, the same quotient
+# the phase b / |b| of a subnormal b loses bits, so the rotation is not unitary, and numpy takes it
+# as b * (1 / |b|), which overflows at 0: both sweeps divide b * _SCALE by its modulus, floored at
+# _TINY in the round sweep; for a normal b, the same quotient
 _SCALE = 2.0**512
 _TINY = np.finfo(float).tiny
 
@@ -262,7 +273,8 @@ def _sweep_lists(work, u, budget):
                 continue
             a, d = work[p][p].real, work[q][q].real
             sgn = 1.0 if a >= d else -1.0
-            e = -sgn * b.conjugate() / abs(b)
+            scaled = b * _SCALE
+            e = -sgn * scaled.conjugate() / abs(scaled)
             theta = 0.5 * math.atan2(2.0 * abs(b), abs(a - d))
             c, s = math.cos(theta), math.sin(theta)
             g_pp, g_pq = c, -s * e.conjugate()
@@ -350,6 +362,40 @@ def _sweep_rounds(work, u, budget):
     return visits, False
 
 
+def _certified_gap(work, diagonal, base):
+    """An upper bound on ``informational(W) - von_neumann(W)`` for the
+    working matrix W: ``ln(1 + sum_{i != j} |w_ij|^2 / sqrt(w_ii w_jj))``
+    nats, in ``base``.  A row whose diagonal entry is not positive drops out
+    when its off-diagonal entries are 0, as in a PSD matrix, and makes the
+    bound inf when one is not, as rounding leaves in rank-deficient inputs."""
+    if isinstance(work, list):
+        roots = [math.sqrt(w) if w > 0 else 0.0 for w in diagonal]
+        total = 0.0
+        for i, row in enumerate(work):
+            for j, w in enumerate(row):
+                if w and j != i:
+                    root = roots[i] * roots[j]
+                    if not root:
+                        return math.inf
+                    total += (w.real * w.real + w.imag * w.imag) / root
+    else:
+        if diagonal.min() > 0:
+            r = diagonal**-0.25
+        else:
+            positive = diagonal > 0
+            off = work.copy()
+            off.reshape(-1)[:: len(off) + 1] = 0
+            if off[~positive].any() or off[:, ~positive].any():
+                return math.inf
+            r = np.zeros(len(work))
+            r[positive] = diagonal[positive] ** -0.25
+        x = work * (r[:, None] * r)
+        x.reshape(-1)[:: len(x) + 1] = 0
+        total = np.vdot(x, x).real
+    gap = math.log1p(total)
+    return gap if base == NATS else gap / math.log(2.0)
+
+
 def min_informational_over_unitaries(
     rho,
     base: str = BITS,
@@ -363,17 +409,25 @@ def min_informational_over_unitaries(
     exact minimizer of the objective over that pair.  Pairs whose entry is
     already zero are skipped, so a diagonal input returns the identity.  A
     sweep visits the pairs row by row below dimension 8 and in round-robin
-    rounds of disjoint pairs from dimension 8 on.  The search stops on its
-    objective alone: after a sweep that lowers it by less than
-    ``linalg.SWEEP_TOL * (1 + |value|)``, as a sweep that rotates nothing
-    does, by exactly 0.  The von Neumann entropy is only reported.
+    rounds of disjoint pairs from dimension 8 on.
+
+    After each sweep, with ``tol = linalg.SWEEP_TOL * (1 + |value|)``, the
+    search stops when the budget is spent, when the sweep lowered the
+    objective by less than ``tol`` (as a sweep that rotates nothing does, by
+    exactly 0), or when ``certified_gap`` is at most ``tol``.  That
+    certificate bounds the objective's gap over the von Neumann entropy, the
+    relative entropy of coherence ``D(W || diag W)`` (Baumgratz, Cramer &
+    Plenio, PRL 113, 140401, 2014), by the sandwiched Renyi-2 divergence
+    (Muller-Lennert et al., J. Math. Phys. 54, 122203, 2013), which needs
+    the entries of W and no spectrum.  The von Neumann entropy is only
+    reported.
 
     The infimum equals the von Neumann entropy, attained at the eigenbasis
     rotation, so ``residual_vs_von_neumann`` measures search quality
-    directly.  ``budget`` caps evaluations, one per pair visit, and
-    ``iterations`` reports the pair visits made; on exhaustion the point
-    reached so far is returned with ``budget_exhausted=True``.  The search
-    is deterministic.
+    directly; ``certified_gap`` is the last certificate, in ``base``.
+    ``budget`` caps evaluations, one per pair visit, and ``iterations``
+    reports the pair visits made; on exhaustion the point reached so far is
+    returned with ``budget_exhausted=True``.  The search is deterministic.
     """
     _check_base(base)
     if not isinstance(rho, states.DensityMatrix):
@@ -394,7 +448,9 @@ def min_informational_over_unitaries(
         evals += visits
         diagonal = work.diagonal().real if sweep is _sweep_rounds else [work[k][k].real for k in range(dim)]
         value = _plogp_sum(diagonal, base)
-        if exhausted or sweep_start - value < SWEEP_TOL * (1.0 + abs(value)):
+        gap = _certified_gap(work, diagonal, base)
+        tol = SWEEP_TOL * (1.0 + abs(value))
+        if exhausted or sweep_start - value < tol or gap <= tol:
             break
 
     return UnitaryMinimizationReport(
@@ -402,6 +458,7 @@ def min_informational_over_unitaries(
         min_value=value,
         iterations=evals,
         residual_vs_von_neumann=value - von_neumann(rho, base).value,
+        certified_gap=gap,
         base=base,
         budget_exhausted=exhausted,
     )

@@ -146,6 +146,14 @@ def test_simulate_frequencies_within_3_sigma(mirror):
         assert abs(counts[outcome] / photons - p) <= 3 * sigma
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_simulate_a_single_photon(seed):
+    counts = simulate_photons(MirrorModel.unknown(0.5), 1, np.random.default_rng(seed))
+    assert sorted(counts.values()) == [0, 0, 1]
+    cells = simulate_latent_mirror(0.5, 1, np.random.default_rng(seed))
+    assert sorted(cells.values()) == [0, 0, 0, 0, 0, 1]
+
+
 def test_simulate_deterministic_given_seed():
     a = simulate_photons(MirrorModel.springy(), 5000, np.random.default_rng(13))
     b = simulate_photons(MirrorModel.springy(), 5000, np.random.default_rng(13))

@@ -7,11 +7,14 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qentro import entropy
 from qentro.cli import main
 from qentro.entropy import (
     BITS,
@@ -21,7 +24,7 @@ from qentro.entropy import (
     shannon,
     von_neumann,
 )
-from qentro.linalg import is_unitary, random_unitary
+from qentro.linalg import ROUNDING_TOL, SWEEP_TOL, is_unitary, random_unitary
 from qentro.serialize import matrix_from_json, matrix_to_json, state_from_json, state_to_json
 from qentro.states import (
     DensityMatrix,
@@ -36,6 +39,7 @@ from qentro.states import (
     random_density,
     random_pure,
 )
+from test_entropy import _one_coherence
 
 
 @settings(max_examples=100, deadline=None)
@@ -137,27 +141,35 @@ def test_trusted_states_pass_the_validating_constructors(dim, seed):
         assert np.array_equal(PureState(state.amplitudes).amplitudes, state.amplitudes)
 
 
+def _density_of_kind(dim, kind, rng):
+    # a Wishart matrix of full rank, of a random lower rank, or of rank 1; or
+    # I/d with one zero, subnormal or small coherence (at least d6)
+    if kind == "full":
+        return random_density(dim, rng)
+    if kind == "coherence":
+        return _one_coherence(max(dim, 6), [0.01, 1e-310, 5e-324, 1e-320 + 3e-321j][rng.integers(4)])
+    r = 1 if kind == "pure" or dim == 1 else int(rng.integers(1, dim))
+    z = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+    w = z @ z.conj().T
+    return DensityMatrix(w / w.trace().real)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     dim=st.integers(2, 20),
     seed=st.integers(0, 2**32 - 1),
     short=st.booleans(),
-    rank=st.sampled_from(["full", "deficient", "pure"]),
+    kind=st.sampled_from(["full", "deficient", "pure", "coherence"]),
 )
-def test_minimizer_reaches_von_neumann_or_stops_at_its_budget(dim, seed, short, rank):
+def test_minimizer_reaches_von_neumann_or_stops_at_its_budget(dim, seed, short, kind):
     # dims 2-20 draw both sweep orders (rows below the crossover, round-robin
     # rounds from it on) and odd dims, whose rounds give each index a bye;
     # a short budget ends inside the first few sweeps.  Rank-deficient and
     # pure inputs drive entries to subnormal sizes, where the round sweep
-    # once took a NaN phase.
+    # once took a NaN phase; a subnormal complex coherence once made the list
+    # sweep's rotation non-unitary.
     rng = np.random.default_rng(seed)
-    if rank == "full":
-        rho = random_density(dim, rng)
-    else:
-        r = 1 if rank == "pure" else int(rng.integers(1, dim))
-        z = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
-        w = z @ z.conj().T
-        rho = DensityMatrix(w / w.trace().real)
+    rho = _density_of_kind(dim, kind, rng)
     budget = int(rng.integers(1, dim * dim)) if short else 200_000
     report = min_informational_over_unitaries(rho, budget=budget)
     assert report.iterations <= budget
@@ -169,6 +181,59 @@ def test_minimizer_reaches_von_neumann_or_stops_at_its_budget(dim, seed, short, 
         assert report.min_value >= von_neumann(rho).value - 1e-12
     else:
         assert abs(report.residual_vs_von_neumann) <= 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from([0, 1, 5, 30, 200_000]),
+    kind=st.sampled_from(["full", "deficient", "pure", "coherence"]),
+    base=st.sampled_from([BITS, NATS]),
+)
+def test_certified_gap_bounds_the_residual(dim, seed, budget, kind, base):
+    # the certificate bounds the gap over the von Neumann entropy at every
+    # point the search can stop at, converged or cut short by its budget
+    rho = _density_of_kind(dim, kind, np.random.default_rng(seed))
+    report = min_informational_over_unitaries(rho, base, budget=budget)
+    assert report.certified_gap >= report.residual_vs_von_neumann - ROUNDING_TOL
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("base", [BITS, NATS])
+def test_certified_gap_is_zero_on_diagonal_inputs(dim, base):
+    diagonal = np.arange(dim, dtype=float) if dim > 1 else np.ones(1)  # a zero first entry, too
+    rho = DensityMatrix(np.diag(diagonal / diagonal.sum()))
+    assert min_informational_over_unitaries(rho, base).certified_gap == 0.0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_full_rank_qubit_stops_after_one_visit(seed):
+    rho = random_density(2, np.random.default_rng(seed))
+    report = min_informational_over_unitaries(rho)
+    # the one pair step zeroes the coherence, and the certificate says so
+    assert report.iterations == 1
+    assert report.certified_gap <= SWEEP_TOL * (1.0 + report.min_value)
+
+
+@pytest.mark.parametrize("dim", [3, 9])
+def test_a_zero_diagonal_row_raises_no_warning(dim):
+    # rho is a coherent qubit block next to an exactly zero row and column
+    m = np.zeros((dim, dim), dtype=complex)
+    m[:2, :2] = [[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = min_informational_over_unitaries(DensityMatrix(m))
+        # a nonzero entry in a row whose diagonal entry is 0 leaves no bound
+        work = report.minimizer @ m @ report.minimizer.conj().T
+        work[2, 0] = work[0, 2] = 1e-20
+        array_gap = entropy._certified_gap(work, work.diagonal().real, BITS)
+        lists = work.tolist()
+        list_gap = entropy._certified_gap(lists, [lists[k][k].real for k in range(dim)], BITS)
+    assert not report.budget_exhausted
+    assert 0.0 <= report.certified_gap <= SWEEP_TOL * (1.0 + report.min_value)
+    assert abs(report.residual_vs_von_neumann) <= 1e-12
+    assert array_gap == list_gap == math.inf
 
 
 # Numeric flag values for the CLI fuzz.  Sizes stay small so each run is

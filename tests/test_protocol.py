@@ -150,6 +150,26 @@ def test_adaptive_reaches_target_near_zero():
     assert hits >= 0.95 * runs
 
 
+@pytest.mark.parametrize("target", [math.pi / 8, math.pi / 64, 1e-3])
+def test_adaptive_probes_draw_distinct_streams_and_report_the_final_halfwidth(target):
+    src = HiddenQubitSource(0.7, seed=3)
+    streams = []
+    measure = src.measure_batch
+
+    def recorded(basis_angle, shots, stream):
+        streams.append(stream)
+        return measure(basis_angle, shots, stream)
+
+    src.measure_batch = recorded
+    est = estimate_theta_adaptive(src, target, confidence_shots=50)
+    # round r draws its left probe from stream 2r and its right from 2r + 1
+    assert streams == list(range(2, 2 * est.rounds + 2))
+    # r halvings of [0, pi/2] leave an interval of halfwidth pi/2 / 2^(r + 1),
+    # the first one at most the target
+    assert est.halfwidth == pytest.approx(HALF_PI / 2 ** (est.rounds + 1), rel=1e-12)
+    assert est.halfwidth <= target < 2 * est.halfwidth
+
+
 def test_adaptive_immediate_return_for_loose_target():
     src = HiddenQubitSource(0.3, seed=0)
     est = estimate_theta_adaptive(src, math.pi / 4)

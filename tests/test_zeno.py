@@ -156,6 +156,12 @@ def test_zeno_survival_second_order_formula():
     assert zeno_survival(PAULI_X, 1.0, 10, ZERO, mode="second_order") == pytest.approx(0.9)
 
 
+def test_zeno_survival_second_order_divides_by_hbar_squared():
+    # (dE)^2 = 1 for sigma_x on |0>: 1 - t^2 / (hbar^2 n) at hbar = 2
+    h = Hamiltonian([[0, 1], [1, 0]], hbar=2.0)
+    assert zeno_survival(h, 1.0, 10, ZERO, mode="second_order") == pytest.approx(1.0 - 1.0 / 40.0)
+
+
 def test_zeno_survival_monotone_approach_to_one():
     values = [zeno_survival(PAULI_X, 1.0, n, ZERO) for n in (1, 10, 100, 1000)]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -216,6 +222,14 @@ def test_simulate_steering_matches_closed_form():
         assert abs(result.success_rate - p) <= 3 * sigma
         assert result.successes == result.survivors_per_step[-1]
         assert np.all(np.diff(result.survivors_per_step) <= 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_simulate_steering_runs_a_single_trial(n):
+    result = simulate_steering(SteeringPlan.from_steps(n), 1, np.random.default_rng(n))
+    assert result.trials == 1
+    assert result.successes in (0, 1)
+    assert result.survivors_per_step.shape == (n,)
 
 
 def test_simulate_steering_orthogonal_projection_never_succeeds():
