@@ -14,7 +14,7 @@ a genuine two-route check.
 import numpy as np
 
 from qentro import informational, min_informational_over_unitaries, von_neumann
-from qentro.linalg import hermitian_eigen, is_unitary
+from qentro.linalg import is_unitary
 from qentro.states import DensityMatrix, random_density
 
 rng = np.random.default_rng(2024)
@@ -35,8 +35,8 @@ for dim in (2, 3, 4, 16):
 print()
 print("The eigenbasis achieves the same floor analytically:")
 rho = random_density(3, rng)
-eig = hermitian_eigen(rho.matrix)
-u = eig.eigenvectors.conj().T
+_, v = np.linalg.eigh(rho.matrix)
+u = v.conj().T
 rotated = u @ rho.matrix @ u.conj().T
 rotated = DensityMatrix((rotated + rotated.conj().T) / 2)
 print(f"  S_i(V† rho V) = {informational(rotated).value:.12f}")

@@ -19,7 +19,7 @@ from .entropy import (
     shannon,
     von_neumann,
 )
-from .linalg import EigenDecomposition, hermitian_eigen, is_unitary
+from .linalg import is_unitary
 from .states import (
     DensityMatrix,
     Ensemble,

@@ -124,8 +124,11 @@ def _cmd_mzi(args) -> list[dict]:
     if args.photons < 0:
         raise ParseError(f"--photons must be >= 0, got {args.photons}")
     _check_work("--photons", args.photons, "photons")
-    prior = args.prior if args.arrangement == mzi.UNKNOWN else None
-    mirror = mzi.MirrorModel(args.arrangement, prior)
+    if args.prior is None and args.arrangement == mzi.UNKNOWN:
+        mirror = mzi.MirrorModel.unknown()  # at its default prior
+    else:
+        # the model rejects a prior given to a rigid or springy mirror
+        mirror = mzi.MirrorModel(args.arrangement, args.prior)
     return mzi.arrangement_rows(mirror, args.photons, args.seed)
 
 
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mzi", parents=[common], help="interferometer outcome distributions and posteriors")
     p.add_argument("--arrangement", required=True, choices=("rigid", "springy", "unknown"))
-    p.add_argument("--prior", type=float, default=0.5)
+    p.add_argument("--prior", type=float)
     p.add_argument("--photons", type=int, default=0)
     p.set_defaults(handler=_cmd_mzi)
 

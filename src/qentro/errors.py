@@ -25,10 +25,6 @@ class NotHermitian(QentroError):
     pass
 
 
-class NoConvergence(QentroError):
-    pass
-
-
 class NotUnitary(QentroError):
     pass
 

@@ -1,23 +1,22 @@
 """Complex linear algebra for small dense matrices.
 
-Hermitian eigendecompositions with a deterministic eigenvector convention,
-plus the structural predicates (Hermiticity, unitarity) used everywhere
-else in the package.  Every comparison takes an explicit tolerance, and
-every tolerance the package applies is named once, in the table below;
-none relies on exact float equality.  All functions are pure and never
-modify their inputs.
+The structural predicates (Hermiticity, unitarity) used everywhere else in
+the package, and a Haar-random unitary.  Every comparison takes an
+explicit tolerance, and every tolerance the package applies is named once,
+in the table below; none relies on exact float equality.  All functions
+are pure and never modify their inputs.  The eigensolvers are called only
+where a spectrum is owned: ``states.DensityMatrix`` and
+``zeno.Hamiltonian``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NonFinite, NotHermitian
+from .errors import DimensionMismatch, NonFinite
 
 # Tolerance table: every threshold the package applies, each named once.
 DEFAULT_TOL = 1e-10  # Hermiticity, unit trace and norm, positivity, probabilities
 LOOSE_TOL = 1e-9  # applied unitaries, completeness, equals_up_to_phase, bound slack
-ROUNDING_TOL = 1e-12  # negatives taken as zero, the phase pivot, steering-plan slack
+ROUNDING_TOL = 1e-12  # negatives taken as zero, steering-plan slack
 GRID_TOL = 1e-9  # relative spacing error of a uniform grid
 INTEGRAL_TOL = 1e-6  # trapezoid integral of a tabulated density away from 1
 SWEEP_TOL = 1e-15  # relative drop below which the unitary minimizer stops sweeping
@@ -55,46 +54,6 @@ def _unitary_deviation(m: np.ndarray) -> float:
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``max |a†a - I| <= tol``."""
     return _unitary_deviation(as_matrix(a)) <= tol
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; the columns of ``eigenvectors``
-    are the matching orthonormal eigenvectors, each phase-normalized so its
-    first non-negligible component is positive real.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    # Fix the gauge freedom of a nonzero vector: rotate it so its first
-    # component above ROUNDING_TOL of the max modulus becomes positive real.
-    mags = np.abs(vec)
-    pivot = vec[np.argmax(mags > ROUNDING_TOL * mags.max())]
-    return vec * (pivot.conjugate() / abs(pivot))
-
-
-def hermitian_eigen(m, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises ``NotHermitian`` if ``max |m - m†|`` exceeds ``tol`` and
-    ``NoConvergence`` if the underlying iteration fails to converge.
-    """
-    a = as_matrix(m)
-    dev = _hermitian_deviation(a)
-    if dev > tol:
-        raise NotHermitian(f"max |m - m†| = {dev:.3e} exceeds tolerance {tol:.3e}")
-    try:
-        w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
-    for k in range(v.shape[1]):
-        v[:, k] = _fix_phase(v[:, k])
-    return EigenDecomposition(w.astype(float), v)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

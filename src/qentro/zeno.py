@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidTheta, NonpositiveN, NotHermitian
+from .errors import DimensionMismatch, InvalidTheta, NonFinite, NonpositiveN, NotHermitian, QentroError
 from .linalg import DEFAULT_TOL, ROUNDING_TOL
 from .montecarlo import RateEstimate, seeded, thin
 from .states import PureState
@@ -18,14 +18,22 @@ HALF_PI = math.pi / 2.0
 
 
 class Hamiltonian:
-    """Time-independent Hermitian generator with an explicit hbar."""
+    """Time-independent Hermitian generator with an explicit, positive and
+    finite hbar.
+
+    The matrix is validated and symmetrized once, here; its spectrum is
+    computed on the first ``eigen()`` call and cached.
+    """
 
     def __init__(self, matrix, hbar: float = 1.0):
         m = linalg.as_matrix(matrix)
         if linalg._hermitian_deviation(m) > DEFAULT_TOL:
             raise NotHermitian(f"Hamiltonian must be Hermitian within {DEFAULT_TOL}")
+        if not math.isfinite(hbar):
+            raise NonFinite(f"hbar must be finite, got {hbar!r}")
         if hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {hbar!r}")
+            raise QentroError(f"hbar must be positive, got {hbar!r}")
+        m = (m + m.conj().T) / 2
         m.setflags(write=False)
         self.matrix = m
         self.hbar = float(hbar)
@@ -35,20 +43,28 @@ class Hamiltonian:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def eigen(self) -> linalg.EigenDecomposition:
+    def eigen(self):
+        """``np.linalg.eigh`` of the matrix: ascending eigenvalues ``w`` and
+        orthonormal eigenvector columns ``v``, computed once and cached."""
         if self._eigen is None:
-            self._eigen = linalg.hermitian_eigen(self.matrix)
+            self._eigen = np.linalg.eigh(self.matrix)
         return self._eigen
+
+
+def _check_time(t) -> None:
+    # every zeno function taking a time checks it here, before any arithmetic
+    if not math.isfinite(t):
+        raise NonFinite(f"time t must be finite, got {t!r}")
 
 
 def evolve(h: Hamiltonian, t: float, psi0: PureState) -> PureState:
     """Propagate ``exp(-i H t / hbar)|psi0>`` exactly via the
     eigendecomposition of H."""
+    _check_time(t)
     if h.dim != psi0.dim:
         raise DimensionMismatch(f"Hamiltonian dim {h.dim} != state dim {psi0.dim}")
-    eig = h.eigen()
-    phases = np.exp(-1j * eig.eigenvalues * t / h.hbar)
-    v = eig.eigenvectors
+    w, v = h.eigen()
+    phases = np.exp(-1j * w * t / h.hbar)
     amps = v @ (phases * (v.conj().T @ psi0.amplitudes))
     return PureState.normalized(amps)
 
@@ -73,6 +89,7 @@ def energy_variance(h: Hamiltonian, psi0: PureState) -> float:
 def survival_second_order(h: Hamiltonian, t: float, psi0: PureState) -> float:
     """Short-time expansion ``1 - (dE)^2 t^2 / hbar^2`` of the survival
     probability; differs from the exact value by O(t^4)."""
+    _check_time(t)
     var = energy_variance(h, psi0)
     return 1.0 - var * t * t / (h.hbar * h.hbar)
 
@@ -85,6 +102,7 @@ def zeno_survival(h: Hamiltonian, t: float, n: int, psi0: PureState, mode: str =
     linearized ``1 - (dE)^2 t^2 / (hbar^2 n)``; the gap between the two is
     the term the linearization drops.  The exact mode tends to 1 as n grows.
     """
+    _check_time(t)
     if n < 1:
         raise NonpositiveN(f"observation count must be >= 1, got {n!r}")
     if mode == "exact":

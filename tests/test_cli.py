@@ -626,13 +626,28 @@ def test_zeno_prints_steering_row(capsys, flag, value, plan):
 @pytest.mark.parametrize("arrangement", ["rigid", "springy", "unknown"])
 @pytest.mark.parametrize("photons", [0, 300])
 def test_mzi_prints_arrangement_rows(capsys, arrangement, photons):
-    argv = ["mzi", "--arrangement", arrangement, "--photons", str(photons), "--prior", "0.3"]
+    argv = ["mzi", "--arrangement", arrangement, "--photons", str(photons)]
     if arrangement == "unknown":
+        argv += ["--prior", "0.3"]
         mirror = interferometer.MirrorModel.unknown(0.3)
     else:
         mirror = interferometer.MirrorModel(arrangement)
     assert cli_items(capsys, *argv) == lib_items(
         interferometer.arrangement_rows(mirror, photons, SEED)
+    )
+
+
+@pytest.mark.parametrize("arrangement", ["rigid", "springy"])
+def test_mzi_prior_on_a_known_mirror_exits_3(capsys, arrangement):
+    code, out, err = run(capsys, "mzi", "--arrangement", arrangement, "--prior", "7")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: domain: a {arrangement} mirror takes no prior, got 7.0\n"
+
+
+def test_mzi_unknown_defaults_to_an_even_prior(capsys):
+    assert run_json(capsys, "mzi", "--arrangement", "unknown") == run_json(
+        capsys, "mzi", "--arrangement", "unknown", "--prior", "0.5"
     )
 
 

@@ -4,7 +4,8 @@ random stream, and ``interferometer.MirrorModel`` turns an arrangement into
 its joint table.  The CLI parses, checks work limits and picks exit codes,
 each at one place, and reaches the first two rules only through those
 functions.  The minimizer's round-robin tournament is built only by
-``entropy._schedule``, once per dimension."""
+``entropy._schedule``, once per dimension.  Only the owners of a spectrum,
+``states.DensityMatrix`` and ``zeno.Hamiltonian``, call an eigensolver."""
 
 import ast
 import tokenize
@@ -46,6 +47,13 @@ def test_cli_writes_rows_only_through_serialize():
 def test_seeded_streams_are_built_only_in_montecarlo():
     builders = sorted(path.name for path in SRC.glob("*.py") if names(path) & {"default_rng", "SeedSequence"})
     assert builders == ["montecarlo.py"]
+
+
+def test_eigensolvers_are_called_only_in_states_and_zeno():
+    # entropy.py among the rest: the minimizer finds its floor without a spectrum
+    solvers = {"eigh", "eigvalsh", "eig", "eigvals"}
+    callers = sorted(path.name for path in SRC.glob("*.py") if names(path) & solvers)
+    assert callers == ["states.py", "zeno.py"]
 
 
 def test_cli_prints_each_error_kind_at_one_site():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qentro.errors import DimensionMismatch, InvalidTheta, NonpositiveN, NotHermitian
+from qentro.errors import DimensionMismatch, InvalidTheta, NonFinite, NonpositiveN, NotHermitian, QentroError
+from qentro.linalg import random_unitary
 from qentro.states import MeasurementSet, PureState, measure_collapse
 from qentro.zeno import (
     Hamiltonian,
@@ -83,6 +84,37 @@ def test_evolve_preserves_norm():
         assert abs((np.abs(out.amplitudes) ** 2).sum() - 1.0) <= 1e-10
 
 
+def degenerate_hamiltonian(hbar):
+    # U diag(1, 1, 2) U†: eigh may return any basis of the doubled eigenspace
+    u = random_unitary(3, np.random.default_rng(19))
+    return u, Hamiltonian((u * [1.0, 1.0, 2.0]) @ u.conj().T, hbar=hbar)
+
+
+def random_qutrit(seed):
+    rng = np.random.default_rng(seed)
+    return PureState.normalized(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.5, 3.0])
+def test_evolve_is_independent_of_the_eigenvector_gauge(hbar):
+    u, h = degenerate_hamiltonian(hbar)
+    psi = random_qutrit(29)
+    for t in (-1.3, 0.0, 0.4, 2.0, 7.5):
+        phases = np.exp(-1j * np.array([1.0, 1.0, 2.0]) * t / hbar)
+        expected = u @ (phases * (u.conj().T @ psi.amplitudes))
+        assert np.abs(evolve(h, t, psi).amplitudes - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.5, 3.0])
+def test_evolve_obeys_the_group_law(hbar):
+    _, h = degenerate_hamiltonian(hbar)
+    psi = random_qutrit(31)
+    for t1, t2 in ((0.3, 0.9), (-1.1, 2.5), (4.0, -4.0)):
+        direct = evolve(h, t1 + t2, psi).amplitudes
+        composed = evolve(h, t2, evolve(h, t1, psi)).amplitudes
+        assert np.abs(direct - composed).max() <= 1e-12
+
+
 def test_energy_variance():
     assert energy_variance(Hamiltonian(np.diag([0.0, 2.0])), ZERO) == 0.0
     assert energy_variance(PAULI_X, ZERO) == pytest.approx(1.0, abs=1e-12)
@@ -138,8 +170,35 @@ def test_zeno_survival_reductions():
             DimensionMismatch,
             "Hamiltonian dim 2 != state dim 3",
         ),
+        (lambda: Hamiltonian(np.eye(2), hbar=math.nan), NonFinite, "hbar must be finite"),
+        (lambda: Hamiltonian(np.eye(2), hbar=math.inf), NonFinite, "hbar must be finite"),
+        (lambda: Hamiltonian(np.eye(2), hbar=0.0), QentroError, "hbar must be positive"),
+        (lambda: Hamiltonian(np.eye(2), hbar=-1.0), QentroError, "hbar must be positive"),
+        (lambda: evolve(PAULI_X, math.nan, ZERO), NonFinite, "time t must be finite"),
+        (lambda: evolve(PAULI_X, -math.inf, ZERO), NonFinite, "time t must be finite"),
+        (lambda: survival_exact(PAULI_X, math.inf, ZERO), NonFinite, "time t must be finite"),
+        (lambda: survival_second_order(PAULI_X, math.nan, ZERO), NonFinite, "time t must be finite"),
+        (lambda: zeno_survival(PAULI_X, math.nan, 3, ZERO), NonFinite, "time t must be finite"),
+        (
+            lambda: zeno_survival(PAULI_X, math.inf, 3, ZERO, "second_order"),
+            NonFinite,
+            "time t must be finite",
+        ),
     ],
-    ids=["survival-mode", "variance-dims"],
+    ids=[
+        "survival-mode",
+        "variance-dims",
+        "hbar-nan",
+        "hbar-inf",
+        "hbar-zero",
+        "hbar-negative",
+        "evolve-nan",
+        "evolve-minus-inf",
+        "survival-exact-inf",
+        "second-order-nan",
+        "zeno-exact-nan",
+        "zeno-second-order-inf",
+    ],
 )
 def test_zeno_rejects_bad_arguments(call, error, message):
     with pytest.raises(error, match=message):
