@@ -1,10 +1,11 @@
 """Command-line interface.
 
-One binary with subcommands (entropy, unitary-min, zeno, mzi, protocol,
-bound) and global flags for seed, log base, and output format.  The rows
-each subcommand builds are written by ``serialize.write_rows``, so
-identical invocations print identical bytes.  Exit codes: 0 ok, 2 input
-parse error, 3 domain invariant violation.
+One binary with subcommands (entropy, unitary-min, zeno, mzi, protocol
+estimate, protocol attack, bound) and global flags for seed, log base, and
+output format.  Each handler parses, calls the library and returns the rows
+the library builds; ``serialize.write_rows`` writes them, so identical
+invocations print identical bytes.  Exit codes: 0 ok, 2 input parse error,
+3 domain invariant violation.
 
 ``main(argv)`` may be called any number of times in one process: it builds
 the argument parser on its first call and reuses it, and reads the
@@ -37,9 +38,10 @@ WORK_LIMITS = {
     "grid levels": 1024,  # protocol estimate --grid-n
     "shots": 10**9,  # protocol estimate --shots
     "photons": 10**9,  # mzi --photons
-    # the dim of a JSON matrix read by entropy or unitary-min: a default-budget
-    # unitary-min spends O(dim^2) per pair visit and takes ~0.1 s on a d64
-    # Wishart matrix, 0.2-0.6 s with the other core of a 2-vCPU host busy, ~1 s at d128
+    # the dim of a JSON matrix read by entropy or unitary-min, and of an
+    # ensemble, whose mixture is dim x dim: a default-budget unitary-min spends
+    # O(dim^2) per pair visit and takes ~0.1 s on a d64 Wishart matrix,
+    # 0.2-0.6 s with the other core of a 2-vCPU host busy, ~1 s at d128
     "dim": 64,
 }
 
@@ -55,13 +57,20 @@ def _matrix_from_json(obj):
     return serialize.matrix_from_json(obj)
 
 
+def _ensemble_from_json(obj):
+    # pure parts cost what their amplitudes do, but their mixture is dim x dim
+    ensemble = serialize.ensemble_from_json(obj)
+    _check_work("ensemble dim", ensemble.dim, "dim")
+    return ensemble
+
+
 # entropy --which: the measure of each choice and the decoder of its JSON input
 _MEASURES = {
     "shannon": (ent.shannon, serialize.probs_from_json),
     "von-neumann": (ent.von_neumann, _matrix_from_json),
     "informational": (ent.informational, _matrix_from_json),
     "pure": (ent.pure_entropy, serialize.state_from_json),
-    "bound-check": (ent.ensemble_bound_check, serialize.ensemble_from_json),
+    "bound-check": (ent.ensemble_bound_check, _ensemble_from_json),
 }
 
 
@@ -78,21 +87,8 @@ def _cmd_unitary_min(args) -> list[dict]:
     rho = DensityMatrix(_matrix_from_json(serialize.load_json(args.input)))
     report = ent.min_informational_over_unitaries(rho, args.base, budget=args.budget)
     if report.residual_vs_von_neumann > RESIDUAL_WARN:
-        print(
-            f"warning: residual {report.residual_vs_von_neumann:.3e} exceeds 1e-4",
-            file=sys.stderr,
-        )
-    return [
-        {
-            "min_informational": report.min_value,
-            "von_neumann": ent.von_neumann(rho, args.base).value,
-            "residual": report.residual_vs_von_neumann,
-            "iterations": report.iterations,
-            "budget_exhausted": report.budget_exhausted,
-            "base": report.base,
-            "minimizer": serialize.matrix_to_json(report.minimizer),
-        }
-    ]
+        print(f"warning: residual {report.residual_vs_von_neumann:.3e} exceeds 1e-4", file=sys.stderr)
+    return [ent.minimization_row(report)]
 
 
 def _cmd_zeno(args) -> list[dict]:
@@ -132,22 +128,13 @@ def _cmd_mzi(args) -> list[dict]:
     return mzi.arrangement_rows(mirror, args.photons, args.seed)
 
 
-def _cmd_protocol(args) -> list[dict]:
-    if args.mode == "attack":
-        _check_work("--n", args.n, "key angles")
-        _check_work("--trials", args.trials, "trials")
-        key = protocol.SignatureKey.uniform(args.n, math.radians(args.key_angle_deg))
-        result = protocol.eve_attack_success(key, args.strategy, args.trials, montecarlo.seeded(args.seed))
-        return [protocol.attack_row(key, result, args.seed)]
+def _cmd_estimate(args) -> list[dict]:
     _check_work("--shots", args.shots, "shots")
     theta_true = math.radians(args.theta_deg)
     source = protocol.HiddenQubitSource(theta_true, seed=args.seed)
     if args.adaptive:
-        estimate = protocol.estimate_theta_adaptive(
-            source,
-            math.radians(args.target_halfwidth_deg),
-            confidence_shots=args.shots,
-        )
+        halfwidth = math.radians(args.target_halfwidth_deg)
+        estimate = protocol.estimate_theta_adaptive(source, halfwidth, confidence_shots=args.shots)
         n = estimate.rounds
     else:
         _check_work("--grid-n", args.grid_n, "grid levels")
@@ -157,16 +144,22 @@ def _cmd_protocol(args) -> list[dict]:
     return [protocol.estimation_row(n, args.shots, theta_true, estimate, args.seed)]
 
 
+def _cmd_attack(args) -> list[dict]:
+    _check_work("--n", args.n, "key angles")
+    _check_work("--trials", args.trials, "trials")
+    key = protocol.SignatureKey.uniform(args.n, math.radians(args.key_angle_deg))
+    result = protocol.eve_attack_success(key, args.strategy, args.trials, montecarlo.seeded(args.seed))
+    return [protocol.attack_row(key, result, args.seed)]
+
+
 def _cmd_bound(args) -> list[dict]:
-    nats = ent.bekenstein_bound(args.area, ent.NATS).value
-    bits = ent.bekenstein_bound(args.area, ent.BITS).value
-    return [{"area": args.area, "nats": nats, "bits": bits}]
+    return [ent.bound_row(args.area)]
 
 
 def _add_global_args(parser, suppress: bool):
-    # the same flags are accepted before or after the subcommand; the
-    # per-subcommand copies use SUPPRESS so they never clobber values
-    # already parsed at the top level
+    # the same flags are accepted before or after the subcommand, and between
+    # protocol and its mode; the per-subcommand copies use SUPPRESS so they
+    # never clobber values already parsed at a level above
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
@@ -199,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unitary-min", parents=[common], help="minimize informational entropy over unitaries")
     p.add_argument("input", help="JSON density matrix file")
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=int, default=ent.DEFAULT_BUDGET)
     p.set_defaults(handler=_cmd_unitary_min)
 
     p = sub.add_parser("zeno", parents=[common], help="measurement steering: closed form vs Monte Carlo")
@@ -217,17 +210,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_mzi)
 
     p = sub.add_parser("protocol", parents=[common], help="angle estimation and signature forgery simulations")
-    p.add_argument("mode", choices=("estimate", "attack"))
-    p.add_argument("--n", type=int, default=8, help="key length (attack)")
-    p.add_argument("--grid-n", type=int, default=8, help="quantization levels (estimate)")
-    p.add_argument("--shots", type=int, default=1000)
-    p.add_argument("--theta-deg", type=float, default=30.0, help="hidden angle (estimate)")
-    p.add_argument("--adaptive", action="store_true")
-    p.add_argument("--target-halfwidth-deg", type=float, default=2.8125)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--strategy", choices=protocol.EVE_STRATEGIES, default=protocol.GUESS_BITS)
-    p.add_argument("--key-angle-deg", type=float, default=45.0)
-    p.set_defaults(handler=_cmd_protocol)
+    modes = p.add_subparsers(dest="mode", required=True)
+    m = modes.add_parser("estimate", parents=[common], help="estimate a hidden angle from its copies")
+    m.add_argument("--grid-n", type=int, default=8, help="quantization levels")
+    m.add_argument("--shots", type=int, default=1000)
+    m.add_argument("--theta-deg", type=float, default=30.0, help="hidden angle")
+    m.add_argument("--adaptive", action="store_true")
+    m.add_argument("--target-halfwidth-deg", type=float, default=2.8125)
+    m.set_defaults(handler=_cmd_estimate)
+    m = modes.add_parser("attack", parents=[common], help="forge signatures against a uniform key")
+    m.add_argument("--n", type=int, default=8, help="key length")
+    m.add_argument("--trials", type=int, default=100_000)
+    m.add_argument("--strategy", choices=protocol.EVE_STRATEGIES, default=protocol.GUESS_BITS)
+    m.add_argument("--key-angle-deg", type=float, default=45.0)
+    m.set_defaults(handler=_cmd_attack)
 
     p = sub.add_parser("bound", parents=[common], help="area entropy bound in nats and bits")
     p.add_argument("area", type=float)

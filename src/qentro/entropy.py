@@ -6,7 +6,7 @@ precision, von Neumann entropy, the basis-dependent informational entropy
 (the entropy of the density matrix diagonal as seen by the receiver), the
 pure-state entropy, the ensemble lower bound, the area entropy bound, and
 numerical minimization of the informational entropy over unitary
-conjugations.
+conjugations, with the rows the command line prints for the last two.
 
 Log base is explicit everywhere and reported with every result; the
 default is bits.  The convention ``0 log 0 = 0`` applies throughout, and
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import states
+from . import serialize, states
 from .errors import (
     InvalidDistribution,
     NegativeArea,
@@ -32,6 +32,8 @@ from .linalg import DEFAULT_TOL, GRID_TOL, INTEGRAL_TOL, LOOSE_TOL, ROUNDING_TOL
 
 BITS = "bits"
 NATS = "nats"
+# the pair visits that min_informational_over_unitaries spends by default
+DEFAULT_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,15 @@ class UnitaryMinimizationReport:
     minimizer: np.ndarray
     min_value: float
     iterations: int
-    residual_vs_von_neumann: float
+    von_neumann: float
     certified_gap: float
     base: str
     budget_exhausted: bool = False
+
+    @property
+    def residual_vs_von_neumann(self) -> float:
+        """How far the minimum reached lies above its floor, the von Neumann entropy."""
+        return self.min_value - self.von_neumann
 
 
 def _check_base(base: str):
@@ -211,6 +218,18 @@ def bekenstein_bound(area_planck_units: float, base: str = BITS) -> EntropyResul
     nats = area_planck_units / 4.0 + 0.0  # adding 0.0 turns an area of -0.0 into +0.0
     value = nats if base == NATS else nats / math.log(2.0)
     return EntropyResult(value, base)
+
+
+def bound_row(area_planck_units: float) -> dict:
+    """One row of the area bound in both bases.
+
+    Columns: area, nats, bits.
+    """
+    return {
+        "area": area_planck_units,
+        "nats": bekenstein_bound(area_planck_units, NATS).value,
+        "bits": bekenstein_bound(area_planck_units, BITS).value,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +418,7 @@ def _certified_gap(work, diagonal, base):
 def min_informational_over_unitaries(
     rho,
     base: str = BITS,
-    budget: int = 200_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> UnitaryMinimizationReport:
     """Minimize ``informational(U rho U†)`` over unitaries ``U``.
 
@@ -420,7 +439,7 @@ def min_informational_over_unitaries(
     Plenio, PRL 113, 140401, 2014), by the sandwiched Renyi-2 divergence
     (Muller-Lennert et al., J. Math. Phys. 54, 122203, 2013), which needs
     the entries of W and no spectrum.  The von Neumann entropy is only
-    reported.
+    reported, as ``von_neumann``.
 
     The infimum equals the von Neumann entropy, attained at the eigenbasis
     rotation, so ``residual_vs_von_neumann`` measures search quality
@@ -457,8 +476,25 @@ def min_informational_over_unitaries(
         minimizer=np.array(u),
         min_value=value,
         iterations=evals,
-        residual_vs_von_neumann=value - von_neumann(rho, base).value,
+        von_neumann=von_neumann(rho, base).value,
         certified_gap=gap,
         base=base,
         budget_exhausted=exhausted,
     )
+
+
+def minimization_row(report: UnitaryMinimizationReport) -> dict:
+    """One row of a minimization, its minimizer as a JSON matrix object.
+
+    Columns: min_informational, von_neumann, residual, iterations,
+    budget_exhausted, base, minimizer.
+    """
+    return {
+        "min_informational": report.min_value,
+        "von_neumann": report.von_neumann,
+        "residual": report.residual_vs_von_neumann,
+        "iterations": report.iterations,
+        "budget_exhausted": report.budget_exhausted,
+        "base": report.base,
+        "minimizer": serialize.matrix_to_json(report.minimizer),
+    }

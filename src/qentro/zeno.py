@@ -51,19 +51,31 @@ class Hamiltonian:
         return self._eigen
 
 
-def _check_time(t) -> None:
-    # every zeno function taking a time checks it here, before any arithmetic
+def _finite_time(t) -> float:
+    # every zeno function taking a time reads it here, before any arithmetic,
+    # as a Python float, whose products overflow to inf without a numpy warning
     if not math.isfinite(t):
         raise NonFinite(f"time t must be finite, got {t!r}")
+    return float(t)
+
+
+def _over_hbar(x: float, hbar_power: float, t, hbar: float) -> float:
+    """``x / hbar_power``, with ``x`` a product of energies and times; computed
+    in Python floats, which overflow to inf or underflow to 0 without a
+    warning, and refused when not finite, before numpy sees it."""
+    if hbar_power == 0 or not math.isfinite(ratio := x / hbar_power):
+        raise NonFinite(f"t={t!r} and hbar={hbar!r} put E t / hbar out of floating-point range")
+    return ratio
 
 
 def evolve(h: Hamiltonian, t: float, psi0: PureState) -> PureState:
     """Propagate ``exp(-i H t / hbar)|psi0>`` exactly via the
     eigendecomposition of H."""
-    _check_time(t)
+    t = _finite_time(t)
     if h.dim != psi0.dim:
         raise DimensionMismatch(f"Hamiltonian dim {h.dim} != state dim {psi0.dim}")
     w, v = h.eigen()
+    _over_hbar(float(np.abs(w).max()) * abs(t), h.hbar, t, h.hbar)  # the largest phase
     phases = np.exp(-1j * w * t / h.hbar)
     amps = v @ (phases * (v.conj().T @ psi0.amplitudes))
     return PureState.normalized(amps)
@@ -89,9 +101,9 @@ def energy_variance(h: Hamiltonian, psi0: PureState) -> float:
 def survival_second_order(h: Hamiltonian, t: float, psi0: PureState) -> float:
     """Short-time expansion ``1 - (dE)^2 t^2 / hbar^2`` of the survival
     probability; differs from the exact value by O(t^4)."""
-    _check_time(t)
+    t = _finite_time(t)
     var = energy_variance(h, psi0)
-    return 1.0 - var * t * t / (h.hbar * h.hbar)
+    return 1.0 - _over_hbar(var * t * t, h.hbar * h.hbar, t, h.hbar)
 
 
 def zeno_survival(h: Hamiltonian, t: float, n: int, psi0: PureState, mode: str = "exact") -> float:
@@ -102,14 +114,14 @@ def zeno_survival(h: Hamiltonian, t: float, n: int, psi0: PureState, mode: str =
     linearized ``1 - (dE)^2 t^2 / (hbar^2 n)``; the gap between the two is
     the term the linearization drops.  The exact mode tends to 1 as n grows.
     """
-    _check_time(t)
+    t = _finite_time(t)
     if n < 1:
         raise NonpositiveN(f"observation count must be >= 1, got {n!r}")
     if mode == "exact":
         return survival_exact(h, t / n, psi0) ** n
     if mode == "second_order":
         var = energy_variance(h, psi0)
-        return 1.0 - var * t * t / (h.hbar * h.hbar * n)
+        return 1.0 - _over_hbar(var * t * t, h.hbar * h.hbar * n, t, h.hbar)
     raise ValueError(f"mode must be 'exact' or 'second_order', got {mode!r}")
 
 
@@ -192,7 +204,7 @@ def steering_row(plan: SteeringPlan, result: SteeringResult, seed: int) -> dict:
     return {
         "n_steps": plan.n_steps,
         "theta_deg": math.degrees(plan.theta_step),
-        "closed_form_prob": steering_success_probability(plan),
+        "closed_form_prob": result.expected_rate,
         "empirical_prob": result.success_rate,
         "trials": result.trials,
         "seed": seed,

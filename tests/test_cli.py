@@ -4,17 +4,19 @@ import hashlib
 import io
 import json
 import math
+import shlex
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qentro import cli, interferometer, protocol, zeno
+from qentro import cli, entropy, interferometer, protocol, zeno
 from qentro.cli import main
 from qentro.entropy import von_neumann
 from qentro.serialize import matrix_to_json
-from qentro.states import random_density
+from qentro.states import DensityMatrix, random_density
 
 EX_BLEND = {"dim": 2, "re": [[0.5, 0.25], [0.25, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 
@@ -588,8 +590,9 @@ def test_mzi_unknown_csv_fields_are_plain_numbers(capsys):
     ],
 )
 def test_protocol_invalid_numbers_exit_3(capsys, argv, invariant):
-    # small sizes first, so that a size in argv overrides them
-    code, out, err = run(capsys, *argv[:2], "--trials", "10", "--shots", "10", *argv[2:])
+    # a small size of the mode's own first, so that a size in argv overrides it
+    size = {"attack": ["--trials", "10"], "estimate": ["--shots", "10"]}[argv[1]]
+    code, out, err = run(capsys, *argv[:2], *size, *argv[2:])
     assert code == 3
     assert out == ""
     assert err.startswith("error: domain:")
@@ -675,6 +678,78 @@ def test_protocol_estimate_prints_estimation_row(capsys):
     assert cli_items(capsys, *argv, "--adaptive", "--target-halfwidth-deg", "5") == lib_items(
         [protocol.estimation_row(adaptive.rounds, 300, theta, adaptive, SEED)]
     )
+
+
+def test_unitary_min_and_bound_print_library_rows(capsys, tmp_path):
+    rho = DensityMatrix(random_density(9, np.random.default_rng(9)).matrix)
+    report = entropy.min_informational_over_unitaries(rho, budget=20)
+    assert report.von_neumann == von_neumann(rho).value
+    assert report.residual_vs_von_neumann == report.min_value - report.von_neumann
+    assert cli_items(capsys, "unitary-min", wishart_file(tmp_path, 9), "--budget", "20") == lib_items(
+        [entropy.minimization_row(report)]
+    )
+    assert cli_items(capsys, "bound", "3.5") == lib_items([entropy.bound_row(3.5)])
+
+
+def run_or_exit(capsys, *argv):
+    # argparse rejects an unknown or misplaced flag by exiting with 2
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("mode, size", [("attack", ["--trials", "300"]), ("estimate", ["--shots", "200"])])
+def test_protocol_takes_global_flags_before_between_and_after(capsys, mode, size):
+    seed, fmt, base = ["--seed", "4"], ["--format", "csv"], ["--base", "nats"]
+    placements = [
+        (seed + fmt + base, [], []),  # before protocol
+        ([], seed + fmt + base, []),  # between protocol and its mode
+        ([], [], seed + fmt + base),  # after the mode
+        (seed, fmt, base),
+    ]
+    outs = set()
+    for before, between, after in placements:
+        code, out, err = run_or_exit(capsys, *before, "protocol", *between, mode, *size, *after)
+        assert code == 0, err
+        outs.add(out)
+    (out,) = outs
+    header, row = out.splitlines()
+    assert header.endswith(",seed") and row.endswith(",4")
+
+
+@pytest.mark.parametrize(
+    "mode, flag",
+    [
+        ("attack", ["--grid-n", "4"]),
+        ("attack", ["--shots", "-5"]),
+        ("attack", ["--theta-deg", "400"]),
+        ("attack", ["--adaptive"]),
+        ("attack", ["--target-halfwidth-deg", "1"]),
+        ("estimate", ["--n", "999"]),
+        ("estimate", ["--trials", "-1"]),
+        ("estimate", ["--strategy", "replay"]),
+        ("estimate", ["--key-angle-deg", "30"]),
+    ],
+)
+def test_protocol_flag_of_the_other_mode_exits_2(capsys, mode, flag):
+    code, out, err = run_or_exit(capsys, "protocol", mode, *flag)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    parser = cli.build_parser()
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) >= 8
+    for argv in lines:
+        assert argv[0] == "qentro"
+        parser.parse_args(argv[1:])
 
 
 def parse_row(out, fmt):
@@ -814,6 +889,33 @@ def test_matrix_dim_above_the_limit_exits_2(capsys, tmp_path, which):
         assert code == 2
         assert out == ""
         assert err == f"error: parse: matrix dim asks for more than the work limit of {dim - 1} dim\n"
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("excess", [0, 1])
+def test_ensemble_dim_above_the_limit_exits_2(capsys, tmp_path, mixed, excess):
+    # two pure parts, or a pure and a mixed part: the mixture is dim x dim either way
+    dim = cli.WORK_LIMITS["dim"] + excess
+    state = {"amplitudes": [{"re": 1.0, "im": 0.0}] + [{"re": 0.0, "im": 0.0}] * (dim - 1)}
+    part = {"weight": 0.5, "state": state}
+    if mixed:
+        mixed_part = {"weight": 0.5, "matrix": matrix_to_json(np.eye(dim) / dim)}
+        ensemble = {"pure_parts": [part], "mixed_part": mixed_part}
+    else:
+        ensemble = {"pure_parts": [part, part]}
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(ensemble))
+    code, out, err = run(capsys, "entropy", str(path), "--which", "bound-check")
+    if excess:
+        assert code == 2
+        assert out == ""
+        assert err == f"error: parse: ensemble dim asks for more than the work limit of {dim - 1} dim\n"
+    else:
+        assert code == 0, err
+    # a pure state's work is linear in its amplitudes: it has no dim limit
+    path.write_text(json.dumps(state))
+    code, out, err = run(capsys, "entropy", str(path), "--which", "pure")
+    assert code == 0, err
 
 
 def test_guess_angles_peak_memory_stays_bounded(capsys):

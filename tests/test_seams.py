@@ -3,7 +3,8 @@ bytes of every output format, ``montecarlo.seeded`` turns a seed into a
 random stream, and ``interferometer.MirrorModel`` turns an arrangement into
 its joint table.  The CLI parses, checks work limits and picks exit codes,
 each at one place, and reaches the first two rules only through those
-functions.  The minimizer's round-robin tournament is built only by
+functions; its handlers return the rows the library builds, and compute
+nothing the library has computed.  The minimizer's round-robin tournament is built only by
 ``entropy._schedule``, once per dimension.  Only the owners of a spectrum,
 ``states.DensityMatrix`` and ``zeno.Hamiltonian``, call an eigensolver."""
 
@@ -42,6 +43,23 @@ def test_cli_writes_rows_only_through_serialize():
     assert "write_rows" in cli_names
     # an emitter of its own would write to a stream or dump JSON
     assert cli_names & {"write", "writelines", "dump", "dumps", "write_csv"} == set()
+
+
+def test_cli_handlers_build_no_rows():
+    # _cmd_entropy's one dict takes its columns from the result dataclass's fields
+    def builds_a_dict(function):
+        return any(
+            isinstance(node, (ast.Dict, ast.DictComp))
+            or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict")
+            for node in ast.walk(function)
+        )
+
+    tree = ast.parse((SRC / "cli.py").read_text())
+    handlers = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name.startswith("_cmd_")]
+    assert [handler.name for handler in handlers if builds_a_dict(handler)] == ["_cmd_entropy"]
+    # the rows of unitary-min and bound carry these values already
+    called = {getattr(node.func, "attr", None) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called & {"von_neumann", "bekenstein_bound"} == set()
 
 
 def test_seeded_streams_are_built_only_in_montecarlo():

@@ -24,6 +24,10 @@ ZERO = PureState.basis_state(2, 0)
 ONE = PureState.basis_state(2, 1)
 
 
+def pauli_x(hbar):
+    return Hamiltonian(PAULI_X.matrix, hbar=hbar)
+
+
 def random_two_level(rng):
     a, b = rng.standard_normal(2)
     c = rng.standard_normal() + 1j * rng.standard_normal()
@@ -184,6 +188,13 @@ def test_zeno_survival_reductions():
             NonFinite,
             "time t must be finite",
         ),
+        # finite t and hbar whose phase E t / hbar overflows, or whose hbar^2 underflows to 0
+        (lambda: evolve(Hamiltonian([[0, 10], [10, 0]]), 1e308, ZERO), NonFinite, "t=1e\\+308 and hbar=1.0"),
+        (lambda: survival_exact(pauli_x(1e-320), 1.0, ZERO), NonFinite, "hbar=1e-320"),
+        (lambda: survival_second_order(PAULI_X, 1e200, ZERO), NonFinite, "t=1e\\+200 and hbar=1.0"),
+        (lambda: zeno_survival(PAULI_X, 1e200, 3, ZERO, "second_order"), NonFinite, "t=1e\\+200"),
+        (lambda: survival_second_order(pauli_x(1e-200), 1.0, ZERO), NonFinite, "hbar=1e-200"),
+        (lambda: zeno_survival(pauli_x(1e-200), 1.0, 3, ZERO, "second_order"), NonFinite, "hbar=1e-200"),
     ],
     ids=[
         "survival-mode",
@@ -198,6 +209,12 @@ def test_zeno_survival_reductions():
         "second-order-nan",
         "zeno-exact-nan",
         "zeno-second-order-inf",
+        "evolve-phase-overflow",
+        "survival-exact-subnormal-hbar",
+        "second-order-phase-overflow",
+        "zeno-second-order-phase-overflow",
+        "second-order-hbar-squared-underflow",
+        "zeno-second-order-hbar-squared-underflow",
     ],
 )
 def test_zeno_rejects_bad_arguments(call, error, message):
