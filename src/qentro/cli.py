@@ -58,7 +58,14 @@ def _matrix_from_json(obj):
 
 
 def _ensemble_from_json(obj):
-    # pure parts cost what their amplitudes do, but their mixture is dim x dim
+    # pure parts cost what their amplitudes do, but their mixture is dim x dim;
+    # a mixed part's dim is checked before any of its entries is read
+    try:
+        matrix = obj["mixed_part"]["matrix"]
+    except (KeyError, TypeError):
+        pass  # no mixed part, or a malformed one, which the decoder names
+    else:
+        _check_work("ensemble dim", serialize.matrix_dim(matrix), "dim")
     ensemble = serialize.ensemble_from_json(obj)
     _check_work("ensemble dim", ensemble.dim, "dim")
     return ensemble

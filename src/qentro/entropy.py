@@ -250,8 +250,9 @@ def bound_row(area_planck_units: float) -> dict:
 # remaining gap read off the working matrix's entries in O(d^2), is at most
 # that.  The bound is of the order of the squared off-diagonal entries, so it
 # passes the tolerance at the end of the sweep that converges, where the drop
-# needs one more sweep, lowering the objective by exactly 0, to show it; on
-# full-rank inputs that sweep would be 15-20 % of the pair visits.
+# needs one more sweep, lowering the objective by exactly 0, to show it; that
+# sweep would be 15-20 % of the pair visits on full-rank inputs and half of
+# them on pure ones.
 #
 # A sweep visits every pair once, in one of two orders chosen by dimension.
 # Below _ROUNDS_FROM_DIM it goes row by row, one pair at a time, on nested
@@ -263,11 +264,13 @@ def bound_row(area_planck_units: float) -> dict:
 # round whatever its size; the tournament's index tables depend on the
 # dimension alone and are built once per dimension (_schedule).  Per
 # matrix on a shared 2-vCPU x86-64 VM (OpenBLAS, one thread), Wishart
-# inputs, best of 5, median of 5 matrices and of 3 runs, lists -> rounds:
-# d4 0.25 -> 0.38 ms, d6 0.85 -> 0.80 ms, d7 1.27 -> 1.17 ms, d8 1.73 ->
-# 1.34 ms, d10 3.3 -> 1.8 ms, d16 14.1 -> 2.4 ms, d32 119 -> 9.1 ms, d64
-# 1200 -> 83 ms.  The host's speed swings by up to 1.5x from one run of this
-# table to the next.
+# inputs, best of 5, the two orders timed in turn on each of 11 matrices,
+# median, lists -> rounds: d4 0.14 -> 0.21 ms, d5 0.24 -> 0.40 ms, d6 0.39
+# -> 0.42 ms and d7 0.70 -> 0.68 ms (a tie: rounds faster on 5 and on 7 of
+# the 11), d8 1.11 -> 0.78 ms and d10 2.2 -> 1.1 ms (rounds faster on all
+# 11).  An earlier, not interleaved run gave d16 14.1 -> 2.4 ms, d32 119 ->
+# 9.1 ms and d64 1200 -> 83 ms.  The host's speed swings by up to 1.5x from
+# one run of such a table to the next.
 
 _ROUNDS_FROM_DIM = 8
 # the phase b / |b| of a subnormal b loses bits, so the rotation is not unitary, and numpy takes it
@@ -384,30 +387,19 @@ def _sweep_rounds(work, u, budget):
 def _certified_gap(work, diagonal, base):
     """An upper bound on ``informational(W) - von_neumann(W)`` for the
     working matrix W: ``ln(1 + sum_{i != j} |w_ij|^2 / sqrt(w_ii w_jj))``
-    nats, in ``base``.  A row whose diagonal entry is not positive drops out
-    when its off-diagonal entries are 0, as in a PSD matrix, and makes the
-    bound inf when one is not, as rounding leaves in rank-deficient inputs."""
+    nats, in ``base``, with each ``w_ii`` floored at ``linalg.ROUNDING_TOL``.
+    A row below the floor holds only what rounding leaves in a
+    rank-deficient input, so the bound is finite on every input and holds
+    there to within rounding."""
     if isinstance(work, list):
-        roots = [math.sqrt(w) if w > 0 else 0.0 for w in diagonal]
+        roots = [math.sqrt(max(w, ROUNDING_TOL)) for w in diagonal]
         total = 0.0
         for i, row in enumerate(work):
             for j, w in enumerate(row):
                 if w and j != i:
-                    root = roots[i] * roots[j]
-                    if not root:
-                        return math.inf
-                    total += (w.real * w.real + w.imag * w.imag) / root
+                    total += (w.real * w.real + w.imag * w.imag) / (roots[i] * roots[j])
     else:
-        if diagonal.min() > 0:
-            r = diagonal**-0.25
-        else:
-            positive = diagonal > 0
-            off = work.copy()
-            off.reshape(-1)[:: len(off) + 1] = 0
-            if off[~positive].any() or off[:, ~positive].any():
-                return math.inf
-            r = np.zeros(len(work))
-            r[positive] = diagonal[positive] ** -0.25
+        r = np.maximum(diagonal, ROUNDING_TOL) ** -0.25
         x = work * (r[:, None] * r)
         x.reshape(-1)[:: len(x) + 1] = 0
         total = np.vdot(x, x).real

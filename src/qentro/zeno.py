@@ -78,7 +78,7 @@ def evolve(h: Hamiltonian, t: float, psi0: PureState) -> PureState:
     _over_hbar(float(np.abs(w).max()) * abs(t), h.hbar, t, h.hbar)  # the largest phase
     phases = np.exp(-1j * w * t / h.hbar)
     amps = v @ (phases * (v.conj().T @ psi0.amplitudes))
-    return PureState.normalized(amps)
+    return PureState._trusted_normalized(amps)
 
 
 def survival_exact(h: Hamiltonian, t: float, psi0: PureState) -> float:

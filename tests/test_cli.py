@@ -918,6 +918,19 @@ def test_ensemble_dim_above_the_limit_exits_2(capsys, tmp_path, mixed, excess):
     assert code == 0, err
 
 
+def test_ensemble_mixed_part_dim_is_checked_before_its_entries(capsys, tmp_path):
+    # the mixed part gives only its dim: reading an entry would fail otherwise
+    dim = cli.WORK_LIMITS["dim"] + 1
+    state = {"amplitudes": [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]}
+    mixed_part = {"weight": 0.5, "matrix": {"dim": dim}}
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps({"pure_parts": [{"weight": 0.5, "state": state}], "mixed_part": mixed_part}))
+    code, out, err = run(capsys, "entropy", str(path), "--which", "bound-check")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: parse: ensemble dim asks for more than the work limit of {dim - 1} dim\n"
+
+
 def test_guess_angles_peak_memory_stays_bounded(capsys):
     # counts only, no per-trial arrays: a trials x key-length array of
     # float64 at these sizes would be 512 MB

@@ -143,11 +143,17 @@ def test_trusted_states_pass_the_validating_constructors(dim, seed):
 
 def _density_of_kind(dim, kind, rng):
     # a Wishart matrix of full rank, of a random lower rank, or of rank 1; or
-    # I/d with one zero, subnormal or small coherence (at least d6)
+    # I/d with one zero, subnormal or small coherence (at least d6); or, in a
+    # Haar basis, eigenvalues in [1e-16, 1e-10] next to O(1) ones
     if kind == "full":
         return random_density(dim, rng)
     if kind == "coherence":
         return _one_coherence(max(dim, 6), [0.01, 1e-310, 5e-324, 1e-320 + 3e-321j][rng.integers(4)])
+    if kind == "tiny":
+        small = int(rng.integers(1, dim)) if dim > 1 else 0
+        spectrum = np.concatenate((rng.uniform(0.1, 1.0, dim - small), 10 ** rng.uniform(-16, -10, small)))
+        u = random_unitary(dim, rng)
+        return DensityMatrix((u * (spectrum / spectrum.sum())) @ u.conj().T)
     r = 1 if kind == "pure" or dim == 1 else int(rng.integers(1, dim))
     z = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
     w = z @ z.conj().T
@@ -188,7 +194,7 @@ def test_minimizer_reaches_von_neumann_or_stops_at_its_budget(dim, seed, short, 
     dim=st.integers(1, 20),
     seed=st.integers(0, 2**32 - 1),
     budget=st.sampled_from([0, 1, 5, 30, 200_000]),
-    kind=st.sampled_from(["full", "deficient", "pure", "coherence"]),
+    kind=st.sampled_from(["full", "deficient", "pure", "coherence", "tiny"]),
     base=st.sampled_from([BITS, NATS]),
 )
 def test_certified_gap_bounds_the_residual(dim, seed, budget, kind, base):
@@ -224,16 +230,33 @@ def test_a_zero_diagonal_row_raises_no_warning(dim):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = min_informational_over_unitaries(DensityMatrix(m))
-        # a nonzero entry in a row whose diagonal entry is 0 leaves no bound
+        # a nonzero entry in a row whose diagonal entry is 0 is read against
+        # the floor ROUNDING_TOL, so the bound stays finite
         work = report.minimizer @ m @ report.minimizer.conj().T
         work[2, 0] = work[0, 2] = 1e-20
         array_gap = entropy._certified_gap(work, work.diagonal().real, BITS)
         lists = work.tolist()
         list_gap = entropy._certified_gap(lists, [lists[k][k].real for k in range(dim)], BITS)
+    tol = SWEEP_TOL * (1.0 + report.min_value)
     assert not report.budget_exhausted
-    assert 0.0 <= report.certified_gap <= SWEEP_TOL * (1.0 + report.min_value)
+    assert 0.0 <= report.certified_gap <= tol
     assert abs(report.residual_vs_von_neumann) <= 1e-12
-    assert array_gap == list_gap == math.inf
+    # the two forms round differently: square roots against fourth roots
+    assert math.isclose(array_gap, list_gap, rel_tol=1e-12)
+    assert 0.0 < array_gap <= tol
+
+
+@pytest.mark.parametrize("dim", range(2, 25))
+@pytest.mark.parametrize("base", [BITS, NATS])
+def test_a_pure_input_stops_on_the_certificate_after_one_sweep(dim, base):
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        psi = random_pure(dim, rng)
+        report = min_informational_over_unitaries(density_of_pure(psi), base)
+        # the sweep that converges ends the search: no sweep only confirms it
+        assert report.iterations == dim * (dim - 1) // 2
+        assert not report.budget_exhausted
+        assert report.certified_gap <= SWEEP_TOL * (1.0 + report.min_value)
 
 
 # Numeric flag values for the CLI fuzz.  Sizes stay small so each run is

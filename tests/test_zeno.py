@@ -88,6 +88,20 @@ def test_evolve_preserves_norm():
         assert abs((np.abs(out.amplitudes) ** 2).sum() - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("hbar", [1.0, 0.37, 2.5])
+def test_evolve_returns_a_state_the_constructor_accepts_unchanged(hbar):
+    # evolve normalizes its own amplitudes without validating them again
+    rng = np.random.default_rng(41)
+    for dim in (2, 5, 16, 32):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = Hamiltonian(m + m.conj().T, hbar=hbar)
+        psi = PureState.normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        for t in (-2.0, 0.0, 0.3, 1.7, 40.0):
+            out = evolve(h, t, psi)
+            assert np.array_equal(PureState(out.amplitudes).amplitudes, out.amplitudes)
+            assert not out.amplitudes.flags.writeable
+
+
 def degenerate_hamiltonian(hbar):
     # U diag(1, 1, 2) U†: eigh may return any basis of the doubled eigenspace
     u = random_unitary(3, np.random.default_rng(19))
