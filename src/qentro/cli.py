@@ -40,8 +40,9 @@ WORK_LIMITS = {
     "photons": 10**9,  # mzi --photons
     # the dim of a JSON matrix read by entropy or unitary-min, and of an
     # ensemble, whose mixture is dim x dim: a default-budget unitary-min spends
-    # O(dim^2) per pair visit and takes ~0.1 s on a d64 Wishart matrix,
-    # 0.2-0.6 s with the other core of a 2-vCPU host busy, ~1 s at d128
+    # O(dim^2) per pair visit and takes ~0.06 s on a d64 Wishart matrix and
+    # ~0.75 s at d128, in process, best of 3, on a shared 2-vCPU x86-64 VM
+    # with one BLAS thread
     "dim": 64,
 }
 

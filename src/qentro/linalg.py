@@ -20,7 +20,9 @@ ROUNDING_TOL = 1e-12  # negatives taken as zero, steering-plan slack, certificat
 GRID_TOL = 1e-9  # relative spacing error of a uniform grid
 INTEGRAL_TOL = 1e-6  # trapezoid integral of a tabulated density away from 1
 SWEEP_TOL = 1e-15  # relative drop below which the unitary minimizer stops sweeping
+NEWTON_GATE = 0.1  # off-diagonal entry over its diagonal gap up to which the minimizer tries Newton
 RESIDUAL_WARN = 1e-4  # residual over the von Neumann entropy that the CLI warns of
+PART_LIMIT = 2.0  # real or imaginary part above which an amplitude or density entry is rejected
 
 
 def as_matrix(m) -> np.ndarray:
@@ -31,7 +33,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFinite("matrix entries must be finite (no NaN/Inf)")
     return a
 
@@ -39,6 +41,12 @@ def as_matrix(m) -> np.ndarray:
 def max_abs(a) -> float:
     """Largest entrywise modulus, the norm behind all tolerance checks."""
     return float(np.abs(a).max())
+
+
+def max_part(a: np.ndarray) -> float:
+    """Largest modulus of a real or imaginary part of a contiguous complex
+    array's entries; unlike ``max_abs``, it cannot overflow."""
+    return float(np.abs(a.view(float)).max())
 
 
 def _hermitian_deviation(m: np.ndarray) -> float:

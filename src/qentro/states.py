@@ -13,6 +13,8 @@ mixing, dephasing) are built through a private trusted path that skips the
 checks; their spectrum is computed on first use of ``eigenvalues()``.
 """
 
+import math
+
 import numpy as np
 
 from . import linalg
@@ -26,7 +28,7 @@ from .errors import (
     QentroError,
     WeightSumInvalid,
 )
-from .linalg import DEFAULT_TOL, LOOSE_TOL, ROUNDING_TOL
+from .linalg import DEFAULT_TOL, LOOSE_TOL, PART_LIMIT, ROUNDING_TOL
 
 
 class PureState:
@@ -36,8 +38,13 @@ class PureState:
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
         if amps.size < 2:
             raise DimensionMismatch("a pure state needs at least 2 amplitudes")
-        if not np.all(np.isfinite(amps)):
+        # a unit vector has no amplitude above 1 in modulus; a larger part is
+        # turned away before its square can overflow (a NaN part is the largest)
+        largest = linalg.max_part(amps)
+        if not math.isfinite(largest):
             raise NonFinite("amplitudes must be finite (no NaN/Inf)")
+        if largest > PART_LIMIT:
+            raise NotNormalized(f"amplitude part {largest!r} is above {PART_LIMIT}, so the norm is not 1")
         norm_sq = float((np.abs(amps) ** 2).sum())
         if abs(norm_sq - 1.0) > DEFAULT_TOL:
             raise NotNormalized(
@@ -106,17 +113,22 @@ class DensityMatrix:
 
     def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
+        # no entry of a positive semidefinite matrix of unit trace is above 1 in
+        # modulus; a larger part is turned away before the sums below can overflow
+        largest = linalg.max_part(m)
+        if largest > PART_LIMIT:
+            raise NotADensityMatrix(
+                f"entry part {largest!r} is above {PART_LIMIT}: not positive semidefinite with trace 1"
+            )
         if linalg._hermitian_deviation(m) > DEFAULT_TOL:
             raise NotADensityMatrix("matrix is not Hermitian within tolerance")
         m = (m + m.conj().T) / 2
         trace = float(m.trace().real)
         if abs(trace - 1.0) > DEFAULT_TOL:
             raise NotADensityMatrix(f"trace {trace!r} is not 1 within tolerance")
-        eigs = np.linalg.eigvalsh(m)
-        if float(eigs.min()) < -DEFAULT_TOL:
-            raise NotADensityMatrix(
-                f"not positive semidefinite: eigenvalue {eigs.min():.3e} < -{DEFAULT_TOL}"
-            )
+        eigs = np.linalg.eigvalsh(m)  # ascending
+        if eigs[0] < -DEFAULT_TOL:
+            raise NotADensityMatrix(f"not positive semidefinite: eigenvalue {eigs[0]:.3e} < -{DEFAULT_TOL}")
         m.setflags(write=False)
         self._m = m
         self._eigs = eigs

@@ -386,6 +386,28 @@ def test_nan_json_input_exits_3(capsys, tmp_path, which, obj):
     assert "finite" in err
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would print to stderr
+@pytest.mark.parametrize(
+    "argv, obj, invariant",
+    [
+        (["entropy", "--which", "von-neumann"], matrix_to_json(np.diag([1e308, -1e308])), "semidefinite"),
+        (["unitary-min"], {"dim": 2, "re": [[0.5, 1e308], [1e308, 0.5]], "im": [[0, 0], [0, 0]]}, "semidefinite"),
+        (["entropy", "--which", "von-neumann"], matrix_to_json(np.diag([1e308, -1e308, 1.0])), "semidefinite"),
+        (["entropy", "--which", "pure"], {"amplitudes": [{"re": 1e200, "im": 0.0}, {"re": 1.0, "im": 0.0}]}, "norm"),
+    ],
+)
+def test_huge_finite_json_input_exits_3(capsys, tmp_path, argv, obj, invariant):
+    # these once printed 0 or a NaN minimizer and exited 0, ended in numpy's
+    # LinAlgError, or warned of an overflow on stderr
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: domain:")
+    assert invariant in err
+
+
 @pytest.mark.parametrize("sweep", ["0:3", "-4:-2"])
 def test_zeno_sweep_below_one_step_exits_3(capsys, sweep):
     code, out, err = run(capsys, "zeno", f"--sweep={sweep}")

@@ -24,7 +24,7 @@ from qentro.errors import (
     NonpositivePrecision,
     NotADensity,
 )
-from qentro.linalg import SWEEP_TOL, is_unitary, random_unitary
+from qentro.linalg import NEWTON_GATE, SWEEP_TOL, is_unitary, random_unitary
 from qentro.states import DensityMatrix, Ensemble, PureState, density_of_pure, random_density
 
 PLUS = PureState([1 / math.sqrt(2), 1 / math.sqrt(2)])
@@ -439,20 +439,124 @@ def test_list_sweeps_keep_a_subnormal_phase_unitary(dim, entry):
     assert abs(report.residual_vs_von_neumann) <= 1e-12
 
 
-def test_round_sweeps_stop_at_the_budget_exactly():
+def _first_newton_step(monkeypatch, rho):
+    # the pair visits an unbudgeted search has made when it keeps its first
+    # Newton step, and its count of kept steps
+    visits = []
+    sweep, newton_step = entropy._sweep_rounds, entropy._newton_step
+
+    def counted_sweep(work, u, budget):
+        made, exhausted = sweep(work, u, budget)
+        visits.append(made)
+        return made, exhausted
+
+    def counted_step(work, u, value, gap, base):
+        step = newton_step(work, u, value, gap, base)
+        if step:
+            visits.append(None)
+        return step
+
+    with monkeypatch.context() as patch:
+        patch.setattr(entropy, "_sweep_rounds", counted_sweep)
+        patch.setattr(entropy, "_newton_step", counted_step)
+        report = min_informational_over_unitaries(rho)
+    return sum(visits[: visits.index(None)]), report.newton_steps
+
+
+def test_round_sweeps_stop_at_the_budget_exactly(monkeypatch):
     # a budget that ends inside a round of m pairs cuts it short after each
     # position 1 ... m - 1, in the first sweep and in the second; 50 visits
-    # end inside a round of 8 pairs at d16, and d9 plays a bye in each round
+    # end inside a round of 8 pairs at d16, and d9 plays a bye in each round.
+    # A Newton step counts all d(d - 1)/2 pairs, and runs only if the budget
+    # covers them: one pair short, the search sweeps instead, cut short; and
+    # after a kept step, a budget of 0 ... d(d - 1)/2 - 1 more visits cuts
+    # short the sweep that follows it
     for dim in (16, 9):
         rho = random_density(dim, np.random.default_rng(1650 + dim))
-        m, rounds = dim // 2, dim - 1 + dim % 2
+        m, rounds, pairs = dim // 2, dim - 1 + dim % 2, dim * (dim - 1) // 2
         cuts = [k * m + j for k in (3, rounds + 1) for j in range(1, m)]
-        for budget in cuts + [50] * (dim == 16):
+        start, kept = _first_newton_step(monkeypatch, rho)
+        assert kept >= 2  # so the first kept step does not end the search
+        after = [start + pairs + j for j in (0, 1, m - 1, m, pairs // 2, pairs - 1)]
+        for budget in cuts + [50] * (dim == 16) + [start + pairs - 1] + after:
             report = min_informational_over_unitaries(rho, budget=budget)
             assert report.budget_exhausted
             assert report.iterations == budget
+            assert report.newton_steps == (budget in after)
             assert is_unitary(report.minimizer, 1e-10)
             assert report.min_value >= von_neumann(rho).value - 1e-12
+
+
+def _watch_newton(monkeypatch):
+    # wraps entropy._newton_step: every kept step lowers the objective and
+    # divides the certificate by at least NEWTON_GATE^-2, and a closed gate or
+    # a rejected step leaves the working matrix and the unitary as they were;
+    # returns the list of outcomes, "closed", "rejected" or "kept" in turn
+    outcomes = []
+    newton_step = entropy._newton_step
+
+    def watched(work, u, value, gap, base):
+        before = work.tobytes(), u.tobytes()
+        step = newton_step(work, u, value, gap, base)
+        assert (work.tobytes(), u.tobytes()) == before
+        if step:
+            _, _, new_value, new_gap = step
+            assert new_value <= value
+            assert new_gap <= NEWTON_GATE**2 * gap
+        outcomes.append("kept" if step else "rejected" if step is False else "closed")
+        return step
+
+    monkeypatch.setattr(entropy, "_newton_step", watched)
+    return outcomes
+
+
+@pytest.mark.parametrize("dim", [8, 16, 17])
+def test_newton_steps_finish_a_wishart_search(monkeypatch, dim):
+    outcomes = _watch_newton(monkeypatch)
+    for seed in range(3):
+        rho = random_density(dim, np.random.default_rng(2100 + 10 * dim + seed))
+        report = min_informational_over_unitaries(rho)
+        assert not report.budget_exhausted
+        assert report.newton_steps == outcomes.count("kept") >= 1
+        assert abs(report.residual_vs_von_neumann) <= 1e-12
+        assert is_unitary(report.minimizer, 1e-13)
+        outcomes.clear()
+
+
+@pytest.mark.filterwarnings("error")  # 0 / 0 over a zero gap would warn
+def test_newton_steps_keep_to_their_contract_on_every_kind(monkeypatch):
+    # rank-deficient inputs leave rows of rounding-level entries, a two-level
+    # spectrum gaps of rounding noise, and a Wishart block next to a multiple
+    # of the identity exact zeros over exact zero gaps, under the gate
+    outcomes = _watch_newton(monkeypatch)
+    seen = set()
+    rng = np.random.default_rng(2121)
+    for dim in (8, 9, 12):
+        u = random_unitary(dim, rng)
+        levels = np.where(np.arange(dim) < dim // 3, 0.7, 0.3)
+        inputs = [DensityMatrix((u * (levels / levels.sum())) @ u.conj().T)]
+        block = np.eye(dim, dtype=complex) / (2 * dim - 8)
+        block[:4, :4] = random_density(4, rng).matrix / 2
+        inputs.append(DensityMatrix(block))
+        for rank in range(1, dim):
+            z = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+            inputs.append(DensityMatrix(z @ z.conj().T / np.vdot(z, z).real))
+        for rho in inputs:
+            report = min_informational_over_unitaries(rho)
+            assert abs(report.residual_vs_von_neumann) <= 1e-12
+            assert is_unitary(report.minimizer, 1e-13)
+            # a rejected step is the search's last try: nothing follows it
+            assert "rejected" not in outcomes[:-1]
+            seen.update(outcomes)
+            outcomes.clear()
+    assert seen == {"closed", "rejected", "kept"}
+
+
+def test_the_list_path_takes_no_newton_step(monkeypatch):
+    outcomes = _watch_newton(monkeypatch)
+    for dim in range(2, entropy._ROUNDS_FROM_DIM):
+        assert min_informational_over_unitaries(random_density(dim, np.random.default_rng(dim))).newton_steps == 0
+    assert outcomes == []
 
 
 def test_round_schedule_is_built_once_per_dim(monkeypatch):

@@ -144,14 +144,20 @@ def test_trusted_states_pass_the_validating_constructors(dim, seed):
 def _density_of_kind(dim, kind, rng):
     # a Wishart matrix of full rank, of a random lower rank, or of rank 1; or
     # I/d with one zero, subnormal or small coherence (at least d6); or, in a
-    # Haar basis, eigenvalues in [1e-16, 1e-10] next to O(1) ones
+    # Haar basis, eigenvalues in [1e-16, 1e-10] next to O(1) ones, or two
+    # levels, exact or spread by ~1e-9, whose gaps the Newton step's gate can
+    # pass on rounding noise
     if kind == "full":
         return random_density(dim, rng)
     if kind == "coherence":
         return _one_coherence(max(dim, 6), [0.01, 1e-310, 5e-324, 1e-320 + 3e-321j][rng.integers(4)])
-    if kind == "tiny":
+    if kind in ("tiny", "clustered"):
         small = int(rng.integers(1, dim)) if dim > 1 else 0
-        spectrum = np.concatenate((rng.uniform(0.1, 1.0, dim - small), 10 ** rng.uniform(-16, -10, small)))
+        if kind == "tiny":
+            spectrum = np.concatenate((rng.uniform(0.1, 1.0, dim - small), 10 ** rng.uniform(-16, -10, small)))
+        else:
+            spread = rng.choice([0.0, 1e-9]) * rng.standard_normal(dim)
+            spectrum = np.repeat(rng.uniform(0.1, 1.0, 2), (dim - small, small)) + spread
         u = random_unitary(dim, rng)
         return DensityMatrix((u * (spectrum / spectrum.sum())) @ u.conj().T)
     r = 1 if kind == "pure" or dim == 1 else int(rng.integers(1, dim))
@@ -165,7 +171,7 @@ def _density_of_kind(dim, kind, rng):
     dim=st.integers(2, 20),
     seed=st.integers(0, 2**32 - 1),
     short=st.booleans(),
-    kind=st.sampled_from(["full", "deficient", "pure", "coherence"]),
+    kind=st.sampled_from(["full", "deficient", "pure", "coherence", "clustered"]),
 )
 def test_minimizer_reaches_von_neumann_or_stops_at_its_budget(dim, seed, short, kind):
     # dims 2-20 draw both sweep orders (rows below the crossover, round-robin
@@ -173,7 +179,8 @@ def test_minimizer_reaches_von_neumann_or_stops_at_its_budget(dim, seed, short, 
     # a short budget ends inside the first few sweeps.  Rank-deficient and
     # pure inputs drive entries to subnormal sizes, where the round sweep
     # once took a NaN phase; a subnormal complex coherence once made the list
-    # sweep's rotation non-unitary.
+    # sweep's rotation non-unitary.  Clustered spectra put gaps of rounding
+    # noise under the Newton step's gate.
     rng = np.random.default_rng(seed)
     rho = _density_of_kind(dim, kind, rng)
     budget = int(rng.integers(1, dim * dim)) if short else 200_000
@@ -194,7 +201,7 @@ def test_minimizer_reaches_von_neumann_or_stops_at_its_budget(dim, seed, short, 
     dim=st.integers(1, 20),
     seed=st.integers(0, 2**32 - 1),
     budget=st.sampled_from([0, 1, 5, 30, 200_000]),
-    kind=st.sampled_from(["full", "deficient", "pure", "coherence", "tiny"]),
+    kind=st.sampled_from(["full", "deficient", "pure", "coherence", "tiny", "clustered"]),
     base=st.sampled_from([BITS, NATS]),
 )
 def test_certified_gap_bounds_the_residual(dim, seed, budget, kind, base):

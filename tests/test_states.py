@@ -138,6 +138,38 @@ def test_density_matrix_validation():
         DensityMatrix([[1.2, 0.0], [0.0, -0.2]])
 
 
+# huge finite entries once overflowed in the symmetrization (m + m†)/2, after
+# which the NaN trace and spectrum passed every check, or eigvalsh raised
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.diag([1e308, -1e308]),
+        [[0.5, 1e308], [1e308, 0.5]],
+        np.diag([1e308, -1e308, 1.0]),
+        [[0.5, 1e308], [-1e308, 0.5]],
+        [[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.5]],
+    ],
+)
+def test_density_matrix_rejects_huge_entries_without_overflow(matrix):
+    with pytest.raises(NotADensityMatrix, match="semidefinite"):
+        DensityMatrix(matrix)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitudes", [[1e200, 1.0], [0.6, 1e300j], [1.5e308 + 1.5e308j, 0.0]])
+def test_pure_state_rejects_huge_amplitudes_without_overflow(amplitudes):
+    with pytest.raises(NotNormalized, match="norm"):
+        PureState(amplitudes)
+
+
+def test_validation_keeps_the_bits_of_subnormal_entries():
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[0, 1], m[1, 0] = 5e-324 + 1e-320j, 5e-324 - 1e-320j
+    assert DensityMatrix(m).matrix[0, 1] == 5e-324 + 1e-320j
+    assert PureState([1.0, 5e-324]).amplitudes[1] == 5e-324
+
+
 def test_evolve_unitary_identity():
     state = random_pure(3, np.random.default_rng(1))
     out = evolve_unitary(state, np.eye(3))
