@@ -44,9 +44,11 @@ def max_abs(a) -> float:
 
 
 def max_part(a: np.ndarray) -> float:
-    """Largest modulus of a real or imaginary part of a contiguous complex
-    array's entries; unlike ``max_abs``, it cannot overflow."""
-    return float(np.abs(a.view(float)).max())
+    """Largest modulus of a real or imaginary part of a complex array's
+    entries, in any memory layout; unlike ``max_abs``, it cannot overflow."""
+    # the float view needs a contiguous last axis, so a transposed or
+    # Fortran-ordered array is copied first; a C-ordered one is not
+    return float(np.abs(np.ascontiguousarray(a).view(float)).max())
 
 
 def _hermitian_deviation(m: np.ndarray) -> float:

@@ -189,6 +189,16 @@ def test_informational_diagonal_both_bases():
     assert informational(RHO_DIAG_34, NATS).value == pytest.approx(H34_NATS, abs=1e-12)
 
 
+def test_entropies_take_a_transposed_ndarray():
+    # rho.T is the Fortran-ordered conjugate of rho: the same spectrum and diagonal
+    rho = random_density(8, np.random.default_rng(21))
+    for m in (rho.matrix.T, np.asfortranarray(rho.matrix)):
+        assert von_neumann(m).value == pytest.approx(von_neumann(rho).value, abs=1e-12)
+        assert informational(m).value == pytest.approx(informational(rho).value, abs=1e-12)
+        report = min_informational_over_unitaries(m)
+        assert report.min_value == pytest.approx(von_neumann(rho).value, abs=1e-9)
+
+
 def test_informational_dominates_von_neumann():
     # 1000 random conjugated densities, dims 2-4
     rng = np.random.default_rng(12)

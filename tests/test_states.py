@@ -163,6 +163,21 @@ def test_pure_state_rejects_huge_amplitudes_without_overflow(amplitudes):
         PureState(amplitudes)
 
 
+# the overflow-free part bound reads complex entries through a float view,
+# which must not depend on the caller's memory layout
+@pytest.mark.parametrize("layout", [lambda m: m.T, np.asfortranarray, lambda m: m[::-1, ::-1]])
+def test_density_matrix_accepts_any_memory_layout(layout):
+    rho = random_density(8, np.random.default_rng(21)).matrix
+    np.testing.assert_array_equal(DensityMatrix(layout(rho)).matrix, layout(rho))
+
+
+def test_pure_state_accepts_strided_amplitudes():
+    amps = np.array([0.6, 9.0, 0.8j, 9.0])[::2]
+    assert not amps.flags.c_contiguous
+    np.testing.assert_array_equal(PureState(amps).amplitudes, [0.6, 0.8j])
+    np.testing.assert_array_equal(PureState(np.array([0.8j, 0.6])[::-1]).amplitudes, [0.6, 0.8j])
+
+
 def test_validation_keeps_the_bits_of_subnormal_entries():
     m = np.diag([0.5, 0.5]).astype(complex)
     m[0, 1], m[1, 0] = 5e-324 + 1e-320j, 5e-324 - 1e-320j
