@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Walk through the entropy measures on three worked two-level mixtures.
+"""Walk through the entropy measures, from the paper's opening claim (a
+pure state has zero thermodynamic entropy, yet measuring it informs) to
+three worked two-level mixtures.
 
 The running theme: the entropy a receiver actually experiences per
 measurement is the entropy of the density matrix diagonal in the
@@ -18,6 +20,7 @@ from qentro import (
     Ensemble,
     PureState,
     bekenstein_bound,
+    density_of_pure,
     differential_entropy,
     ensemble_bound_check,
     informational,
@@ -35,7 +38,16 @@ def banner(title):
 
 plus = PureState([1 / math.sqrt(2), 1 / math.sqrt(2)])
 
-banner("1. Equal blend of |+><+| with the maximally mixed state")
+banner("1. An unknown pure state")
+print("Thermodynamic entropy is not an entirely satisfactory measure of")
+print("information of a quantum state.")
+rho_plus = density_of_pure(plus)
+print(f"|+><+|: von Neumann entropy   S_n = {von_neumann(rho_plus).value:.4f} bits")
+print(f"        informational entropy S_i = {informational(rho_plus).value:.4f} bits")
+print("-> the pure state has no thermodynamic entropy, yet every")
+print("   measurement of a copy in the receiver basis yields a full bit.")
+
+banner("2. Equal blend of |+><+| with the maximally mixed state")
 ens1 = Ensemble([(0.5, plus)], mixed_part=(0.5, DensityMatrix(np.eye(2) / 2)))
 rho1 = mix(ens1)
 print("rho =")
@@ -48,7 +60,7 @@ print("-> every measurement still yields a full bit, although the")
 print("   eigenvalue entropy is only 0.811: the coherent half hides")
 print("   information the receiver cannot avoid sampling.")
 
-banner("2. Skewed blend: 0.3 pure + 0.7 diag(0.8, 0.2)")
+banner("3. Skewed blend: 0.3 pure + 0.7 diag(0.8, 0.2)")
 mixed2 = DensityMatrix(np.diag([0.8, 0.2]))
 ens2 = Ensemble([(0.3, plus)], mixed_part=(0.7, mixed2))
 rho2 = mix(ens2)
@@ -62,7 +74,7 @@ print(f"S_i >= component sum holds: {check2.holds}")
 print("-> the pure component is NOT aligned with the receiver basis, so")
 print("   the mixture carries more accessible entropy than its parts.")
 
-banner("3. One diagonal matrix, two ensembles")
+banner("4. One diagonal matrix, two ensembles")
 a = PureState([math.sqrt(0.75), math.sqrt(0.25)])
 b = PureState([math.sqrt(0.75), -math.sqrt(0.25)])
 rho3_direct = DensityMatrix(np.diag([0.75, 0.25]))
@@ -79,7 +91,7 @@ print(f"  {informational(rho3_direct, BITS).value:.4f} bits"
 print("  (a 3-decimal figure of 0.559 for this state only makes sense as")
 print("   the natural-log value 0.562 rounded down; in bits it is 0.811)")
 
-banner("4. Classical measures: discrete, continuous, quantized")
+banner("5. Classical measures: discrete, continuous, quantized")
 print(f"uniform over 2 outcomes:      {shannon([0.5, 0.5]).value:.3f} bits")
 print(f"(1/2, 1/4, 1/4) distribution: {shannon([0.5, 0.25, 0.25]).value:.3f} bits")
 x = np.linspace(-8.0, 8.0, 4001)
@@ -91,7 +103,7 @@ for dx in (1.0, 0.1, 0.01):
     print(f"  measured at precision {dx:<5} -> {quantized_entropy(h, dx).value:.4f} nats")
 print("Finite precision keeps the total finite; perfect precision would not.")
 
-banner("5. Area bound")
+banner("6. Area bound")
 for area in (4.0, 4.0 * math.log(2.0), 400.0):
     nats = bekenstein_bound(area, NATS).value
     bits = bekenstein_bound(area, BITS).value

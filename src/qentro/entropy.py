@@ -142,6 +142,8 @@ def quantized_entropy(h: EntropyResult, delta_x: float) -> EntropyResult:
     base of ``h``; like the differential entropy it may be negative when
     ``delta_x`` exceeds the spread of the density.
     """
+    if not math.isfinite(delta_x):
+        raise NonFinite(f"precision must be finite, got {delta_x!r}")
     if delta_x <= 0:
         raise NonpositivePrecision(f"precision must be positive, got {delta_x!r}")
     return EntropyResult(h.value - float(_log(delta_x, h.base)), h.base)

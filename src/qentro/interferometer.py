@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .entropy import BITS, EntropyResult, shannon
-from .errors import ImpossibleOutcome, NonpositiveN, NonpositiveWavelength, QentroError
+from .errors import ImpossibleOutcome, NonFinite, NonpositiveN, NonpositiveWavelength, QentroError
 from .montecarlo import seeded
 
 ABSORBED = "absorbed"
@@ -151,6 +151,8 @@ def simulate_latent_mirror(prior: float, count: int, rng: np.random.Generator) -
 def mirror_position_uncertainty(wavelength: float) -> float:
     """Lower bound ``lambda / (4 pi)`` on the position spread of a mirror
     that must register a photon of the given wavelength."""
+    if not math.isfinite(wavelength):
+        raise NonFinite(f"wavelength must be finite, got {wavelength!r}")
     if wavelength <= 0:
         raise NonpositiveWavelength(f"wavelength must be positive, got {wavelength!r}")
     return wavelength / (4.0 * math.pi)

@@ -242,9 +242,8 @@ def eve_attack_success(
     is 2^-n."""
     if trials < 1:
         raise NonpositiveN(f"trials must be >= 1, got {trials!r}")
-    passes = _pass_probabilities(key, strategy)
-    successes = int(thin(trials, passes, rng)[-1])
-    return AttackResult(strategy, trials, successes, float(np.prod(passes)))
+    successes = int(thin(trials, _pass_probabilities(key, strategy), rng)[-1])
+    return AttackResult(strategy, trials, successes, attack_success_probability(key, strategy))
 
 
 def estimation_row(n: int, shots: int, theta_true: float, estimate, seed: int) -> dict:

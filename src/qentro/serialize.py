@@ -82,14 +82,6 @@ def matrix_from_json(obj) -> np.ndarray:
     return m
 
 
-def state_to_json(state: PureState) -> dict:
-    return {
-        "amplitudes": [
-            {"re": float(a.real), "im": float(a.imag)} for a in state.amplitudes
-        ]
-    }
-
-
 def state_from_json(obj) -> PureState:
     if not isinstance(obj, dict) or "amplitudes" not in obj:
         raise ParseError("pure state object must contain 'amplitudes'")

@@ -1,16 +1,15 @@
 """Pure states, density matrices, ensembles, and the two ways a state
 can change: unitary evolution and projective measurement collapse.
 
-Pure states are compared up to global phase.  Every stochastic operation
-takes an explicit ``numpy.random.Generator`` so identical seeds reproduce
-identical outcome sequences.
+Every stochastic operation takes an explicit ``numpy.random.Generator``
+so identical seeds reproduce identical outcome sequences.
 
 Validation happens once, at the boundary: the public constructors
-(``PureState(...)``, ``PureState.normalized``, ``DensityMatrix(...)``,
-``Ensemble``, ``MeasurementSet``) check every invariant of what they are
-given.  States derived from already-validated inputs (evolution, collapse,
-mixing, dephasing) are built through a private trusted path that skips the
-checks; their spectrum is computed on first use of ``eigenvalues()``.
+(``PureState(...)``, ``DensityMatrix(...)``, ``Ensemble``, ``MeasurementSet``)
+check every invariant of what they are given.  States derived from
+already-validated inputs (evolution, collapse, mixing, dephasing) are built
+through a private trusted path that skips the checks; their spectrum is
+computed on first use of ``eigenvalues()``.
 """
 
 import math
@@ -54,20 +53,9 @@ class PureState:
         self._amps = amps
 
     @classmethod
-    def normalized(cls, raw_amplitudes) -> "PureState":
-        """Construct from an unnormalized (nonzero) amplitude vector."""
-        amps = np.asarray(raw_amplitudes, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(amps)):
-            raise NonFinite("amplitudes must be finite (no NaN/Inf)")
-        norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise NotNormalized("cannot normalize the zero vector")
-        return cls(amps / norm)
-
-    @classmethod
     def _trusted_normalized(cls, amps: np.ndarray) -> "PureState":
-        # Normalize a nonzero vector derived from validated inputs, as
-        # ``normalized`` does, without checking the result again.
+        # Normalize a nonzero vector derived from validated inputs; the
+        # result is not checked again.
         state = cls.__new__(cls)
         state._amps = amps / np.linalg.norm(amps)
         state._amps.setflags(write=False)
@@ -90,12 +78,6 @@ class PureState:
     def probabilities(self) -> np.ndarray:
         """Computational-basis outcome probabilities ``|c_k|^2``."""
         return np.abs(self._amps) ** 2
-
-    def equals_up_to_phase(self, other: "PureState", tol: float = LOOSE_TOL) -> bool:
-        if self.dim != other.dim:
-            return False
-        overlap = abs(np.vdot(self._amps, other._amps))
-        return abs(overlap - 1.0) <= tol
 
     def __repr__(self):
         return f"PureState({np.array2string(self._amps, precision=6)})"
@@ -199,12 +181,13 @@ class Ensemble:
 
 
 class MeasurementSet:
-    """A complete set of measurement operators with outcome labels.
+    """A complete set of measurement operators.  The outcome labels,
+    ``labels``, are the operators' indices as strings: ``"0"``, ``"1"``, ...
 
     Completeness ``sum_i M_i† M_i = I`` is checked to ``linalg.LOOSE_TOL`` at construction.
     """
 
-    def __init__(self, operators, labels=None):
+    def __init__(self, operators):
         ops = [linalg.as_matrix(op) for op in operators]
         if not ops:
             raise IncompleteMeasurementSet("measurement set is empty")
@@ -217,26 +200,16 @@ class MeasurementSet:
             raise IncompleteMeasurementSet(
                 "operators do not satisfy sum_i M_i† M_i = I within tolerance"
             )
-        if labels is None:
-            labels = [str(i) for i in range(len(ops))]
-        if len(labels) != len(ops):
-            raise DimensionMismatch("one label per operator required")
         self.operators = stacked
-        self.labels = list(labels)
+        self.labels = [str(i) for i in range(len(ops))]
         self.dim = dim
 
     @classmethod
-    def computational(cls, dim: int) -> "MeasurementSet":
-        """Projectors onto the computational basis states."""
-        ops = [np.diag((np.arange(dim) == k).astype(complex)) for k in range(dim)]
-        return cls(ops, [str(k) for k in range(dim)])
-
-    @classmethod
-    def qubit_angle_basis(cls, angle: float, labels=("0", "1")) -> "MeasurementSet":
+    def qubit_angle_basis(cls, angle: float) -> "MeasurementSet":
         """Qubit projectors onto the basis rotated by ``angle`` from |0>/|1>."""
         fwd = np.array([np.cos(angle), np.sin(angle)], dtype=complex)
         orth = np.array([-np.sin(angle), np.cos(angle)], dtype=complex)
-        return cls([np.outer(fwd, fwd.conj()), np.outer(orth, orth.conj())], list(labels))
+        return cls([np.outer(fwd, fwd.conj()), np.outer(orth, orth.conj())])
 
     def outcome_probabilities(self, state: PureState) -> np.ndarray:
         """Born probabilities ``<phi|M_i†M_i|phi>`` for each operator."""
@@ -315,12 +288,6 @@ def dephase(state) -> DensityMatrix:
             state = DensityMatrix(state)
         diag = state.diagonal()
     return DensityMatrix._trusted(np.diag(diag.astype(complex)))
-
-
-def random_pure(dim: int, rng: np.random.Generator) -> PureState:
-    """Haar-uniform random pure state."""
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState.normalized(z)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:

@@ -26,14 +26,16 @@ class Hamiltonian:
     """
 
     def __init__(self, matrix, hbar: float = 1.0):
-        m = linalg.as_matrix(matrix)
-        if linalg._hermitian_deviation(m) > DEFAULT_TOL:
+        # halved before the difference and the sum below, which then cannot
+        # overflow; halving is exact for entries in the normal float range
+        half = linalg.as_matrix(matrix) / 2
+        if linalg.max_abs(half - half.conj().T) > DEFAULT_TOL / 2:
             raise NotHermitian(f"Hamiltonian must be Hermitian within {DEFAULT_TOL}")
         if not math.isfinite(hbar):
             raise NonFinite(f"hbar must be finite, got {hbar!r}")
         if hbar <= 0:
             raise QentroError(f"hbar must be positive, got {hbar!r}")
-        m = (m + m.conj().T) / 2
+        m = half + half.conj().T
         m.setflags(write=False)
         self.matrix = m
         self.hbar = float(hbar)

@@ -59,6 +59,7 @@ from qentro.zeno import (
     survival_second_order,
     zeno_survival,
 )
+from test_states import random_pure
 
 PLUS = PureState([1 / math.sqrt(2), 1 / math.sqrt(2)])
 
@@ -206,7 +207,7 @@ def test_criterion_08_second_order_error_scaling():
         a, b = rng.standard_normal(2)
         c = rng.standard_normal() + 1j * rng.standard_normal()
         h = Hamiltonian([[a, c], [np.conjugate(c), b]])
-        psi = PureState.normalized(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        psi = random_pure(2, rng)
         disc = [
             abs(survival_exact(h, t, psi) - survival_second_order(h, t, psi))
             for t in (0.1, 0.05)

@@ -7,6 +7,7 @@ from qentro import entropy
 from qentro.entropy import (
     BITS,
     NATS,
+    EntropyResult,
     bekenstein_bound,
     differential_entropy,
     ensemble_bound_check,
@@ -24,8 +25,10 @@ from qentro.errors import (
     NonpositivePrecision,
     NotADensity,
 )
+from qentro.interferometer import mirror_position_uncertainty
 from qentro.linalg import NEWTON_GATE, SWEEP_TOL, is_unitary, random_unitary
 from qentro.states import DensityMatrix, Ensemble, PureState, density_of_pure, random_density
+from test_states import random_pure
 
 PLUS = PureState([1 / math.sqrt(2), 1 / math.sqrt(2)])
 
@@ -143,6 +146,18 @@ def test_quantized_entropy_monotone_in_precision():
     assert values[0] < values[1] < values[2]
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda x: quantized_entropy(EntropyResult(1.3, BITS), x), "precision"), (mirror_position_uncertainty, "wavelength")],
+    ids=["quantized_entropy", "mirror_position_uncertainty"],
+)
+def test_a_non_finite_scale_is_rejected_before_any_arithmetic(call, name, value):
+    # a NaN precision or wavelength gave NaN, and an infinite one -inf or inf
+    with pytest.raises(NonFinite, match=f"{name} must be finite"):
+        call(value)
+
+
 # ------------------------------------------------------------- von Neumann
 
 
@@ -159,8 +174,6 @@ def test_von_neumann_blend_equals_eigenvalue_entropy():
 def test_von_neumann_pure_states_are_zero():
     rng = np.random.default_rng(31)
     for dim in (2, 3, 4):
-        from qentro.states import random_pure
-
         rho = density_of_pure(random_pure(dim, rng))
         assert von_neumann(rho).value == pytest.approx(0.0, abs=1e-8)
 
@@ -250,8 +263,6 @@ def test_pure_entropy_values():
 def test_pure_entropy_matches_informational_of_projector():
     rng = np.random.default_rng(15)
     for dim in (2, 3, 4):
-        from qentro.states import random_pure
-
         state = random_pure(dim, rng)
         assert pure_entropy(state).value == pytest.approx(
             informational(density_of_pure(state)).value, abs=1e-12

@@ -6,21 +6,29 @@ each at one place, and reaches the first two rules only through those
 functions; its handlers return the rows the library builds, and compute
 nothing the library has computed.  The minimizer's round-robin tournament is built only by
 ``entropy._schedule``, once per dimension.  Only the owners of a spectrum,
-``states.DensityMatrix`` and ``zeno.Hamiltonian``, call an eigensolver."""
+``states.DensityMatrix`` and ``zeno.Hamiltonian``, call an eigensolver.
+Every public function, class and method has a caller in the library, a demo
+or the benchmark."""
 
 import ast
+import collections
 import tokenize
 from pathlib import Path
 
 from qentro import cli
 
 SRC = Path(cli.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def tokens(path):
+    # every identifier in the code; docstrings and comments are not NAME tokens
+    with tokenize.open(path) as handle:
+        return [tok.string for tok in tokenize.generate_tokens(handle.readline) if tok.type == tokenize.NAME]
 
 
 def names(path):
-    # every identifier in the code; docstrings and comments are not NAME tokens
-    with tokenize.open(path) as handle:
-        return {tok.string for tok in tokenize.generate_tokens(handle.readline) if tok.type == tokenize.NAME}
+    return set(tokens(path))
 
 
 def imported_modules(path):
@@ -102,3 +110,20 @@ def test_the_round_robin_is_built_only_by_the_cached_schedule():
     tops = ast.parse((SRC / "entropy.py").read_text()).body
     schedule = next(top for top in tops if getattr(top, "name", None) == "_schedule")
     assert [ast.unparse(decorator) for decorator in schedule.decorator_list] == ["functools.cache"]
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is any use in the library, a demo or the benchmark; tests do not count
+    modules = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+    callers = modules + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    uses = collections.Counter(name for path in callers for name in tokens(path))
+    defined = collections.Counter()
+    for path in modules:
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+                defined[top.name] += 1
+            if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                methods = [node.name for node in top.body if isinstance(node, ast.FunctionDef)]
+                defined.update([top.name] + [name for name in methods if not name.startswith("_")])
+    uncalled = sorted(name for name, count in defined.items() if uses[name] <= count)
+    assert not uncalled, f"no caller outside the tests: {uncalled}"
