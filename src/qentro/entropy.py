@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize, states
-from .errors import (
-    InvalidDistribution,
-    NegativeArea,
-    NonFinite,
-    NonpositivePrecision,
-    NotADensity,
-)
+from .errors import QentroError
 from .linalg import DEFAULT_TOL, GRID_TOL, INTEGRAL_TOL, LOOSE_TOL, NEWTON_GATE, ROUNDING_TOL, SWEEP_TOL
 
 BITS = "bits"
@@ -95,14 +89,14 @@ def shannon(probs, base: str = BITS) -> EntropyResult:
     _check_base(base)
     p = np.asarray(probs, dtype=float).reshape(-1)
     if p.size == 0:
-        raise InvalidDistribution("empty probability vector")
+        raise QentroError("empty probability vector")
     if not np.all(np.isfinite(p)):
-        raise NonFinite("probabilities must be finite (no NaN/Inf)")
+        raise QentroError("probabilities must be finite (no NaN/Inf)")
     if p.min() < -DEFAULT_TOL:
-        raise InvalidDistribution(f"negative probability {p.min()!r}")
+        raise QentroError(f"negative probability {p.min()!r}")
     total = float(p.sum())
     if abs(total - 1.0) > DEFAULT_TOL:
-        raise InvalidDistribution(f"probabilities sum to {total!r}, expected 1")
+        raise QentroError(f"probabilities sum to {total!r}, expected 1")
     return EntropyResult(_plogp_sum(p, base), base)
 
 
@@ -118,19 +112,23 @@ def differential_entropy(grid, density, base: str = NATS) -> EntropyResult:
     x = np.asarray(grid, dtype=float).reshape(-1)
     f = np.asarray(density, dtype=float).reshape(-1)
     if x.size != f.size or x.size < 2:
-        raise NotADensity("grid and density must share a length of at least 2")
+        raise QentroError("grid and density must share a length of at least 2")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
-        raise NonFinite("grid and density must be finite (no NaN/Inf)")
+        raise QentroError("grid and density must be finite (no NaN/Inf)")
+    # a step of an increasing grid may overflow, unlike one of its halved points
+    if not np.all(x[1:] > x[:-1]):
+        raise QentroError("grid must be uniformly spaced and increasing")
+    if not math.isfinite(2 * float(np.diff(x / 2).max())):
+        raise QentroError(f"grid from {float(x[0])!r} to {float(x[-1])!r} has a step out of floating-point range")
     steps = np.diff(x)
-    h = steps[0]
-    if h <= 0 or np.abs(steps - h).max() > GRID_TOL * abs(h):
-        raise NotADensity("grid must be uniformly spaced and increasing")
+    if np.abs(steps - steps[0]).max() > GRID_TOL * steps[0]:
+        raise QentroError("grid must be uniformly spaced and increasing")
     if f.min() < -ROUNDING_TOL:
-        raise NotADensity(f"density has negative value {f.min()!r}")
+        raise QentroError(f"density has negative value {f.min()!r}")
     f = np.clip(f, 0.0, None)
     total = float(np.trapezoid(f, x))
     if abs(total - 1.0) > INTEGRAL_TOL:
-        raise NotADensity(f"density integrates to {total!r}, expected 1 within 1e-6")
+        raise QentroError(f"density integrates to {total!r}, expected 1 within 1e-6")
     integrand = np.where(f > 0, -f * _log(np.where(f > 0, f, 1.0), base), 0.0)
     return EntropyResult(float(np.trapezoid(integrand, x)), base)
 
@@ -143,9 +141,9 @@ def quantized_entropy(h: EntropyResult, delta_x: float) -> EntropyResult:
     ``delta_x`` exceeds the spread of the density.
     """
     if not math.isfinite(delta_x):
-        raise NonFinite(f"precision must be finite, got {delta_x!r}")
+        raise QentroError(f"precision must be finite, got {delta_x!r}")
     if delta_x <= 0:
-        raise NonpositivePrecision(f"precision must be positive, got {delta_x!r}")
+        raise QentroError(f"precision must be positive, got {delta_x!r}")
     return EntropyResult(h.value - float(_log(delta_x, h.base)), h.base)
 
 
@@ -215,9 +213,9 @@ def bekenstein_bound(area_planck_units: float, base: str = BITS) -> EntropyResul
     divided by ln 2 when reporting bits."""
     _check_base(base)
     if not math.isfinite(area_planck_units):
-        raise NonFinite(f"area must be finite, got {area_planck_units!r}")
+        raise QentroError(f"area must be finite, got {area_planck_units!r}")
     if area_planck_units < 0:
-        raise NegativeArea(f"area must be nonnegative, got {area_planck_units!r}")
+        raise QentroError(f"area must be nonnegative, got {area_planck_units!r}")
     nats = area_planck_units / 4.0 + 0.0  # adding 0.0 turns an area of -0.0 into +0.0
     value = nats if base == NATS else nats / math.log(2.0)
     return EntropyResult(value, base)
@@ -267,13 +265,14 @@ def bound_row(area_planck_units: float) -> dict:
 # round whatever its size; the tournament's index tables depend on the
 # dimension alone and are built once per dimension (_schedule).  Per
 # matrix on a shared 2-vCPU x86-64 VM (OpenBLAS, one thread), Wishart
-# inputs, best of 5, the two orders timed in turn on each of 11 matrices,
-# median, lists -> rounds: d4 0.14 -> 0.21 ms, d5 0.24 -> 0.40 ms, d6 0.39
-# -> 0.42 ms and d7 0.70 -> 0.68 ms (a tie: rounds faster on 5 and on 7 of
-# the 11), d8 1.11 -> 0.78 ms and d10 2.2 -> 1.1 ms (rounds faster on all
-# 11).  An earlier, not interleaved run gave d16 14.1 -> 2.4 ms, d32 119 ->
-# 9.1 ms and d64 1200 -> 83 ms.  The host's speed swings by up to 1.5x from
-# one run of such a table to the next.
+# inputs, best of 5, the two orders timed in turn on 20 matrices, median,
+# two runs, rounds (with the Newton steps below) over lists: d4 1.55x and
+# 1.95x, d5 1.42x and 1.25x, d6 0.93x and 0.88x, d7 0.83x and 0.77x, d8
+# 0.59x and 0.61x, d10 0.34x and 0.40x.  Rounds win from d6 on; the bound
+# stays at 8, as moving it changes the output at d6 and d7, which no
+# benchmark workload runs.  Earlier, without Newton steps: d16 14.1 -> 2.4
+# ms, d32 119 -> 9.1 ms, d64 1200 -> 83 ms.  The host's speed swings by up
+# to 1.5x from one run of such a table to the next.
 #
 # On the round path, the last sweeps of a search redo work that one
 # all-pairs Newton step can do once the working matrix W is nearly diagonal:

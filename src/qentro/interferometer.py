@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .entropy import BITS, EntropyResult, shannon
-from .errors import ImpossibleOutcome, NonFinite, NonpositiveN, NonpositiveWavelength, QentroError
+from .errors import QentroError
 from .montecarlo import seeded
 
 ABSORBED = "absorbed"
@@ -108,7 +108,7 @@ def posterior_springy(prior: float, outcome: str) -> float:
     """Posterior probability that the mirror is springy given one outcome,
     by Bayes' rule over the rigid/springy conditional distributions.
 
-    Raises ``ImpossibleOutcome`` when the prior assigns the outcome zero
+    Raises ``QentroError`` when the prior assigns the outcome zero
     probability.  An absorption is conclusive (the rigid arrangement never
     absorbs), as is a D2 click.
     """
@@ -117,14 +117,14 @@ def posterior_springy(prior: float, outcome: str) -> float:
         raise QentroError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
     posterior = mirror._posterior(outcome)
     if posterior is None:
-        raise ImpossibleOutcome(f"outcome {outcome!r} has probability 0 at prior {prior!r}")
+        raise QentroError(f"outcome {outcome!r} has probability 0 at prior {prior!r}")
     return posterior
 
 
 def simulate_photons(mirror: MirrorModel, count: int, rng: np.random.Generator) -> dict:
     """Multinomial photon counts per outcome; deterministic given the seed."""
     if count < 1:
-        raise NonpositiveN(f"photon count must be >= 1, got {count!r}")
+        raise QentroError(f"photon count must be >= 1, got {count!r}")
     draws = rng.multinomial(count, outcome_distribution(mirror).as_array())
     return dict(zip(OUTCOMES, (int(c) for c in draws)))
 
@@ -139,7 +139,7 @@ def simulate_latent_mirror(prior: float, count: int, rng: np.random.Generator) -
     D1 clicks estimates the Bayes posterior empirically.
     """
     if count < 1:
-        raise NonpositiveN(f"photon count must be >= 1, got {count!r}")
+        raise QentroError(f"photon count must be >= 1, got {count!r}")
     # numpy's multinomial gives the last cell whatever the others leave; in
     # this order that is springy D2, so rounding never puts a photon in a
     # cell of probability 0
@@ -152,9 +152,9 @@ def mirror_position_uncertainty(wavelength: float) -> float:
     """Lower bound ``lambda / (4 pi)`` on the position spread of a mirror
     that must register a photon of the given wavelength."""
     if not math.isfinite(wavelength):
-        raise NonFinite(f"wavelength must be finite, got {wavelength!r}")
+        raise QentroError(f"wavelength must be finite, got {wavelength!r}")
     if wavelength <= 0:
-        raise NonpositiveWavelength(f"wavelength must be positive, got {wavelength!r}")
+        raise QentroError(f"wavelength must be positive, got {wavelength!r}")
     return wavelength / (4.0 * math.pi)
 
 

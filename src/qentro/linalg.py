@@ -11,7 +11,7 @@ where a spectrum is owned: ``states.DensityMatrix`` and
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
+from .errors import QentroError
 
 # Tolerance table: every threshold the package applies, each named once.
 DEFAULT_TOL = 1e-10  # Hermiticity, unit trace and norm, positivity, probabilities
@@ -32,9 +32,9 @@ def as_matrix(m) -> np.ndarray:
     """
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        raise QentroError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise NonFinite("matrix entries must be finite (no NaN/Inf)")
+        raise QentroError("matrix entries must be finite (no NaN/Inf)")
     return a
 
 

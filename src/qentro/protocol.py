@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFinite, NonpositiveN, QentroError
+from .errors import QentroError
 from .montecarlo import RateEstimate, seeded, thin
 
 HALF_PI = math.pi / 2.0
@@ -46,7 +46,7 @@ class HiddenQubitSource:
         returns the count of 0 outcomes, a binomial draw with success
         probability cos^2(theta - basis_angle)."""
         if shots < 1:
-            raise NonpositiveN(f"shots must be >= 1, got {shots!r}")
+            raise QentroError(f"shots must be >= 1, got {shots!r}")
         rng = seeded(self._seed, int(stream))
         self.copies_used += shots
         p_zero = math.cos(self._theta - basis_angle) ** 2
@@ -61,7 +61,7 @@ class QuantizationGrid:
 
     def __post_init__(self):
         if self.levels < 2:
-            raise NonpositiveN(f"grid needs at least 2 levels, got {self.levels!r}")
+            raise QentroError(f"grid needs at least 2 levels, got {self.levels!r}")
 
     @property
     def hypotheses(self) -> np.ndarray:
@@ -88,7 +88,7 @@ def estimate_theta_bruteforce(
     is what the source counted for this estimate.
     """
     if shots_per_hypothesis < 1:
-        raise NonpositiveN(f"shots_per_hypothesis must be >= 1, got {shots_per_hypothesis!r}")
+        raise QentroError(f"shots_per_hypothesis must be >= 1, got {shots_per_hypothesis!r}")
     hypotheses = grid.hypotheses
     shots = shots_per_hypothesis
     spent = source.copies_used
@@ -127,7 +127,7 @@ def estimate_theta_adaptive(
     if not target_halfwidth > 0:  # also rejects NaN
         raise QentroError(f"target halfwidth must be positive, got {target_halfwidth!r}")
     if confidence_shots < 1:
-        raise NonpositiveN(f"confidence_shots must be >= 1, got {confidence_shots!r}")
+        raise QentroError(f"confidence_shots must be >= 1, got {confidence_shots!r}")
     lo, hi = 0.0, HALF_PI
     spent = source.copies_used
     rounds = 0
@@ -156,9 +156,9 @@ class SignatureKey:
     def __init__(self, angles):
         arr = np.asarray(angles, dtype=float).reshape(-1)
         if arr.size < 1:
-            raise LengthMismatch("a signature key needs at least one angle")
+            raise QentroError("a signature key needs at least one angle")
         if np.isnan(arr).any():
-            raise NonFinite("key angles must not be NaN")
+            raise QentroError("key angles must not be NaN")
         if arr.min() < 0.0 or arr.max() > HALF_PI:
             raise QentroError("key angles must lie in [0, pi/2]")
         arr.setflags(write=False)
@@ -167,7 +167,7 @@ class SignatureKey:
     @classmethod
     def uniform(cls, n: int, angle: float = math.pi / 4.0) -> "SignatureKey":
         if n < 1:
-            raise LengthMismatch("a signature key needs at least one angle")
+            raise QentroError("a signature key needs at least one angle")
         return cls(np.full(n, angle))
 
     @property
@@ -186,7 +186,7 @@ def verify_signature(key: SignatureKey, prepared_angles, rng: np.random.Generato
     photon is aligned with its verification basis)."""
     prepared = np.asarray(prepared_angles, dtype=float).reshape(-1)
     if prepared.size != key.length:
-        raise LengthMismatch(f"stream length {prepared.size} != key length {key.length}")
+        raise QentroError(f"stream length {prepared.size} != key length {key.length}")
     p_zero = np.cos(prepared - key.angles) ** 2
     return bool(np.all(rng.random(key.length) < p_zero))
 
@@ -241,7 +241,7 @@ def eve_attack_success(
     key passes each position with probability 1/2, so the acceptance rate
     is 2^-n."""
     if trials < 1:
-        raise NonpositiveN(f"trials must be >= 1, got {trials!r}")
+        raise QentroError(f"trials must be >= 1, got {trials!r}")
     successes = int(thin(trials, _pass_probabilities(key, strategy), rng)[-1])
     return AttackResult(strategy, trials, successes, attack_success_probability(key, strategy))
 

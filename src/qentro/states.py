@@ -17,16 +17,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatch,
-    IncompleteMeasurementSet,
-    NonFinite,
-    NotADensityMatrix,
-    NotNormalized,
-    NotUnitary,
-    QentroError,
-    WeightSumInvalid,
-)
+from .errors import QentroError
 from .linalg import DEFAULT_TOL, LOOSE_TOL, PART_LIMIT, ROUNDING_TOL
 
 
@@ -36,17 +27,17 @@ class PureState:
     def __init__(self, amplitudes):
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
         if amps.size < 2:
-            raise DimensionMismatch("a pure state needs at least 2 amplitudes")
+            raise QentroError("a pure state needs at least 2 amplitudes")
         # a unit vector has no amplitude above 1 in modulus; a larger part is
         # turned away before its square can overflow (a NaN part is the largest)
         largest = linalg.max_part(amps)
         if not math.isfinite(largest):
-            raise NonFinite("amplitudes must be finite (no NaN/Inf)")
+            raise QentroError("amplitudes must be finite (no NaN/Inf)")
         if largest > PART_LIMIT:
-            raise NotNormalized(f"amplitude part {largest!r} is above {PART_LIMIT}, so the norm is not 1")
+            raise QentroError(f"amplitude part {largest!r} is above {PART_LIMIT}, so the norm is not 1")
         norm_sq = float((np.abs(amps) ** 2).sum())
         if abs(norm_sq - 1.0) > DEFAULT_TOL:
-            raise NotNormalized(
+            raise QentroError(
                 f"squared norm {norm_sq!r} deviates from 1 by more than {DEFAULT_TOL}"
             )
         amps.setflags(write=False)
@@ -99,18 +90,18 @@ class DensityMatrix:
         # modulus; a larger part is turned away before the sums below can overflow
         largest = linalg.max_part(m)
         if largest > PART_LIMIT:
-            raise NotADensityMatrix(
+            raise QentroError(
                 f"entry part {largest!r} is above {PART_LIMIT}: not positive semidefinite with trace 1"
             )
         if linalg._hermitian_deviation(m) > DEFAULT_TOL:
-            raise NotADensityMatrix("matrix is not Hermitian within tolerance")
+            raise QentroError("matrix is not Hermitian within tolerance")
         m = (m + m.conj().T) / 2
         trace = float(m.trace().real)
         if abs(trace - 1.0) > DEFAULT_TOL:
-            raise NotADensityMatrix(f"trace {trace!r} is not 1 within tolerance")
+            raise QentroError(f"trace {trace!r} is not 1 within tolerance")
         eigs = np.linalg.eigvalsh(m)  # ascending
         if eigs[0] < -DEFAULT_TOL:
-            raise NotADensityMatrix(f"not positive semidefinite: eigenvalue {eigs[0]:.3e} < -{DEFAULT_TOL}")
+            raise QentroError(f"not positive semidefinite: eigenvalue {eigs[0]:.3e} < -{DEFAULT_TOL}")
         m.setflags(write=False)
         self._m = m
         self._eigs = eigs
@@ -169,14 +160,14 @@ class Ensemble:
         parts = self.pure_parts + ([] if self.mixed_part is None else [self.mixed_part])
         weights = [w for w, _ in parts]
         if any(w < -ROUNDING_TOL for w in weights):
-            raise WeightSumInvalid(f"negative weight in {weights}")
+            raise QentroError(f"negative weight in {weights}")
         total = sum(weights)
         if not abs(total - 1.0) <= DEFAULT_TOL:  # also rejects a NaN weight
-            raise WeightSumInvalid(f"weights sum to {total!r}, expected 1")
+            raise QentroError(f"weights sum to {total!r}, expected 1")
         # weights summing to 1 leave at least one component
         dims = [c.dim for _, c in parts]
         if len(set(dims)) != 1:
-            raise DimensionMismatch(f"ensemble components differ in dimension: {dims}")
+            raise QentroError(f"ensemble components differ in dimension: {dims}")
         self.dim = dims[0]
 
 
@@ -190,14 +181,14 @@ class MeasurementSet:
     def __init__(self, operators):
         ops = [linalg.as_matrix(op) for op in operators]
         if not ops:
-            raise IncompleteMeasurementSet("measurement set is empty")
+            raise QentroError("measurement set is empty")
         dim = ops[0].shape[0]
         if any(op.shape[0] != dim for op in ops):
-            raise DimensionMismatch("measurement operators differ in dimension")
+            raise QentroError("measurement operators differ in dimension")
         stacked = np.stack(ops)
         total = np.einsum("kji,kjl->il", stacked.conj(), stacked)
         if linalg.max_abs(total - np.eye(dim)) > LOOSE_TOL:
-            raise IncompleteMeasurementSet(
+            raise QentroError(
                 "operators do not satisfy sum_i M_i† M_i = I within tolerance"
             )
         self.operators = stacked
@@ -243,11 +234,11 @@ def evolve_unitary(state, u):
     ``U rho U†`` for density matrices.  Returns the same kind as the input."""
     u = linalg.as_matrix(u)
     if linalg._unitary_deviation(u) > LOOSE_TOL:
-        raise NotUnitary("matrix is not unitary within tolerance")
+        raise QentroError("matrix is not unitary within tolerance")
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
     if state.dim != u.shape[0]:
-        raise DimensionMismatch(f"state dim {state.dim} != unitary dim {u.shape[0]}")
+        raise QentroError(f"state dim {state.dim} != unitary dim {u.shape[0]}")
     if isinstance(state, PureState):
         # renormalize away the (<= LOOSE_TOL) drift allowed by the unitarity check
         return PureState._trusted_normalized(u @ state.amplitudes)
@@ -263,7 +254,7 @@ def measure_collapse(state: PureState, mset: MeasurementSet, rng: np.random.Gene
     outcome with probability 0 is never returned.
     """
     if state.dim != mset.dim:
-        raise DimensionMismatch(f"state dim {state.dim} != measurement dim {mset.dim}")
+        raise QentroError(f"state dim {state.dim} != measurement dim {mset.dim}")
     # clip rounding negatives to 0: np.clip(probs, 0.0, None) calls this
     # same ufunc, at a fraction of the per-call cost
     probs = np.maximum(mset.outcome_probabilities(state), 0.0)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidTheta, NonFinite, NonpositiveN, NotHermitian, QentroError
+from .errors import QentroError
 from .linalg import DEFAULT_TOL, ROUNDING_TOL
 from .montecarlo import RateEstimate, seeded, thin
 from .states import PureState
@@ -30,9 +30,9 @@ class Hamiltonian:
         # overflow; halving is exact for entries in the normal float range
         half = linalg.as_matrix(matrix) / 2
         if linalg.max_abs(half - half.conj().T) > DEFAULT_TOL / 2:
-            raise NotHermitian(f"Hamiltonian must be Hermitian within {DEFAULT_TOL}")
+            raise QentroError(f"Hamiltonian must be Hermitian within {DEFAULT_TOL}")
         if not math.isfinite(hbar):
-            raise NonFinite(f"hbar must be finite, got {hbar!r}")
+            raise QentroError(f"hbar must be finite, got {hbar!r}")
         if hbar <= 0:
             raise QentroError(f"hbar must be positive, got {hbar!r}")
         m = half + half.conj().T
@@ -57,7 +57,7 @@ def _finite_time(t) -> float:
     # every zeno function taking a time reads it here, before any arithmetic,
     # as a Python float, whose products overflow to inf without a numpy warning
     if not math.isfinite(t):
-        raise NonFinite(f"time t must be finite, got {t!r}")
+        raise QentroError(f"time t must be finite, got {t!r}")
     return float(t)
 
 
@@ -66,7 +66,7 @@ def _over_hbar(x: float, hbar_power: float, t, hbar: float) -> float:
     in Python floats, which overflow to inf or underflow to 0 without a
     warning, and refused when not finite, before numpy sees it."""
     if hbar_power == 0 or not math.isfinite(ratio := x / hbar_power):
-        raise NonFinite(f"t={t!r} and hbar={hbar!r} put E t / hbar out of floating-point range")
+        raise QentroError(f"t={t!r} and hbar={hbar!r} put E t / hbar out of floating-point range")
     return ratio
 
 
@@ -75,7 +75,7 @@ def evolve(h: Hamiltonian, t: float, psi0: PureState) -> PureState:
     eigendecomposition of H."""
     t = _finite_time(t)
     if h.dim != psi0.dim:
-        raise DimensionMismatch(f"Hamiltonian dim {h.dim} != state dim {psi0.dim}")
+        raise QentroError(f"Hamiltonian dim {h.dim} != state dim {psi0.dim}")
     w, v = h.eigen()
     _over_hbar(float(np.abs(w).max()) * abs(t), h.hbar, t, h.hbar)  # the largest phase
     phases = np.exp(-1j * w * t / h.hbar)
@@ -92,20 +92,24 @@ def survival_exact(h: Hamiltonian, t: float, psi0: PureState) -> float:
 def energy_variance(h: Hamiltonian, psi0: PureState) -> float:
     """``<H^2> - <H>^2`` in the given state (clamped at 0)."""
     if h.dim != psi0.dim:
-        raise DimensionMismatch(f"Hamiltonian dim {h.dim} != state dim {psi0.dim}")
+        raise QentroError(f"Hamiltonian dim {h.dim} != state dim {psi0.dim}")
+    # H scaled down by a power of two to entry parts below 1 cannot overflow
+    # the products; the scaling is exact, so ordinary inputs keep their bits
+    exp = max(math.frexp(linalg.max_part(h.matrix))[1], 0)
     amps = psi0.amplitudes
-    h_amps = h.matrix @ amps
+    h_amps = (h.matrix * math.ldexp(1.0, -exp)) @ amps
     mean = float(np.vdot(amps, h_amps).real)
     second = float(np.vdot(h_amps, h_amps).real)
-    return max(second - mean * mean, 0.0)
+    try:
+        return math.ldexp(max(second - mean * mean, 0.0), 2 * exp)
+    except OverflowError:
+        raise QentroError("energy variance of the state is out of floating-point range") from None
 
 
 def survival_second_order(h: Hamiltonian, t: float, psi0: PureState) -> float:
     """Short-time expansion ``1 - (dE)^2 t^2 / hbar^2`` of the survival
     probability; differs from the exact value by O(t^4)."""
-    t = _finite_time(t)
-    var = energy_variance(h, psi0)
-    return 1.0 - _over_hbar(var * t * t, h.hbar * h.hbar, t, h.hbar)
+    return zeno_survival(h, t, 1, psi0, "second_order")
 
 
 def zeno_survival(h: Hamiltonian, t: float, n: int, psi0: PureState, mode: str = "exact") -> float:
@@ -118,7 +122,7 @@ def zeno_survival(h: Hamiltonian, t: float, n: int, psi0: PureState, mode: str =
     """
     t = _finite_time(t)
     if n < 1:
-        raise NonpositiveN(f"observation count must be >= 1, got {n!r}")
+        raise QentroError(f"observation count must be >= 1, got {n!r}")
     if mode == "exact":
         return survival_exact(h, t / n, psi0) ** n
     if mode == "second_order":
@@ -140,25 +144,25 @@ class SteeringPlan:
 
     def __post_init__(self):
         if not 0.0 < self.theta_step <= HALF_PI:
-            raise InvalidTheta(f"step angle must be in (0, pi/2], got {self.theta_step!r}")
+            raise QentroError(f"step angle must be in (0, pi/2], got {self.theta_step!r}")
         if self.n_steps == 0:
             steps = HALF_PI / self.theta_step
             if not math.isfinite(steps):
-                raise InvalidTheta(
+                raise QentroError(
                     f"step angle {self.theta_step!r} rad is too small: pi/2 over it is not finite"
                 )
             object.__setattr__(self, "n_steps", max(int(round(steps)), 1))
         if self.n_steps < 1:
-            raise NonpositiveN(f"n_steps must be >= 1, got {self.n_steps!r}")
+            raise QentroError(f"n_steps must be >= 1, got {self.n_steps!r}")
         if abs(self.n_steps * self.theta_step - HALF_PI) > self.theta_step + ROUNDING_TOL:
-            raise InvalidTheta(
+            raise QentroError(
                 f"{self.n_steps} steps of {self.theta_step!r} rad miss pi/2 by more than one step"
             )
 
     @classmethod
     def from_steps(cls, n: int) -> "SteeringPlan":
         if n < 1:
-            raise NonpositiveN(f"n_steps must be >= 1, got {n!r}")
+            raise QentroError(f"n_steps must be >= 1, got {n!r}")
         return cls(theta_step=HALF_PI / n, n_steps=n)
 
 
@@ -191,7 +195,7 @@ def simulate_steering(plan: SteeringPlan, trials: int, rng: np.random.Generator)
     the forward ladder after each step.
     """
     if trials < 1:
-        raise NonpositiveN(f"trials must be >= 1, got {trials!r}")
+        raise QentroError(f"trials must be >= 1, got {trials!r}")
     p_forward = float(np.cos(plan.theta_step) ** 2)
     survivors = thin(trials, [p_forward] * plan.n_steps, rng)
     return SteeringResult(int(survivors[-1]), trials, survivors, steering_success_probability(plan))

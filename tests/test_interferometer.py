@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qentro.entropy import NATS
-from qentro.errors import ImpossibleOutcome, NonpositiveN, NonpositiveWavelength, QentroError
+from qentro.errors import QentroError
 from qentro.interferometer import (
     ABSORBED,
     D1,
@@ -61,21 +61,17 @@ def test_known_mirror_rejects_a_prior(kind, prior):
 
 
 @pytest.mark.parametrize(
-    "call, error, message",
+    "call, message",
     [
-        (lambda: MirrorModel("bogus"), QentroError, "unknown mirror kind 'bogus'"),
-        (lambda: posterior_springy(0.5, "bogus"), QentroError, "outcome must be one of"),
-        (lambda: posterior_springy(None, D1), QentroError, "prior must lie in [0, 1], got None"),
-        (
-            lambda: simulate_latent_mirror(0.5, 0, np.random.default_rng(0)),
-            NonpositiveN,
-            "photon count must be >= 1, got 0",
-        ),
+        (lambda: MirrorModel("bogus"), "unknown mirror kind 'bogus'"),
+        (lambda: posterior_springy(0.5, "bogus"), "outcome must be one of"),
+        (lambda: posterior_springy(None, D1), "prior must lie in [0, 1], got None"),
+        (lambda: simulate_latent_mirror(0.5, 0, np.random.default_rng(0)), "photon count must be >= 1, got 0"),
     ],
     ids=["kind", "outcome", "prior", "latent-count"],
 )
-def test_interferometer_rejects_bad_arguments(call, error, message):
-    with pytest.raises(error) as exc:
+def test_interferometer_rejects_bad_arguments(call, message):
+    with pytest.raises(QentroError) as exc:
         call()
     assert message in str(exc.value)
 
@@ -113,9 +109,9 @@ def test_posteriors_at_even_prior():
 
 
 def test_posterior_impossible_outcome():
-    with pytest.raises(ImpossibleOutcome):
+    with pytest.raises(QentroError, match="outcome 'absorbed' has probability 0 at prior 0.0"):
         posterior_springy(0.0, ABSORBED)
-    with pytest.raises(ImpossibleOutcome):
+    with pytest.raises(QentroError, match="outcome 'd2' has probability 0 at prior 0.0"):
         posterior_springy(0.0, D2)
 
 
@@ -178,7 +174,7 @@ def test_mirror_position_uncertainty():
     assert mirror_position_uncertainty(4 * math.pi) == pytest.approx(1.0, abs=1e-15)
     assert mirror_position_uncertainty(500e-9) == pytest.approx(3.9789e-8, rel=1e-4)
     assert mirror_position_uncertainty(1e-12) < 1e-12
-    with pytest.raises(NonpositiveWavelength):
+    with pytest.raises(QentroError, match="wavelength must be positive, got 0.0"):
         mirror_position_uncertainty(0.0)
 
 
@@ -202,5 +198,5 @@ def test_arrangement_rows_without_photons():
                 assert row[f"posterior_{outcome}"] == posterior_springy(0.3, outcome)
         else:
             assert posteriors == []
-    with pytest.raises(NonpositiveN):
+    with pytest.raises(QentroError, match="photon count must be >= 1, got -1"):
         arrangement_rows(MirrorModel.rigid(), photons=-1, seed=4)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qentro.errors import NonFinite
+from qentro.errors import QentroError
 from qentro.linalg import as_matrix, is_unitary, random_unitary
 
 
@@ -29,5 +29,5 @@ def test_as_matrix_rejects_non_finite_entries_as_domain_error():
     for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
         m = np.eye(2, dtype=complex)
         m[0, 1] = bad
-        with pytest.raises(NonFinite, match="finite"):
+        with pytest.raises(QentroError, match="matrix entries must be finite"):
             as_matrix(m)

@@ -8,7 +8,8 @@ nothing the library has computed.  The minimizer's round-robin tournament is bui
 ``entropy._schedule``, once per dimension.  Only the owners of a spectrum,
 ``states.DensityMatrix`` and ``zeno.Hamiltonian``, call an eigensolver.
 Every public function, class and method has a caller in the library, a demo
-or the benchmark."""
+or the benchmark, and every exception class an ``except`` clause in the
+library."""
 
 import ast
 import collections
@@ -127,3 +128,15 @@ def test_every_public_name_has_a_caller():
                 defined.update([top.name] + [name for name in methods if not name.startswith("_")])
     uncalled = sorted(name for name, count in defined.items() if uses[name] <= count)
     assert not uncalled, f"no caller outside the tests: {uncalled}"
+
+
+def test_every_exception_class_is_caught():
+    # a class that no except clause names is one that no caller tells apart
+    classes = {top.name for top in ast.parse((SRC / "errors.py").read_text()).body if isinstance(top, ast.ClassDef)}
+    caught = set()
+    for path in SRC.glob("*.py"):
+        for handler in ast.walk(ast.parse(path.read_text())):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                caught.update(getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(handler.type))
+    uncaught = sorted(classes - caught)
+    assert not uncaught, f"no except clause under src/qentro names: {uncaught}"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qentro.errors import NotADensityMatrix, ParseError
+from qentro.errors import ParseError, QentroError
 from qentro.serialize import (
     ensemble_from_json,
     load_json,
@@ -90,7 +90,7 @@ def test_ensemble_domain_errors_are_not_parse_errors():
             "matrix": {"dim": 2, "re": [[0.9, 0.0], [0.0, 0.9]], "im": [[0, 0], [0, 0]]},
         },
     }
-    with pytest.raises(NotADensityMatrix):
+    with pytest.raises(QentroError, match="trace 1.8 is not 1"):
         ensemble_from_json(obj)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qentro.errors import DimensionMismatch, InvalidTheta, NonFinite, NonpositiveN, NotHermitian, QentroError
+from qentro.errors import QentroError
 from qentro.linalg import random_unitary
 from qentro.states import MeasurementSet, PureState, measure_collapse
 from qentro.zeno import (
@@ -52,12 +52,12 @@ def test_hamiltonian_near_the_float_limit_stays_finite_or_is_rejected():
     assert h.matrix.tobytes() == near_limit.tobytes()
     w, _ = h.eigen()
     assert np.isfinite(w).all() and w[1] == pytest.approx(math.sqrt(2) * 1e308)
-    with pytest.raises(NotHermitian, match="Hermitian within"):
+    with pytest.raises(QentroError, match="Hermitian within"):
         Hamiltonian([[1e308, 1e308], [-1e308, 0]])
 
 
 def test_hamiltonian_validation():
-    with pytest.raises(NotHermitian):
+    with pytest.raises(QentroError, match="Hamiltonian must be Hermitian within"):
         Hamiltonian([[0, 1], [0, 0]])
     with pytest.raises(ValueError):
         Hamiltonian(np.eye(2), hbar=0.0)
@@ -85,7 +85,7 @@ def test_evolve_rabi_quarter_period():
 
 
 def test_evolve_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(QentroError, match="Hamiltonian dim 2 != state dim 3"):
         evolve(PAULI_X, 1.0, PureState([1, 0, 0]))
 
 
@@ -162,6 +162,18 @@ def test_energy_variance():
     assert energy_variance(Hamiltonian(np.diag([0.0, 2.0])), plus) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_energy_variance_of_a_huge_hamiltonian_is_finite_or_rejected():
+    # the products overflowed to inf, and inf - inf gave a silent NaN
+    assert energy_variance(Hamiltonian([[1e200, 0], [0, -1e200]]), ZERO) == 0.0
+    assert energy_variance(Hamiltonian([[1e-320, 0], [0, 0]]), ZERO) == 0.0
+    tilted = PureState([0.6, 0.8])
+    h = Hamiltonian([[1e150, 1e150], [1e150, -1e150]])
+    assert energy_variance(h, tilted) == pytest.approx(1.5376e300, rel=1e-12)
+    # the true variance, ~1.5e320, is above the largest float
+    with pytest.raises(QentroError, match="energy variance of the state is out of floating-point range"):
+        energy_variance(Hamiltonian([[1e160, 1e160], [1e160, -1e160]]), tilted)
+
+
 def test_survival_second_order_small_time():
     assert survival_second_order(PAULI_X, 0.0, ZERO) == 1.0
     approx = survival_second_order(PAULI_X, 0.01, ZERO)
@@ -196,7 +208,7 @@ def test_zeno_survival_reductions():
     assert zeno_survival(PAULI_X, t, 1, ZERO) == pytest.approx(
         survival_exact(PAULI_X, t, ZERO), abs=1e-12
     )
-    with pytest.raises(NonpositiveN):
+    with pytest.raises(QentroError, match="observation count must be >= 1, got 0"):
         zeno_survival(PAULI_X, t, 0, ZERO)
 
 
@@ -206,30 +218,30 @@ def test_zeno_survival_reductions():
         (lambda: zeno_survival(PAULI_X, 1.0, 3, ZERO, mode="bogus"), ValueError, "mode must be 'exact'"),
         (
             lambda: energy_variance(PAULI_X, PureState.basis_state(3, 0)),
-            DimensionMismatch,
+            QentroError,
             "Hamiltonian dim 2 != state dim 3",
         ),
-        (lambda: Hamiltonian(np.eye(2), hbar=math.nan), NonFinite, "hbar must be finite"),
-        (lambda: Hamiltonian(np.eye(2), hbar=math.inf), NonFinite, "hbar must be finite"),
+        (lambda: Hamiltonian(np.eye(2), hbar=math.nan), QentroError, "hbar must be finite"),
+        (lambda: Hamiltonian(np.eye(2), hbar=math.inf), QentroError, "hbar must be finite"),
         (lambda: Hamiltonian(np.eye(2), hbar=0.0), QentroError, "hbar must be positive"),
         (lambda: Hamiltonian(np.eye(2), hbar=-1.0), QentroError, "hbar must be positive"),
-        (lambda: evolve(PAULI_X, math.nan, ZERO), NonFinite, "time t must be finite"),
-        (lambda: evolve(PAULI_X, -math.inf, ZERO), NonFinite, "time t must be finite"),
-        (lambda: survival_exact(PAULI_X, math.inf, ZERO), NonFinite, "time t must be finite"),
-        (lambda: survival_second_order(PAULI_X, math.nan, ZERO), NonFinite, "time t must be finite"),
-        (lambda: zeno_survival(PAULI_X, math.nan, 3, ZERO), NonFinite, "time t must be finite"),
+        (lambda: evolve(PAULI_X, math.nan, ZERO), QentroError, "time t must be finite"),
+        (lambda: evolve(PAULI_X, -math.inf, ZERO), QentroError, "time t must be finite"),
+        (lambda: survival_exact(PAULI_X, math.inf, ZERO), QentroError, "time t must be finite"),
+        (lambda: survival_second_order(PAULI_X, math.nan, ZERO), QentroError, "time t must be finite"),
+        (lambda: zeno_survival(PAULI_X, math.nan, 3, ZERO), QentroError, "time t must be finite"),
         (
             lambda: zeno_survival(PAULI_X, math.inf, 3, ZERO, "second_order"),
-            NonFinite,
+            QentroError,
             "time t must be finite",
         ),
         # finite t and hbar whose phase E t / hbar overflows, or whose hbar^2 underflows to 0
-        (lambda: evolve(Hamiltonian([[0, 10], [10, 0]]), 1e308, ZERO), NonFinite, "t=1e\\+308 and hbar=1.0"),
-        (lambda: survival_exact(pauli_x(1e-320), 1.0, ZERO), NonFinite, "hbar=1e-320"),
-        (lambda: survival_second_order(PAULI_X, 1e200, ZERO), NonFinite, "t=1e\\+200 and hbar=1.0"),
-        (lambda: zeno_survival(PAULI_X, 1e200, 3, ZERO, "second_order"), NonFinite, "t=1e\\+200"),
-        (lambda: survival_second_order(pauli_x(1e-200), 1.0, ZERO), NonFinite, "hbar=1e-200"),
-        (lambda: zeno_survival(pauli_x(1e-200), 1.0, 3, ZERO, "second_order"), NonFinite, "hbar=1e-200"),
+        (lambda: evolve(Hamiltonian([[0, 10], [10, 0]]), 1e308, ZERO), QentroError, "t=1e\\+308 and hbar=1.0"),
+        (lambda: survival_exact(pauli_x(1e-320), 1.0, ZERO), QentroError, "hbar=1e-320"),
+        (lambda: survival_second_order(PAULI_X, 1e200, ZERO), QentroError, "t=1e\\+200 and hbar=1.0"),
+        (lambda: zeno_survival(PAULI_X, 1e200, 3, ZERO, "second_order"), QentroError, "t=1e\\+200"),
+        (lambda: survival_second_order(pauli_x(1e-200), 1.0, ZERO), QentroError, "hbar=1e-200"),
+        (lambda: zeno_survival(pauli_x(1e-200), 1.0, 3, ZERO, "second_order"), QentroError, "hbar=1e-200"),
     ],
     ids=[
         "survival-mode",
@@ -295,18 +307,18 @@ def test_zeno_survival_nondecreasing_in_n():
 def test_steering_plan_construction():
     assert SteeringPlan(math.pi / 4).n_steps == 2
     assert SteeringPlan.from_steps(90).theta_step == pytest.approx(math.radians(1.0))
-    with pytest.raises(InvalidTheta):
+    with pytest.raises(QentroError, match=r"step angle must be in \(0, pi/2\], got 0.0"):
         SteeringPlan(0.0)
-    with pytest.raises(InvalidTheta):
+    with pytest.raises(QentroError, match=r"step angle must be in \(0, pi/2\], got 2.0"):
         SteeringPlan(2.0)
-    with pytest.raises(InvalidTheta):
+    with pytest.raises(QentroError, match=r"7 steps of 0\.785\d* rad miss pi/2 by more than one step"):
         SteeringPlan(math.pi / 4, n_steps=7)  # misses the quarter turn
 
 
 @pytest.mark.parametrize("theta", [1e-310, 5e-324])
 def test_steering_plan_rejects_a_step_too_small_to_count(theta):
     # pi/2 over a subnormal step overflows to inf before it is rounded
-    with pytest.raises(InvalidTheta, match=repr(theta)):
+    with pytest.raises(QentroError, match=f"step angle {theta!r} rad is too small"):
         SteeringPlan(theta)
 
 
