@@ -13,6 +13,9 @@ from qentro.interferometer import (
     ABSORBED,
     D1,
     D2,
+    RIGID,
+    SPRINGY,
+    UNKNOWN,
     MirrorModel,
     arrangement_entropy,
     mirror_position_uncertainty,
@@ -26,11 +29,11 @@ rng = np.random.default_rng(11)
 
 print("arrangement   p(absorbed)  p(D1)   p(D2)   entropy [bits]")
 print("-" * 60)
-for mirror in (MirrorModel.rigid(), MirrorModel.springy(), MirrorModel.unknown(0.5)):
+for mirror in (MirrorModel(RIGID), MirrorModel(SPRINGY), MirrorModel(UNKNOWN, 0.5)):
     dist = outcome_distribution(mirror)
     label = mirror.kind if mirror.prior_springy is None else f"{mirror.kind}(q=0.5)"
     print(
-        f"{label:<13} {dist.p_absorbed:^11.3f}  {dist.p_d1:<6.3f}  {dist.p_d2:<6.3f}"
+        f"{label:<13} {dist[ABSORBED]:^11.3f}  {dist[D1]:<6.3f}  {dist[D2]:<6.3f}"
         f"  {arrangement_entropy(mirror).value:.3f}"
     )
 
@@ -45,7 +48,7 @@ print("a D1 click actually *lowers* the odds to 1/5.")
 print()
 photons = 100_000
 print(f"Monte Carlo with {photons} photons per arrangement (seeded):")
-for mirror in (MirrorModel.springy(), MirrorModel.unknown(0.5)):
+for mirror in (MirrorModel(SPRINGY), MirrorModel(UNKNOWN, 0.5)):
     counts = simulate_photons(mirror, photons, rng)
     label = mirror.kind if mirror.prior_springy is None else f"{mirror.kind}(q=0.5)"
     print(f"  {label:<13} {counts}")

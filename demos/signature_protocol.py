@@ -23,7 +23,6 @@ from qentro.protocol import (
     estimate_theta_adaptive,
     estimate_theta_bruteforce,
     eve_attack_success,
-    honest_stream,
     verify_signature,
 )
 
@@ -58,7 +57,7 @@ print("--- Signature verification ---")
 rng = np.random.default_rng(7)
 key = SignatureKey(rng.uniform(0, math.pi / 2, size=10))
 verifier = np.random.default_rng(8)
-accepted = sum(verify_signature(key, honest_stream(key), verifier) for _ in range(1000))
+accepted = sum(verify_signature(key, key.angles, verifier) for _ in range(1000))
 print(f"honest signer accepted {accepted}/1000 times (aligned bases always read 0)")
 
 print()

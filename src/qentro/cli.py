@@ -128,11 +128,8 @@ def _cmd_mzi(args) -> list[dict]:
     if args.photons < 0:
         raise ParseError(f"--photons must be >= 0, got {args.photons}")
     _check_work("--photons", args.photons, "photons")
-    if args.prior is None and args.arrangement == mzi.UNKNOWN:
-        mirror = mzi.MirrorModel.unknown()  # at its default prior
-    else:
-        # the model rejects a prior given to a rigid or springy mirror
-        mirror = mzi.MirrorModel(args.arrangement, args.prior)
+    # the model rejects a prior given to a rigid or springy mirror
+    mirror = mzi.MirrorModel(args.arrangement, args.prior)
     return mzi.arrangement_rows(mirror, args.photons, args.seed)
 
 

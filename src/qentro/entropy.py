@@ -94,6 +94,10 @@ def shannon(probs, base: str = BITS) -> EntropyResult:
         raise QentroError("probabilities must be finite (no NaN/Inf)")
     if p.min() < -DEFAULT_TOL:
         raise QentroError(f"negative probability {p.min()!r}")
+    # checked before the sum, which entries near the float limit overflow; with
+    # no entry below -DEFAULT_TOL, an entry this far above 1 puts the sum out too
+    if p.max() > 1.0 + p.size * DEFAULT_TOL:
+        raise QentroError(f"probability {float(p.max())!r} is above 1")
     total = float(p.sum())
     if abs(total - 1.0) > DEFAULT_TOL:
         raise QentroError(f"probabilities sum to {total!r}, expected 1")
@@ -126,11 +130,18 @@ def differential_entropy(grid, density, base: str = NATS) -> EntropyResult:
     if f.min() < -ROUNDING_TOL:
         raise QentroError(f"density has negative value {f.min()!r}")
     f = np.clip(f, 0.0, None)
-    total = float(np.trapezoid(f, x))
+    # the trapezoid rule on per-point masses, f times half of each step beside
+    # the point: a density near the float limit on a fine grid overflows
+    # neither sum, as f[i] + f[i + 1] and f log f did
+    weights = np.zeros_like(x)
+    weights[:-1] += steps / 2
+    weights[1:] += steps / 2
+    mass = f * weights
+    total = float(mass.sum())
     if abs(total - 1.0) > INTEGRAL_TOL:
         raise QentroError(f"density integrates to {total!r}, expected 1 within 1e-6")
-    integrand = np.where(f > 0, -f * _log(np.where(f > 0, f, 1.0), base), 0.0)
-    return EntropyResult(float(np.trapezoid(integrand, x)), base)
+    # 0.0 minus the sum, so a zero entropy is never -0.0
+    return EntropyResult(0.0 - float((mass * _log(np.where(f > 0, f, 1.0), base)).sum()), base)
 
 
 def quantized_entropy(h: EntropyResult, delta_x: float) -> EntropyResult:
@@ -270,9 +281,8 @@ def bound_row(area_planck_units: float) -> dict:
 # 1.95x, d5 1.42x and 1.25x, d6 0.93x and 0.88x, d7 0.83x and 0.77x, d8
 # 0.59x and 0.61x, d10 0.34x and 0.40x.  Rounds win from d6 on; the bound
 # stays at 8, as moving it changes the output at d6 and d7, which no
-# benchmark workload runs.  Earlier, without Newton steps: d16 14.1 -> 2.4
-# ms, d32 119 -> 9.1 ms, d64 1200 -> 83 ms.  The host's speed swings by up
-# to 1.5x from one run of such a table to the next.
+# benchmark workload runs.  The host's speed swings by up to 1.5x from one
+# run of such a table to the next.
 #
 # On the round path, the last sweeps of a search redo work that one
 # all-pairs Newton step can do once the working matrix W is nearly diagonal:

@@ -39,9 +39,10 @@ _LIKELIHOOD = ((0.0, 1.0, 0.0), (0.5, 0.25, 0.25))
 @dataclass(frozen=True)
 class MirrorModel:
     """Mirror arrangement: rigid, springy, or springy with probability
-    ``prior_springy``, which only the unknown kind takes.  ``joint``, built
-    here once, is its law: the module docstring's table, which every reader
-    of the law reads and which equality, hashing and the repr ignore."""
+    ``prior_springy``, which only the unknown kind takes, 0.5 when not given.
+    ``joint``, built here once, is its law: the module docstring's table,
+    which every reader of the law reads and which equality, hashing and the
+    repr ignore."""
 
     kind: str
     prior_springy: Optional[float] = None
@@ -51,7 +52,9 @@ class MirrorModel:
         if self.kind not in (RIGID, SPRINGY, UNKNOWN):
             raise QentroError(f"unknown mirror kind {self.kind!r}")
         if self.kind == UNKNOWN:
-            if self.prior_springy is None or not 0.0 <= self.prior_springy <= 1.0:
+            if self.prior_springy is None:
+                object.__setattr__(self, "prior_springy", 0.5)
+            if not 0.0 <= self.prior_springy <= 1.0:
                 raise QentroError(f"prior must lie in [0, 1], got {self.prior_springy!r}")
         elif self.prior_springy is not None:
             raise QentroError(f"a {self.kind} mirror takes no prior, got {self.prior_springy!r}")
@@ -66,42 +69,18 @@ class MirrorModel:
         rigid, springy = (row[OUTCOMES.index(outcome)] for row in self.joint)
         return springy / (rigid + springy) if rigid + springy else None
 
-    @classmethod
-    def rigid(cls) -> "MirrorModel":
-        return cls(RIGID)
 
-    @classmethod
-    def springy(cls) -> "MirrorModel":
-        return cls(SPRINGY)
-
-    @classmethod
-    def unknown(cls, prior_springy: float = 0.5) -> "MirrorModel":
-        return cls(UNKNOWN, prior_springy)
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Probabilities of the three detection outcomes."""
-
-    p_absorbed: float
-    p_d1: float
-    p_d2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_absorbed, self.p_d1, self.p_d2])
-
-
-def outcome_distribution(mirror: MirrorModel) -> OutcomeDistribution:
-    """Outcome probabilities for an arrangement: the column sums of its
-    joint table, so the unknown case is the prior-weighted mixture of the
-    rigid and springy cases."""
-    return OutcomeDistribution(*(r + s for r, s in zip(*mirror.joint)))
+def outcome_distribution(mirror: MirrorModel) -> dict:
+    """Outcome probabilities for an arrangement, keyed by ``OUTCOMES``: the
+    column sums of its joint table, so the unknown case is the
+    prior-weighted mixture of the rigid and springy cases."""
+    return dict(zip(OUTCOMES, (r + s for r, s in zip(*mirror.joint))))
 
 
 def arrangement_entropy(mirror: MirrorModel, base: str = BITS) -> EntropyResult:
     """Shannon entropy of the click distribution (zero-probability outcomes
     contribute nothing, so the rigid arrangement scores exactly 0)."""
-    return shannon(outcome_distribution(mirror).as_array(), base)
+    return shannon(list(outcome_distribution(mirror).values()), base)
 
 
 def posterior_springy(prior: float, outcome: str) -> float:
@@ -125,7 +104,7 @@ def simulate_photons(mirror: MirrorModel, count: int, rng: np.random.Generator) 
     """Multinomial photon counts per outcome; deterministic given the seed."""
     if count < 1:
         raise QentroError(f"photon count must be >= 1, got {count!r}")
-    draws = rng.multinomial(count, outcome_distribution(mirror).as_array())
+    draws = rng.multinomial(count, list(outcome_distribution(mirror).values()))
     return dict(zip(OUTCOMES, (int(c) for c in draws)))
 
 
@@ -163,14 +142,11 @@ def arrangement_rows(mirror: MirrorModel, photons: int, seed: int) -> list[dict]
     for the unknown arrangement the posterior after each outcome (empty for
     an outcome the prior makes impossible), and, unless ``photons`` is 0,
     photon counts simulated from ``seed``."""
-    dist = outcome_distribution(mirror)
     row = {
         "arrangement": mirror.kind,
         "prior": "" if mirror.prior_springy is None else mirror.prior_springy,
-        "p_absorbed": dist.p_absorbed,
-        "p_d1": dist.p_d1,
-        "p_d2": dist.p_d2,
-        "entropy_bits": shannon(dist.as_array(), BITS).value,
+        **{f"p_{outcome}": p for outcome, p in outcome_distribution(mirror).items()},
+        "entropy_bits": arrangement_entropy(mirror).value,
         "seed": seed,
     }
     if mirror.kind == UNKNOWN:

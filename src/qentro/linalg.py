@@ -16,7 +16,7 @@ from .errors import QentroError
 # Tolerance table: every threshold the package applies, each named once.
 DEFAULT_TOL = 1e-10  # Hermiticity, unit trace and norm, positivity, probabilities
 LOOSE_TOL = 1e-9  # applied unitaries, completeness, bound slack
-ROUNDING_TOL = 1e-12  # negatives taken as zero, steering-plan slack, certificate's diagonal floor
+ROUNDING_TOL = 1e-12  # negatives taken as zero, certificate's diagonal floor
 GRID_TOL = 1e-9  # relative spacing error of a uniform grid
 INTEGRAL_TOL = 1e-6  # trapezoid integral of a tabulated density away from 1
 SWEEP_TOL = 1e-15  # relative drop below which the unitary minimizer stops sweeping

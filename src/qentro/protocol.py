@@ -175,11 +175,6 @@ class SignatureKey:
         return self.angles.size
 
 
-def honest_stream(key: SignatureKey) -> np.ndarray:
-    """Preparation angles of a signer who knows the key."""
-    return key.angles.copy()
-
-
 def verify_signature(key: SignatureKey, prepared_angles, rng: np.random.Generator) -> bool:
     """Measure photon k in the basis of key angle k; accept iff every
     outcome is 0.  An honest stream is accepted with probability 1 (every

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import linalg
 from .errors import QentroError
-from .linalg import DEFAULT_TOL, ROUNDING_TOL
+from .linalg import DEFAULT_TOL
 from .montecarlo import RateEstimate, seeded, thin
 from .states import PureState
 
@@ -18,27 +18,21 @@ HALF_PI = math.pi / 2.0
 
 
 class Hamiltonian:
-    """Time-independent Hermitian generator with an explicit, positive and
-    finite hbar.
+    """Time-independent Hermitian generator, in units where hbar = 1.
 
     The matrix is validated and symmetrized once, here; its spectrum is
     computed on the first ``eigen()`` call and cached.
     """
 
-    def __init__(self, matrix, hbar: float = 1.0):
+    def __init__(self, matrix):
         # halved before the difference and the sum below, which then cannot
         # overflow; halving is exact for entries in the normal float range
         half = linalg.as_matrix(matrix) / 2
         if linalg.max_abs(half - half.conj().T) > DEFAULT_TOL / 2:
             raise QentroError(f"Hamiltonian must be Hermitian within {DEFAULT_TOL}")
-        if not math.isfinite(hbar):
-            raise QentroError(f"hbar must be finite, got {hbar!r}")
-        if hbar <= 0:
-            raise QentroError(f"hbar must be positive, got {hbar!r}")
         m = half + half.conj().T
         m.setflags(write=False)
         self.matrix = m
-        self.hbar = float(hbar)
         self._eigen = None
 
     @property
@@ -61,24 +55,24 @@ def _finite_time(t) -> float:
     return float(t)
 
 
-def _over_hbar(x: float, hbar_power: float, t, hbar: float) -> float:
-    """``x / hbar_power``, with ``x`` a product of energies and times; computed
-    in Python floats, which overflow to inf or underflow to 0 without a
-    warning, and refused when not finite, before numpy sees it."""
-    if hbar_power == 0 or not math.isfinite(ratio := x / hbar_power):
-        raise QentroError(f"t={t!r} and hbar={hbar!r} put E t / hbar out of floating-point range")
-    return ratio
+def _finite_phase(x: float, t) -> float:
+    """``x``, a product of energies and times computed in Python floats,
+    which overflow to inf without a warning; refused when not finite,
+    before numpy sees it."""
+    if not math.isfinite(x):
+        raise QentroError(f"t={t!r} puts E t out of floating-point range")
+    return x
 
 
 def evolve(h: Hamiltonian, t: float, psi0: PureState) -> PureState:
-    """Propagate ``exp(-i H t / hbar)|psi0>`` exactly via the
-    eigendecomposition of H."""
+    """Propagate ``exp(-i H t)|psi0>`` exactly via the eigendecomposition
+    of H."""
     t = _finite_time(t)
     if h.dim != psi0.dim:
         raise QentroError(f"Hamiltonian dim {h.dim} != state dim {psi0.dim}")
     w, v = h.eigen()
-    _over_hbar(float(np.abs(w).max()) * abs(t), h.hbar, t, h.hbar)  # the largest phase
-    phases = np.exp(-1j * w * t / h.hbar)
+    _finite_phase(float(np.abs(w).max()) * abs(t), t)  # the largest phase
+    phases = np.exp(-1j * w * t)
     amps = v @ (phases * (v.conj().T @ psi0.amplitudes))
     return PureState._trusted_normalized(amps)
 
@@ -106,19 +100,15 @@ def energy_variance(h: Hamiltonian, psi0: PureState) -> float:
         raise QentroError("energy variance of the state is out of floating-point range") from None
 
 
-def survival_second_order(h: Hamiltonian, t: float, psi0: PureState) -> float:
-    """Short-time expansion ``1 - (dE)^2 t^2 / hbar^2`` of the survival
-    probability; differs from the exact value by O(t^4)."""
-    return zeno_survival(h, t, 1, psi0, "second_order")
-
-
 def zeno_survival(h: Hamiltonian, t: float, n: int, psi0: PureState, mode: str = "exact") -> float:
     """Probability of still finding ``psi0`` after n projective observations
     spread over total time t (projective reset onto psi0 each step).
 
     ``exact`` compounds the per-interval survival, ``second_order`` uses the
-    linearized ``1 - (dE)^2 t^2 / (hbar^2 n)``; the gap between the two is
-    the term the linearization drops.  The exact mode tends to 1 as n grows.
+    linearized ``1 - (dE)^2 t^2 / n``, the short-time expansion, which at
+    n = 1 differs from the exact survival by O(t^4); the gap between the two
+    is the term the linearization drops.  The exact mode tends to 1 as n
+    grows.
     """
     t = _finite_time(t)
     if n < 1:
@@ -127,43 +117,32 @@ def zeno_survival(h: Hamiltonian, t: float, n: int, psi0: PureState, mode: str =
         return survival_exact(h, t / n, psi0) ** n
     if mode == "second_order":
         var = energy_variance(h, psi0)
-        return 1.0 - _over_hbar(var * t * t, h.hbar * h.hbar * n, t, h.hbar)
+        return 1.0 - _finite_phase(var * t * t, t) / n
     raise ValueError(f"mode must be 'exact' or 'second_order', got {mode!r}")
 
 
 @dataclass(frozen=True)
 class SteeringPlan:
-    """Rotate-by-theta-per-step measurement schedule covering a quarter turn.
-
-    ``n_steps`` defaults to ``round(pi / (2 theta))``; an explicit value must
-    keep ``n_steps * theta`` within one step of pi/2.
-    """
+    """Rotate-by-theta-per-step measurement schedule covering a quarter turn
+    in ``n_steps = round(pi / (2 theta))`` steps, at least one."""
 
     theta_step: float
-    n_steps: int = field(default=0)
+    n_steps: int = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.theta_step <= HALF_PI:
             raise QentroError(f"step angle must be in (0, pi/2], got {self.theta_step!r}")
-        if self.n_steps == 0:
-            steps = HALF_PI / self.theta_step
-            if not math.isfinite(steps):
-                raise QentroError(
-                    f"step angle {self.theta_step!r} rad is too small: pi/2 over it is not finite"
-                )
-            object.__setattr__(self, "n_steps", max(int(round(steps)), 1))
-        if self.n_steps < 1:
-            raise QentroError(f"n_steps must be >= 1, got {self.n_steps!r}")
-        if abs(self.n_steps * self.theta_step - HALF_PI) > self.theta_step + ROUNDING_TOL:
-            raise QentroError(
-                f"{self.n_steps} steps of {self.theta_step!r} rad miss pi/2 by more than one step"
-            )
+        steps = HALF_PI / self.theta_step
+        if not math.isfinite(steps):
+            raise QentroError(f"step angle {self.theta_step!r} rad is too small: pi/2 over it is not finite")
+        object.__setattr__(self, "n_steps", max(int(round(steps)), 1))
 
     @classmethod
     def from_steps(cls, n: int) -> "SteeringPlan":
+        # the plan rounds pi/2 over this angle back to n, for every n far past the CLI's work limit
         if n < 1:
             raise QentroError(f"n_steps must be >= 1, got {n!r}")
-        return cls(theta_step=HALF_PI / n, n_steps=n)
+        return cls(HALF_PI / n)
 
 
 def steering_success_probability(plan: SteeringPlan) -> float:

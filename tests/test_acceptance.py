@@ -25,7 +25,9 @@ from qentro.interferometer import (
     ABSORBED,
     D1,
     D2,
-    OUTCOMES,
+    RIGID,
+    SPRINGY,
+    UNKNOWN,
     MirrorModel,
     arrangement_entropy,
     outcome_distribution,
@@ -41,7 +43,6 @@ from qentro.protocol import (
     estimate_theta_adaptive,
     estimate_theta_bruteforce,
     eve_attack_success,
-    honest_stream,
     verify_signature,
 )
 from qentro.states import (
@@ -56,7 +57,6 @@ from qentro.zeno import (
     simulate_steering,
     steering_success_probability,
     survival_exact,
-    survival_second_order,
     zeno_survival,
 )
 from test_states import random_pure
@@ -161,20 +161,20 @@ def test_criterion_05_majorization_suite():
 
 def test_criterion_06_interferometer():
     t0 = time.perf_counter()
-    assert outcome_distribution(MirrorModel.rigid()).as_array().tolist() == [0, 1, 0]
-    assert outcome_distribution(MirrorModel.springy()).as_array().tolist() == [0.5, 0.25, 0.25]
-    unknown = MirrorModel.unknown(0.5)
-    assert outcome_distribution(unknown).as_array().tolist() == [0.25, 0.625, 0.125]
-    assert arrangement_entropy(MirrorModel.rigid(), BITS).value == 0.0
-    assert arrangement_entropy(MirrorModel.springy(), BITS).value == pytest.approx(1.5, abs=5e-4)
+    assert outcome_distribution(MirrorModel(RIGID)) == {ABSORBED: 0, D1: 1, D2: 0}
+    assert outcome_distribution(MirrorModel(SPRINGY)) == {ABSORBED: 0.5, D1: 0.25, D2: 0.25}
+    unknown = MirrorModel(UNKNOWN, 0.5)
+    assert outcome_distribution(unknown) == {ABSORBED: 0.25, D1: 0.625, D2: 0.125}
+    assert arrangement_entropy(MirrorModel(RIGID), BITS).value == 0.0
+    assert arrangement_entropy(MirrorModel(SPRINGY), BITS).value == pytest.approx(1.5, abs=5e-4)
     h_unknown = arrangement_entropy(unknown, BITS).value
     assert h_unknown == pytest.approx(1.299, abs=5e-4)
     assert posterior_springy(0.5, D2) == 1.0
     assert posterior_springy(0.5, D1) == 0.2
     photons = 100_000
-    for mirror in (MirrorModel.springy(), unknown):
+    for mirror in (MirrorModel(SPRINGY), unknown):
         counts = simulate_photons(mirror, photons, np.random.default_rng(606))
-        for outcome, p in zip(OUTCOMES, outcome_distribution(mirror).as_array()):
+        for outcome, p in outcome_distribution(mirror).items():
             sigma = math.sqrt(p * (1 - p) / photons)
             assert abs(counts[outcome] / photons - p) <= 3 * sigma
     _report(6, t0, 10.0, f"distributions exact; H(unknown)={h_unknown:.4f}; MC within 3 sigma")
@@ -209,7 +209,7 @@ def test_criterion_08_second_order_error_scaling():
         h = Hamiltonian([[a, c], [np.conjugate(c), b]])
         psi = random_pure(2, rng)
         disc = [
-            abs(survival_exact(h, t, psi) - survival_second_order(h, t, psi))
+            abs(survival_exact(h, t, psi) - zeno_survival(h, t, 1, psi, "second_order"))
             for t in (0.1, 0.05)
         ]
         if disc[0] >= 1e-13:
@@ -234,7 +234,7 @@ def test_criterion_09_signature_attack_and_honest_acceptance():
         ratios[n] = round(ratio, 3)
     key = SignatureKey.uniform(8)
     verifier = np.random.default_rng(910)
-    accepted = sum(verify_signature(key, honest_stream(key), verifier) for _ in range(10_000))
+    accepted = sum(verify_signature(key, key.angles, verifier) for _ in range(10_000))
     assert accepted == 10_000
     _report(9, t0, 60.0, f"rate*2^n {ratios}; honest acceptance 10000/10000")
 

@@ -394,6 +394,7 @@ def test_nan_json_input_exits_3(capsys, tmp_path, which, obj):
         (["unitary-min"], {"dim": 2, "re": [[0.5, 1e308], [1e308, 0.5]], "im": [[0, 0], [0, 0]]}, "semidefinite"),
         (["entropy", "--which", "von-neumann"], matrix_to_json(np.diag([1e308, -1e308, 1.0])), "semidefinite"),
         (["entropy", "--which", "pure"], {"amplitudes": [{"re": 1e200, "im": 0.0}, {"re": 1.0, "im": 0.0}]}, "norm"),
+        (["entropy", "--which", "shannon"], {"probs": [1e308, 1e308]}, "probability 1e+308 is above 1"),
     ],
 )
 def test_huge_finite_json_input_exits_3(capsys, tmp_path, argv, obj, invariant):
@@ -654,7 +655,7 @@ def test_mzi_prints_arrangement_rows(capsys, arrangement, photons):
     argv = ["mzi", "--arrangement", arrangement, "--photons", str(photons)]
     if arrangement == "unknown":
         argv += ["--prior", "0.3"]
-        mirror = interferometer.MirrorModel.unknown(0.3)
+        mirror = interferometer.MirrorModel(arrangement, 0.3)
     else:
         mirror = interferometer.MirrorModel(arrangement)
     assert cli_items(capsys, *argv) == lib_items(

@@ -64,6 +64,9 @@ def test_shannon_validates_distribution():
         shannon([0.5, 0.4])
     with pytest.raises(QentroError, match="negative probability"):
         shannon([1.2, -0.2])
+    # rejected before the sum, which overflowed with a numpy warning
+    with pytest.raises(QentroError, match=r"probability 1e\+308 is above 1"):
+        shannon([1e308, 1e308])
 
 
 def test_shannon_permutation_invariant_and_uniform_maximal():
@@ -123,6 +126,26 @@ def test_differential_rejects_a_grid_step_out_of_range(grid, message):
     # np.diff warned of an overflow, and the integral then came out inf
     with pytest.raises(QentroError, match=message):
         differential_entropy(grid, np.full(len(grid), 5e-309))
+
+
+def test_differential_density_near_the_float_limit():
+    # f[1:] + f[:-1] of the trapezoid rule overflowed, and f log f would next
+    h = differential_entropy([0.0, 5e-309, 1e-308], [1e308] * 3, NATS)
+    assert h.value == pytest.approx(math.log(1e-308), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: shannon([0.5, 0.5], "decibans"), ValueError, "log base must be 'bits' or 'nats', got 'decibans'"),
+        (lambda: shannon([]), QentroError, "empty probability vector"),
+        (lambda: differential_entropy([0.0], [1.0]), QentroError, "grid and density must share a length of at least 2"),
+    ],
+    ids=["base", "shannon-empty", "differential-one-point"],
+)
+def test_entropy_rejects_bad_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_differential_can_be_negative():

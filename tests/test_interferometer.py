@@ -9,7 +9,9 @@ from qentro.interferometer import (
     ABSORBED,
     D1,
     D2,
-    OUTCOMES,
+    RIGID,
+    SPRINGY,
+    UNKNOWN,
     MirrorModel,
     arrangement_entropy,
     arrangement_rows,
@@ -21,36 +23,45 @@ from qentro.interferometer import (
 )
 
 
+def probabilities(mirror):
+    return np.array(list(outcome_distribution(mirror).values()))
+
+
 def test_rigid_distribution():
-    dist = outcome_distribution(MirrorModel.rigid())
-    assert dist.as_array().tolist() == [0.0, 1.0, 0.0]
+    # keyed in OUTCOMES order, which the rows' columns and the multinomial draws follow
+    assert list(outcome_distribution(MirrorModel(RIGID)).items()) == [(ABSORBED, 0.0), (D1, 1.0), (D2, 0.0)]
 
 
 def test_springy_distribution():
-    dist = outcome_distribution(MirrorModel.springy())
-    assert dist.as_array().tolist() == [0.5, 0.25, 0.25]
+    assert list(outcome_distribution(MirrorModel(SPRINGY)).items()) == [(ABSORBED, 0.5), (D1, 0.25), (D2, 0.25)]
 
 
 def test_unknown_distribution_at_even_prior():
-    dist = outcome_distribution(MirrorModel.unknown(0.5))
-    assert dist.as_array().tolist() == [0.25, 0.625, 0.125]
+    dist = outcome_distribution(MirrorModel(UNKNOWN, 0.5))
+    assert list(dist.items()) == [(ABSORBED, 0.25), (D1, 0.625), (D2, 0.125)]
 
 
 def test_unknown_distribution_is_affine_in_prior():
-    springy = outcome_distribution(MirrorModel.springy()).as_array()
-    rigid = outcome_distribution(MirrorModel.rigid()).as_array()
+    springy = probabilities(MirrorModel(SPRINGY))
+    rigid = probabilities(MirrorModel(RIGID))
     for q in np.linspace(0.0, 1.0, 11):
-        blended = outcome_distribution(MirrorModel.unknown(q)).as_array()
+        blended = probabilities(MirrorModel(UNKNOWN, q))
         assert np.allclose(blended, q * springy + (1 - q) * rigid, atol=1e-15)
-    assert np.array_equal(outcome_distribution(MirrorModel.unknown(0.0)).as_array(), rigid)
-    assert np.array_equal(outcome_distribution(MirrorModel.unknown(1.0)).as_array(), springy)
+    assert np.array_equal(probabilities(MirrorModel(UNKNOWN, 0.0)), rigid)
+    assert np.array_equal(probabilities(MirrorModel(UNKNOWN, 1.0)), springy)
 
 
 def test_prior_validation():
-    with pytest.raises(QentroError):
-        MirrorModel.unknown(1.5)
-    with pytest.raises(QentroError):
-        MirrorModel.unknown(-0.1)
+    with pytest.raises(QentroError, match=r"prior must lie in \[0, 1\], got 1.5"):
+        MirrorModel(UNKNOWN, 1.5)
+    with pytest.raises(QentroError, match=r"prior must lie in \[0, 1\], got -0.1"):
+        MirrorModel(UNKNOWN, -0.1)
+
+
+def test_unknown_mirror_given_no_prior_takes_an_even_one():
+    assert MirrorModel(UNKNOWN) == MirrorModel(UNKNOWN, 0.5)
+    assert MirrorModel(UNKNOWN).joint == MirrorModel(UNKNOWN, 0.5).joint
+    assert posterior_springy(None, D1) == posterior_springy(0.5, D1) == 0.2
 
 
 @pytest.mark.parametrize("kind", ["rigid", "springy"])
@@ -65,10 +76,11 @@ def test_known_mirror_rejects_a_prior(kind, prior):
     [
         (lambda: MirrorModel("bogus"), "unknown mirror kind 'bogus'"),
         (lambda: posterior_springy(0.5, "bogus"), "outcome must be one of"),
-        (lambda: posterior_springy(None, D1), "prior must lie in [0, 1], got None"),
+        (lambda: posterior_springy(1.5, D1), "prior must lie in [0, 1], got 1.5"),
+        (lambda: MirrorModel(UNKNOWN, math.nan), "prior must lie in [0, 1], got nan"),
         (lambda: simulate_latent_mirror(0.5, 0, np.random.default_rng(0)), "photon count must be >= 1, got 0"),
     ],
-    ids=["kind", "outcome", "prior", "latent-count"],
+    ids=["kind", "outcome", "prior", "prior-nan", "latent-count"],
 )
 def test_interferometer_rejects_bad_arguments(call, message):
     with pytest.raises(QentroError) as exc:
@@ -77,10 +89,10 @@ def test_interferometer_rejects_bad_arguments(call, message):
 
 
 def test_mirror_model_holds_its_joint_table():
-    mirror = MirrorModel.unknown(0.5)
+    mirror = MirrorModel(UNKNOWN, 0.5)
     assert mirror.joint == ((0.0, 0.5, 0.0), (0.25, 0.125, 0.125))
-    assert MirrorModel.rigid().joint == ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0))
-    assert MirrorModel.springy().joint == ((0.0, 0.0, 0.0), (0.5, 0.25, 0.25))
+    assert MirrorModel(RIGID).joint == ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0))
+    assert MirrorModel(SPRINGY).joint == ((0.0, 0.0, 0.0), (0.5, 0.25, 0.25))
     # the table takes no part in equality, hashing or the repr
     assert mirror == MirrorModel("unknown", 0.5)
     assert hash(mirror) == hash(("unknown", 0.5))
@@ -88,15 +100,15 @@ def test_mirror_model_holds_its_joint_table():
 
 
 def test_arrangement_entropies():
-    assert arrangement_entropy(MirrorModel.rigid()).value == 0.0
-    assert arrangement_entropy(MirrorModel.springy()).value == pytest.approx(1.5, abs=1e-12)
-    assert arrangement_entropy(MirrorModel.unknown(0.5)).value == pytest.approx(1.299, abs=5e-4)
+    assert arrangement_entropy(MirrorModel(RIGID)).value == 0.0
+    assert arrangement_entropy(MirrorModel(SPRINGY)).value == pytest.approx(1.5, abs=1e-12)
+    assert arrangement_entropy(MirrorModel(UNKNOWN, 0.5)).value == pytest.approx(1.299, abs=5e-4)
     # the uncertain arrangement sits strictly between the two extremes
-    assert 0.0 < arrangement_entropy(MirrorModel.unknown(0.5)).value < 1.5
+    assert 0.0 < arrangement_entropy(MirrorModel(UNKNOWN, 0.5)).value < 1.5
 
 
 def test_arrangement_entropy_in_nats():
-    h = arrangement_entropy(MirrorModel.springy(), NATS)
+    h = arrangement_entropy(MirrorModel(SPRINGY), NATS)
     assert h.value == pytest.approx(1.5 * math.log(2.0), abs=1e-12)
 
 
@@ -118,41 +130,36 @@ def test_posterior_impossible_outcome():
 def test_posterior_total_probability():
     # sum_o p(o | prior) posterior(prior, o) must return the prior exactly
     for prior in (0.1, 0.5, 0.9):
-        dist = outcome_distribution(MirrorModel.unknown(prior)).as_array()
-        total = sum(
-            p * posterior_springy(prior, outcome)
-            for p, outcome in zip(dist, OUTCOMES)
-            if p > 0
-        )
+        dist = outcome_distribution(MirrorModel(UNKNOWN, prior))
+        total = sum(p * posterior_springy(prior, outcome) for outcome, p in dist.items() if p > 0)
         assert total == pytest.approx(prior, abs=1e-12)
 
 
 def test_simulate_rigid_all_d1():
-    counts = simulate_photons(MirrorModel.rigid(), 1000, np.random.default_rng(0))
+    counts = simulate_photons(MirrorModel(RIGID), 1000, np.random.default_rng(0))
     assert counts == {ABSORBED: 0, D1: 1000, D2: 0}
 
 
-@pytest.mark.parametrize("mirror", [MirrorModel.springy(), MirrorModel.unknown(0.5)])
+@pytest.mark.parametrize("mirror", [MirrorModel(SPRINGY), MirrorModel(UNKNOWN, 0.5)])
 def test_simulate_frequencies_within_3_sigma(mirror):
     photons = 100_000
     counts = simulate_photons(mirror, photons, np.random.default_rng(7))
-    expected = outcome_distribution(mirror).as_array()
-    for outcome, p in zip(OUTCOMES, expected):
+    for outcome, p in outcome_distribution(mirror).items():
         sigma = math.sqrt(p * (1 - p) / photons)
         assert abs(counts[outcome] / photons - p) <= 3 * sigma
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_simulate_a_single_photon(seed):
-    counts = simulate_photons(MirrorModel.unknown(0.5), 1, np.random.default_rng(seed))
+    counts = simulate_photons(MirrorModel(UNKNOWN, 0.5), 1, np.random.default_rng(seed))
     assert sorted(counts.values()) == [0, 0, 1]
     cells = simulate_latent_mirror(0.5, 1, np.random.default_rng(seed))
     assert sorted(cells.values()) == [0, 0, 0, 0, 0, 1]
 
 
 def test_simulate_deterministic_given_seed():
-    a = simulate_photons(MirrorModel.springy(), 5000, np.random.default_rng(13))
-    b = simulate_photons(MirrorModel.springy(), 5000, np.random.default_rng(13))
+    a = simulate_photons(MirrorModel(SPRINGY), 5000, np.random.default_rng(13))
+    b = simulate_photons(MirrorModel(SPRINGY), 5000, np.random.default_rng(13))
     assert a == b
 
 
@@ -179,16 +186,16 @@ def test_mirror_position_uncertainty():
 
 
 def test_arrangement_rows_schema():
-    rows = arrangement_rows(MirrorModel.unknown(0.5), photons=1000, seed=4)
+    rows = arrangement_rows(MirrorModel(UNKNOWN, 0.5), photons=1000, seed=4)
     assert len(rows) == 1
     row = rows[0]
     assert row["entropy_bits"] == pytest.approx(1.299, abs=5e-4)
     assert row["count_absorbed"] + row["count_d1"] + row["count_d2"] == 1000
-    assert arrangement_rows(MirrorModel.unknown(0.5), photons=1000, seed=4) == rows
+    assert arrangement_rows(MirrorModel(UNKNOWN, 0.5), photons=1000, seed=4) == rows
 
 
 def test_arrangement_rows_without_photons():
-    for mirror in (MirrorModel.rigid(), MirrorModel.springy(), MirrorModel.unknown(0.3)):
+    for mirror in (MirrorModel(RIGID), MirrorModel(SPRINGY), MirrorModel(UNKNOWN, 0.3)):
         (row,) = arrangement_rows(mirror, photons=0, seed=4)
         assert not any(key.startswith("count_") for key in row)
         posteriors = [key for key in row if key.startswith("posterior_")]
@@ -199,4 +206,4 @@ def test_arrangement_rows_without_photons():
         else:
             assert posteriors == []
     with pytest.raises(QentroError, match="photon count must be >= 1, got -1"):
-        arrangement_rows(MirrorModel.rigid(), photons=-1, seed=4)
+        arrangement_rows(MirrorModel(RIGID), photons=-1, seed=4)

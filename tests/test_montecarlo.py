@@ -74,8 +74,8 @@ def reference_latent_mirror(prior, count, rng):
     outcome for every photon."""
     springy = rng.random(count) < prior
     u = rng.random(count)
-    springy_edges = np.cumsum(outcome_distribution(MirrorModel.springy()).as_array())
-    rigid_edges = np.cumsum(outcome_distribution(MirrorModel.rigid()).as_array())
+    springy_edges = np.cumsum(list(outcome_distribution(MirrorModel(SPRINGY)).values()))
+    rigid_edges = np.cumsum(list(outcome_distribution(MirrorModel(RIGID)).values()))
     outcome_idx = np.where(
         springy,
         np.searchsorted(springy_edges, u, side="right"),
@@ -146,13 +146,12 @@ def test_latent_mirror_cells_match_the_per_photon_sampler():
     new = [simulate_latent_mirror(prior, photons, np.random.default_rng([s, 0])) for s in range(SEEDS)]
     old = [reference_latent_mirror(prior, photons, np.random.default_rng([s, 1])) for s in range(SEEDS)]
     for kind, weight in ((SPRINGY, prior), (RIGID, 1.0 - prior)):
-        dist = outcome_distribution(MirrorModel(kind)).as_array()
-        for outcome, p in zip(OUTCOMES, weight * dist):
+        for outcome, p in outcome_distribution(MirrorModel(kind)).items():
             cell = (kind, outcome)
             if p == 0.0:
                 assert all(counts[cell] == 0 for counts in new), cell
             else:
-                assert_same_law([c[cell] for c in new], [c[cell] for c in old], photons, p)
+                assert_same_law([c[cell] for c in new], [c[cell] for c in old], photons, weight * p)
 
 
 def test_chi2_check_tells_different_laws_apart():

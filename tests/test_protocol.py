@@ -15,7 +15,6 @@ from qentro.protocol import (
     estimate_theta_adaptive,
     estimate_theta_bruteforce,
     eve_attack_success,
-    honest_stream,
     verify_signature,
 )
 
@@ -136,6 +135,9 @@ def test_bruteforce_permutation_stable():
 def test_bruteforce_validates_shots():
     with pytest.raises(QentroError, match="shots_per_hypothesis must be >= 1, got 0"):
         estimate_theta_bruteforce(HiddenQubitSource(0.1), QuantizationGrid(4), 0)
+    # the source's own check, which the estimators' checks come before
+    with pytest.raises(QentroError, match="shots must be >= 1, got 0"):
+        HiddenQubitSource(0.1).measure_batch(0.0, 0, 0)
 
 
 def test_adaptive_reaches_target_near_zero():
@@ -216,14 +218,13 @@ def test_honest_verification_always_accepts():
     rng = np.random.default_rng(5)
     key = SignatureKey(rng.uniform(0, HALF_PI, size=12))
     verifier_rng = np.random.default_rng(6)
-    assert all(verify_signature(key, honest_stream(key), verifier_rng) for _ in range(200))
+    assert all(verify_signature(key, key.angles, verifier_rng) for _ in range(200))
 
 
 def test_tampered_position_always_rejects():
     key = SignatureKey.uniform(6, 0.3)
-    stream = honest_stream(key)
+    stream = key.angles.copy()
     stream[2] = 0.3 + HALF_PI  # orthogonal state at one position
-    stream = np.clip(stream, 0.0, None)  # keep array writable semantics clear
     rng = np.random.default_rng(8)
     rejections = sum(not verify_signature(key, stream, rng) for _ in range(1000))
     assert rejections == 1000

@@ -236,8 +236,9 @@ def test_evolve_unitary_errors():
             QentroError,
             "state dim 2 != measurement dim 3",
         ),
+        (lambda: DensityMatrix(np.ones((2, 3))), QentroError, r"expected a square matrix, got shape \(2, 3\)"),
     ],
-    ids=["empty-set", "mixed-dims", "evolve-density-dims", "evolve-non-state", "collapse-dims"],
+    ids=["empty-set", "mixed-dims", "evolve-density-dims", "evolve-non-state", "collapse-dims", "non-square"],
 )
 def test_states_reject_bad_arguments(call, error, message):
     with pytest.raises(error, match=message):

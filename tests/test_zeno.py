@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qentro.cli import WORK_LIMITS
 from qentro.errors import QentroError
 from qentro.linalg import random_unitary
 from qentro.states import MeasurementSet, PureState, measure_collapse
 from qentro.zeno import (
+    HALF_PI,
     Hamiltonian,
     SteeringPlan,
     energy_variance,
@@ -15,7 +17,6 @@ from qentro.zeno import (
     steering_success_probability,
     steering_sweep_rows,
     survival_exact,
-    survival_second_order,
     zeno_survival,
 )
 from test_states import overlap, random_pure
@@ -25,8 +26,9 @@ ZERO = PureState.basis_state(2, 0)
 ONE = PureState.basis_state(2, 1)
 
 
-def pauli_x(hbar):
-    return Hamiltonian(PAULI_X.matrix, hbar=hbar)
+def second_order(h, t, psi0):
+    # the short-time expansion 1 - (dE t)^2 of the survival probability
+    return zeno_survival(h, t, 1, psi0, "second_order")
 
 
 def random_two_level(rng):
@@ -59,8 +61,6 @@ def test_hamiltonian_near_the_float_limit_stays_finite_or_is_rejected():
 def test_hamiltonian_validation():
     with pytest.raises(QentroError, match="Hamiltonian must be Hermitian within"):
         Hamiltonian([[0, 1], [0, 0]])
-    with pytest.raises(ValueError):
-        Hamiltonian(np.eye(2), hbar=0.0)
 
 
 def test_evolve_zero_time_is_identity():
@@ -89,11 +89,6 @@ def test_evolve_dimension_mismatch():
         evolve(PAULI_X, 1.0, PureState([1, 0, 0]))
 
 
-def test_evolve_respects_hbar():
-    slow = Hamiltonian([[0, 1], [1, 0]], hbar=2.0)
-    assert survival_exact(slow, 1.0, ZERO) == pytest.approx(math.cos(0.5) ** 2, abs=1e-12)
-
-
 def test_survival_exact_rabi_oracle():
     # two-level closed form: |<0|exp(-iXt)|0>|^2 = cos^2 t
     for t in (0.0, 0.1, 0.7, 1.3, 2.9):
@@ -109,13 +104,13 @@ def test_evolve_preserves_norm():
         assert abs((np.abs(out.amplitudes) ** 2).sum() - 1.0) <= 1e-10
 
 
-@pytest.mark.parametrize("hbar", [1.0, 0.37, 2.5])
-def test_evolve_returns_a_state_the_constructor_accepts_unchanged(hbar):
+@pytest.mark.parametrize("scale", [1.0, 0.37, 2.5])
+def test_evolve_returns_a_state_the_constructor_accepts_unchanged(scale):
     # evolve normalizes its own amplitudes without validating them again
     rng = np.random.default_rng(41)
     for dim in (2, 5, 16, 32):
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = Hamiltonian(m + m.conj().T, hbar=hbar)
+        h = Hamiltonian((m + m.conj().T) / scale)
         psi = random_pure(dim, rng)
         for t in (-2.0, 0.0, 0.3, 1.7, 40.0):
             out = evolve(h, t, psi)
@@ -123,10 +118,10 @@ def test_evolve_returns_a_state_the_constructor_accepts_unchanged(hbar):
             assert not out.amplitudes.flags.writeable
 
 
-def degenerate_hamiltonian(hbar):
-    # U diag(1, 1, 2) U†: eigh may return any basis of the doubled eigenspace
+def degenerate_hamiltonian(scale):
+    # U diag(1, 1, 2) U† / scale: eigh may return any basis of the doubled eigenspace
     u = random_unitary(3, np.random.default_rng(19))
-    return u, Hamiltonian((u * [1.0, 1.0, 2.0]) @ u.conj().T, hbar=hbar)
+    return u, Hamiltonian((u * [1.0, 1.0, 2.0]) @ u.conj().T / scale)
 
 
 def random_qutrit(seed):
@@ -134,19 +129,19 @@ def random_qutrit(seed):
     return random_pure(3, rng)
 
 
-@pytest.mark.parametrize("hbar", [1.0, 0.5, 3.0])
-def test_evolve_is_independent_of_the_eigenvector_gauge(hbar):
-    u, h = degenerate_hamiltonian(hbar)
+@pytest.mark.parametrize("scale", [1.0, 0.5, 3.0])
+def test_evolve_is_independent_of_the_eigenvector_gauge(scale):
+    u, h = degenerate_hamiltonian(scale)
     psi = random_qutrit(29)
     for t in (-1.3, 0.0, 0.4, 2.0, 7.5):
-        phases = np.exp(-1j * np.array([1.0, 1.0, 2.0]) * t / hbar)
+        phases = np.exp(-1j * np.array([1.0, 1.0, 2.0]) / scale * t)
         expected = u @ (phases * (u.conj().T @ psi.amplitudes))
         assert np.abs(evolve(h, t, psi).amplitudes - expected).max() <= 1e-12
 
 
-@pytest.mark.parametrize("hbar", [1.0, 0.5, 3.0])
-def test_evolve_obeys_the_group_law(hbar):
-    _, h = degenerate_hamiltonian(hbar)
+@pytest.mark.parametrize("scale", [1.0, 0.5, 3.0])
+def test_evolve_obeys_the_group_law(scale):
+    _, h = degenerate_hamiltonian(scale)
     psi = random_qutrit(31)
     for t1, t2 in ((0.3, 0.9), (-1.1, 2.5), (4.0, -4.0)):
         direct = evolve(h, t1 + t2, psi).amplitudes
@@ -175,8 +170,8 @@ def test_energy_variance_of_a_huge_hamiltonian_is_finite_or_rejected():
 
 
 def test_survival_second_order_small_time():
-    assert survival_second_order(PAULI_X, 0.0, ZERO) == 1.0
-    approx = survival_second_order(PAULI_X, 0.01, ZERO)
+    assert second_order(PAULI_X, 0.0, ZERO) == 1.0
+    approx = second_order(PAULI_X, 0.01, ZERO)
     assert approx == pytest.approx(1.0 - 1e-4, abs=1e-15)
     assert abs(survival_exact(PAULI_X, 0.01, ZERO) - approx) < 1e-8
 
@@ -184,7 +179,7 @@ def test_survival_second_order_small_time():
 def test_survival_second_order_eigenstate():
     h = Hamiltonian(np.diag([0.0, 3.0]))
     for t in (0.1, 1.0, 10.0):
-        assert survival_second_order(h, t, ONE) == 1.0
+        assert second_order(h, t, ONE) == 1.0
 
 
 def test_second_order_discrepancy_is_fourth_order():
@@ -194,7 +189,7 @@ def test_second_order_discrepancy_is_fourth_order():
         h = random_two_level(rng)
         psi = random_pure(2, rng)
         disc = [
-            abs(survival_exact(h, t, psi) - survival_second_order(h, t, psi))
+            abs(survival_exact(h, t, psi) - second_order(h, t, psi))
             for t in (0.1, 0.05, 0.025)
         ]
         for coarse, fine in zip(disc, disc[1:]):
@@ -221,47 +216,35 @@ def test_zeno_survival_reductions():
             QentroError,
             "Hamiltonian dim 2 != state dim 3",
         ),
-        (lambda: Hamiltonian(np.eye(2), hbar=math.nan), QentroError, "hbar must be finite"),
-        (lambda: Hamiltonian(np.eye(2), hbar=math.inf), QentroError, "hbar must be finite"),
-        (lambda: Hamiltonian(np.eye(2), hbar=0.0), QentroError, "hbar must be positive"),
-        (lambda: Hamiltonian(np.eye(2), hbar=-1.0), QentroError, "hbar must be positive"),
         (lambda: evolve(PAULI_X, math.nan, ZERO), QentroError, "time t must be finite"),
         (lambda: evolve(PAULI_X, -math.inf, ZERO), QentroError, "time t must be finite"),
         (lambda: survival_exact(PAULI_X, math.inf, ZERO), QentroError, "time t must be finite"),
-        (lambda: survival_second_order(PAULI_X, math.nan, ZERO), QentroError, "time t must be finite"),
+        (lambda: second_order(PAULI_X, math.nan, ZERO), QentroError, "time t must be finite"),
         (lambda: zeno_survival(PAULI_X, math.nan, 3, ZERO), QentroError, "time t must be finite"),
+        (lambda: SteeringPlan.from_steps(0), QentroError, "n_steps must be >= 1, got 0"),
         (
             lambda: zeno_survival(PAULI_X, math.inf, 3, ZERO, "second_order"),
             QentroError,
             "time t must be finite",
         ),
-        # finite t and hbar whose phase E t / hbar overflows, or whose hbar^2 underflows to 0
-        (lambda: evolve(Hamiltonian([[0, 10], [10, 0]]), 1e308, ZERO), QentroError, "t=1e\\+308 and hbar=1.0"),
-        (lambda: survival_exact(pauli_x(1e-320), 1.0, ZERO), QentroError, "hbar=1e-320"),
-        (lambda: survival_second_order(PAULI_X, 1e200, ZERO), QentroError, "t=1e\\+200 and hbar=1.0"),
-        (lambda: zeno_survival(PAULI_X, 1e200, 3, ZERO, "second_order"), QentroError, "t=1e\\+200"),
-        (lambda: survival_second_order(pauli_x(1e-200), 1.0, ZERO), QentroError, "hbar=1e-200"),
-        (lambda: zeno_survival(pauli_x(1e-200), 1.0, 3, ZERO, "second_order"), QentroError, "hbar=1e-200"),
+        # a finite t whose phase E t overflows
+        (lambda: evolve(Hamiltonian([[0, 10], [10, 0]]), 1e308, ZERO), QentroError, "t=1e\\+308 puts E t"),
+        (lambda: second_order(PAULI_X, 1e200, ZERO), QentroError, "t=1e\\+200 puts E t"),
+        (lambda: zeno_survival(PAULI_X, 1e200, 3, ZERO, "second_order"), QentroError, "t=1e\\+200 puts E t"),
     ],
     ids=[
         "survival-mode",
         "variance-dims",
-        "hbar-nan",
-        "hbar-inf",
-        "hbar-zero",
-        "hbar-negative",
         "evolve-nan",
         "evolve-minus-inf",
         "survival-exact-inf",
         "second-order-nan",
         "zeno-exact-nan",
+        "plan-no-steps",
         "zeno-second-order-inf",
         "evolve-phase-overflow",
-        "survival-exact-subnormal-hbar",
         "second-order-phase-overflow",
         "zeno-second-order-phase-overflow",
-        "second-order-hbar-squared-underflow",
-        "zeno-second-order-hbar-squared-underflow",
     ],
 )
 def test_zeno_rejects_bad_arguments(call, error, message):
@@ -277,12 +260,6 @@ def test_zeno_survival_closed_form_n100():
 
 def test_zeno_survival_second_order_formula():
     assert zeno_survival(PAULI_X, 1.0, 10, ZERO, mode="second_order") == pytest.approx(0.9)
-
-
-def test_zeno_survival_second_order_divides_by_hbar_squared():
-    # (dE)^2 = 1 for sigma_x on |0>: 1 - t^2 / (hbar^2 n) at hbar = 2
-    h = Hamiltonian([[0, 1], [1, 0]], hbar=2.0)
-    assert zeno_survival(h, 1.0, 10, ZERO, mode="second_order") == pytest.approx(1.0 - 1.0 / 40.0)
 
 
 def test_zeno_survival_monotone_approach_to_one():
@@ -311,8 +288,19 @@ def test_steering_plan_construction():
         SteeringPlan(0.0)
     with pytest.raises(QentroError, match=r"step angle must be in \(0, pi/2\], got 2.0"):
         SteeringPlan(2.0)
-    with pytest.raises(QentroError, match=r"7 steps of 0\.785\d* rad miss pi/2 by more than one step"):
-        SteeringPlan(math.pi / 4, n_steps=7)  # misses the quarter turn
+    # the count is derived from the angle, never given
+    with pytest.raises(TypeError):
+        SteeringPlan(math.pi / 4, 7)
+
+
+def test_a_plan_from_a_step_count_is_the_plan_of_its_angle():
+    limit = WORK_LIMITS["steps"]
+    rng = np.random.default_rng(48)
+    counts = [*range(1, 1001), *rng.integers(1000, limit, 2000, endpoint=True).tolist(), limit]
+    for n in counts:
+        plan = SteeringPlan.from_steps(n)
+        assert plan == SteeringPlan(HALF_PI / n)
+        assert plan.n_steps == n
 
 
 @pytest.mark.parametrize("theta", [1e-310, 5e-324])
