@@ -20,7 +20,6 @@ from qentro.zeno import (
     simulate_steering,
     steering_success_probability,
     steering_sweep_rows,
-    survival_exact,
     zeno_survival,
 )
 
@@ -30,7 +29,7 @@ zero = PureState.basis_state(2, 0)
 print("Short-time survival and its quadratic approximation (H = X, |0>):")
 print("   t      exact         1 - (dE t)^2   gap")
 for t in (0.2, 0.1, 0.05, 0.025):
-    exact = survival_exact(pauli_x, t, zero)
+    exact = zeno_survival(pauli_x, t, 1, zero)
     approx = zeno_survival(pauli_x, t, 1, zero, mode="second_order")
     print(f"  {t:5.3f}  {exact:.10f}  {approx:.10f}  {exact - approx:8.1e}")
 print("Each halving of t shrinks the gap ~16x: the dropped term is O(t^4).")

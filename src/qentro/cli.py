@@ -24,7 +24,6 @@ from . import interferometer as mzi
 from . import montecarlo, protocol, serialize, zeno
 from .errors import ParseError, QentroError
 from .linalg import RESIDUAL_WARN
-from .states import DensityMatrix
 
 # Work limits: the most that one invocation may ask for, checked before any
 # simulation starts.  A request above a limit exits 2 and names the limit.
@@ -92,8 +91,8 @@ def _cmd_entropy(args) -> list[dict]:
 def _cmd_unitary_min(args) -> list[dict]:
     if args.budget < 0:
         raise ParseError(f"--budget must be >= 0, got {args.budget}")
-    rho = DensityMatrix(_matrix_from_json(serialize.load_json(args.input)))
-    report = ent.min_informational_over_unitaries(rho, args.base, budget=args.budget)
+    matrix = _matrix_from_json(serialize.load_json(args.input))
+    report = ent.min_informational_over_unitaries(matrix, args.base, budget=args.budget)
     if report.residual_vs_von_neumann > RESIDUAL_WARN:
         print(f"warning: residual {report.residual_vs_von_neumann:.3e} exceeds 1e-4", file=sys.stderr)
     return [ent.minimization_row(report)]

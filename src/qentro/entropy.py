@@ -132,12 +132,14 @@ def differential_entropy(grid, density, base: str = NATS) -> EntropyResult:
     f = np.clip(f, 0.0, None)
     # the trapezoid rule on per-point masses, f times half of each step beside
     # the point: a density near the float limit on a fine grid overflows
-    # neither sum, as f[i] + f[i + 1] and f log f did
+    # neither sum, as f[i] + f[i + 1] and f log f did; a mass or total that
+    # does overflow is inf, which the integral check below rejects
     weights = np.zeros_like(x)
     weights[:-1] += steps / 2
     weights[1:] += steps / 2
-    mass = f * weights
-    total = float(mass.sum())
+    with np.errstate(over="ignore"):
+        mass = f * weights
+        total = float(mass.sum())
     if abs(total - 1.0) > INTEGRAL_TOL:
         raise QentroError(f"density integrates to {total!r}, expected 1 within 1e-6")
     # 0.0 minus the sum, so a zero entropy is never -0.0

@@ -22,7 +22,7 @@ INTEGRAL_TOL = 1e-6  # trapezoid integral of a tabulated density away from 1
 SWEEP_TOL = 1e-15  # relative drop below which the unitary minimizer stops sweeping
 NEWTON_GATE = 0.1  # off-diagonal entry over its diagonal gap up to which the minimizer tries Newton
 RESIDUAL_WARN = 1e-4  # residual over the von Neumann entropy that the CLI warns of
-PART_LIMIT = 2.0  # real or imaginary part above which an amplitude or density entry is rejected
+PART_LIMIT = 2.0  # real or imaginary part above which an amplitude or a state, operator or unitary entry is rejected
 
 
 def as_matrix(m) -> np.ndarray:
@@ -57,7 +57,10 @@ def _hermitian_deviation(m: np.ndarray) -> float:
 
 
 def _unitary_deviation(m: np.ndarray) -> float:
-    # max |m†m - I| of an array already coerced by as_matrix
+    # max |m†m - I| of an array already coerced by as_matrix; a part above
+    # PART_LIMIT, which no unitary has, is infinitely far and never multiplied
+    if max_part(m) > PART_LIMIT:
+        return np.inf
     return max_abs(m.conj().T @ m - np.eye(m.shape[0]))
 
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .errors import QentroError
+
 
 def seeded(seed: int, *key: int) -> np.random.Generator:
     """The random stream of ``seed`` keyed by ``key``:
@@ -22,7 +24,10 @@ def thin(trials: int, pass_probs, rng: np.random.Generator) -> np.ndarray:
     The trials are exchangeable, so only their count is tracked: step k
     draws ``Binomial(survivors_{k-1}, pass_probs[k])``, one scalar draw per
     step whatever ``trials`` is, with exactly the law of drawing every
-    trial.  Drawing stops once no trial survives; later steps read 0."""
+    trial.  Drawing stops once no trial survives; later steps read 0.
+    ``trials`` must be at least 1."""
+    if trials < 1:
+        raise QentroError(f"trials must be >= 1, got {trials!r}")
     survivors = np.zeros(len(pass_probs), dtype=int)
     alive = trials
     for k, p in enumerate(pass_probs):

@@ -235,8 +235,6 @@ def eve_attack_success(
     A forger who guesses computational-basis bits against an all-45-degree
     key passes each position with probability 1/2, so the acceptance rate
     is 2^-n."""
-    if trials < 1:
-        raise QentroError(f"trials must be >= 1, got {trials!r}")
     successes = int(thin(trials, _pass_probabilities(key, strategy), rng)[-1])
     return AttackResult(strategy, trials, successes, attack_success_probability(key, strategy))
 

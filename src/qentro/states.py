@@ -35,7 +35,7 @@ class PureState:
             raise QentroError("amplitudes must be finite (no NaN/Inf)")
         if largest > PART_LIMIT:
             raise QentroError(f"amplitude part {largest!r} is above {PART_LIMIT}, so the norm is not 1")
-        norm_sq = float((np.abs(amps) ** 2).sum())
+        norm_sq = float((amps * amps.conj()).real.sum())
         if abs(norm_sq - 1.0) > DEFAULT_TOL:
             raise QentroError(
                 f"squared norm {norm_sq!r} deviates from 1 by more than {DEFAULT_TOL}"
@@ -67,8 +67,10 @@ class PureState:
         return self._amps.size
 
     def probabilities(self) -> np.ndarray:
-        """Computational-basis outcome probabilities ``|c_k|^2``."""
-        return np.abs(self._amps) ** 2
+        """Computational-basis outcome probabilities ``|c_k|^2``, taken as
+        ``(c_k * conj(c_k)).real``: the product behind ``density_of_pure``
+        and ``mix``, so they are its diagonal to the bit."""
+        return (self._amps * self._amps.conj()).real
 
     def __repr__(self):
         return f"PureState({np.array2string(self._amps, precision=6)})"
@@ -186,6 +188,13 @@ class MeasurementSet:
         if any(op.shape[0] != dim for op in ops):
             raise QentroError("measurement operators differ in dimension")
         stacked = np.stack(ops)
+        # no entry of an operator in a complete set is above 1 in modulus; a
+        # larger part is turned away before the sum below can overflow
+        largest = linalg.max_part(stacked)
+        if largest > PART_LIMIT:
+            raise QentroError(
+                f"operator entry part {largest!r} is above {PART_LIMIT}: sum_i M_i† M_i cannot be I"
+            )
         total = np.einsum("kji,kjl->il", stacked.conj(), stacked)
         if linalg.max_abs(total - np.eye(dim)) > LOOSE_TOL:
             raise QentroError(
@@ -201,11 +210,6 @@ class MeasurementSet:
         fwd = np.array([np.cos(angle), np.sin(angle)], dtype=complex)
         orth = np.array([-np.sin(angle), np.cos(angle)], dtype=complex)
         return cls([np.outer(fwd, fwd.conj()), np.outer(orth, orth.conj())])
-
-    def outcome_probabilities(self, state: PureState) -> np.ndarray:
-        """Born probabilities ``<phi|M_i†M_i|phi>`` for each operator."""
-        branches = np.einsum("kij,j->ki", self.operators, state.amplitudes)
-        return (np.abs(branches) ** 2).sum(axis=1)
 
 
 def density_of_pure(state: PureState) -> DensityMatrix:
@@ -255,9 +259,9 @@ def measure_collapse(state: PureState, mset: MeasurementSet, rng: np.random.Gene
     """
     if state.dim != mset.dim:
         raise QentroError(f"state dim {state.dim} != measurement dim {mset.dim}")
-    # clip rounding negatives to 0: np.clip(probs, 0.0, None) calls this
-    # same ufunc, at a fraction of the per-call cost
-    probs = np.maximum(mset.outcome_probabilities(state), 0.0)
+    # Born probabilities <phi|M_i† M_i|phi>, each the squared norm of its branch
+    branches = np.einsum("kij,j->ki", mset.operators, state.amplitudes)
+    probs = (branches * branches.conj()).real.sum(axis=1)
     probs = probs / probs.sum()
     # inverse-CDF draw, the step Generator.choice(len(probs), p=probs) runs
     # for one sample, so the outcome stream is the same

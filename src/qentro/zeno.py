@@ -1,6 +1,7 @@
-"""Hamiltonian time evolution, short-time survival approximations, and
-measurement-driven dynamics: survival freezing under repeated observation
-and steering a qubit through a ladder of rotated measurement bases.
+"""Survival of a state under a Hamiltonian, read off its cached spectrum
+with no state evolved, its short-time approximation, and measurement-driven
+dynamics: survival freezing under repeated observation and steering a qubit
+through a ladder of rotated measurement bases.
 """
 
 import math
@@ -47,14 +48,6 @@ class Hamiltonian:
         return self._eigen
 
 
-def _finite_time(t) -> float:
-    # every zeno function taking a time reads it here, before any arithmetic,
-    # as a Python float, whose products overflow to inf without a numpy warning
-    if not math.isfinite(t):
-        raise QentroError(f"time t must be finite, got {t!r}")
-    return float(t)
-
-
 def _finite_phase(x: float, t) -> float:
     """``x``, a product of energies and times computed in Python floats,
     which overflow to inf without a warning; refused when not finite,
@@ -62,25 +55,6 @@ def _finite_phase(x: float, t) -> float:
     if not math.isfinite(x):
         raise QentroError(f"t={t!r} puts E t out of floating-point range")
     return x
-
-
-def evolve(h: Hamiltonian, t: float, psi0: PureState) -> PureState:
-    """Propagate ``exp(-i H t)|psi0>`` exactly via the eigendecomposition
-    of H."""
-    t = _finite_time(t)
-    if h.dim != psi0.dim:
-        raise QentroError(f"Hamiltonian dim {h.dim} != state dim {psi0.dim}")
-    w, v = h.eigen()
-    _finite_phase(float(np.abs(w).max()) * abs(t), t)  # the largest phase
-    phases = np.exp(-1j * w * t)
-    amps = v @ (phases * (v.conj().T @ psi0.amplitudes))
-    return PureState._trusted_normalized(amps)
-
-
-def survival_exact(h: Hamiltonian, t: float, psi0: PureState) -> float:
-    """Survival probability ``|<psi0|psi_t>|^2``."""
-    overlap = np.vdot(psi0.amplitudes, evolve(h, t, psi0).amplitudes)
-    return float(min(abs(overlap) ** 2, 1.0))
 
 
 def energy_variance(h: Hamiltonian, psi0: PureState) -> float:
@@ -104,17 +78,29 @@ def zeno_survival(h: Hamiltonian, t: float, n: int, psi0: PureState, mode: str =
     """Probability of still finding ``psi0`` after n projective observations
     spread over total time t (projective reset onto psi0 each step).
 
-    ``exact`` compounds the per-interval survival, ``second_order`` uses the
+    ``exact`` compounds the per-interval survival ``|sum_k |<v_k|psi0>|^2
+    exp(-i E_k t/n)|^2``, read off ``h.eigen()``; ``second_order`` uses the
     linearized ``1 - (dE)^2 t^2 / n``, the short-time expansion, which at
     n = 1 differs from the exact survival by O(t^4); the gap between the two
     is the term the linearization drops.  The exact mode tends to 1 as n
     grows.
     """
-    t = _finite_time(t)
+    # t is read before any arithmetic, as a Python float, whose products
+    # overflow to inf without a numpy warning
+    if not math.isfinite(t):
+        raise QentroError(f"time t must be finite, got {t!r}")
+    t = float(t)
     if n < 1:
         raise QentroError(f"observation count must be >= 1, got {n!r}")
     if mode == "exact":
-        return survival_exact(h, t / n, psi0) ** n
+        if h.dim != psi0.dim:
+            raise QentroError(f"Hamiltonian dim {h.dim} != state dim {psi0.dim}")
+        w, v = h.eigen()
+        tau = t / n
+        _finite_phase(float(np.abs(w).max()) * abs(tau), t)  # the largest phase
+        c = v.conj().T @ psi0.amplitudes
+        amp = np.dot((c * c.conj()).real, np.exp(-1j * w * tau))
+        return min(abs(amp) ** 2, 1.0) ** n
     if mode == "second_order":
         var = energy_variance(h, psi0)
         return 1.0 - _finite_phase(var * t * t, t) / n
@@ -173,8 +159,6 @@ def simulate_steering(plan: SteeringPlan, trials: int, rng: np.random.Generator)
     per step.  ``survivors_per_step`` records how many trials are still on
     the forward ladder after each step.
     """
-    if trials < 1:
-        raise QentroError(f"trials must be >= 1, got {trials!r}")
     p_forward = float(np.cos(plan.theta_step) ** 2)
     survivors = thin(trials, [p_forward] * plan.n_steps, rng)
     return SteeringResult(int(survivors[-1]), trials, survivors, steering_success_probability(plan))

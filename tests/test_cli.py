@@ -522,8 +522,9 @@ _PURE_PART = b'"state": {"amplitudes": [{"re": 1, "im": 0}, {"re": 0, "im": 0}]}
 
 # JSON documents that once escaped main with a traceback, and documents with
 # a bool, a string or null where a number belongs, or probs that are not a
-# flat list, which once exited 0 or 3: each with the entropy it is read for
-# and a part of the message it gets
+# flat list, which once exited 0 or 3, and ensembles with a part missing or
+# of the wrong type: each with the entropy it is read for and a part of the
+# message it gets
 BROKEN_JSON = {
     "not-utf8": ("informational", b'{"dim": 2, "re": "\xff\xfe"}', "malformed JSON"),
     "too-deep": ("informational", b"[" * 100_000 + b"]" * 100_000, "malformed JSON"),
@@ -553,6 +554,26 @@ BROKEN_JSON = {
         "bound-check",
         b'{"pure_parts": [{"weight": "1", ' + _PURE_PART + b"}]}",
         "ensemble weight must be a number, got str",
+    ),
+    "ensemble-pure-parts-number": (
+        "bound-check",
+        b'{"pure_parts": 5}',
+        "bad ensemble object: 'int' object is not iterable",
+    ),
+    "ensemble-pure-part-no-state": (
+        "bound-check",
+        b'{"pure_parts": [{"weight": 1}]}',
+        "bad ensemble object: 'state'",
+    ),
+    "ensemble-mixed-part-number": (
+        "bound-check",
+        b'{"pure_parts": [{"weight": 1, ' + _PURE_PART + b'}], "mixed_part": 5}',
+        "bad ensemble object: 'int' object is not subscriptable",
+    ),
+    "ensemble-mixed-part-no-matrix": (
+        "bound-check",
+        b'{"pure_parts": [{"weight": 0.5, ' + _PURE_PART + b'}], "mixed_part": {"weight": 0.5}}',
+        "bad ensemble object: 'matrix'",
     ),
 }
 
@@ -610,6 +631,7 @@ def test_mzi_unknown_csv_fields_are_plain_numbers(capsys):
         (["protocol", "attack", "--key-angle-deg", "nan"], "NaN"),
         (["protocol", "estimate", "--adaptive", "--target-halfwidth-deg", "nan"], "halfwidth"),
         (["protocol", "estimate", "--adaptive", "--shots", "0"], "confidence_shots must be >= 1"),
+        (["protocol", "estimate", "--grid-n", "1"], "grid needs at least 2 levels, got 1"),
     ],
 )
 def test_protocol_invalid_numbers_exit_3(capsys, argv, invariant):

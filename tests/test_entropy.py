@@ -108,6 +108,9 @@ def test_differential_rejects_non_density():
     x = np.linspace(0.0, 1.0, 101)
     with pytest.raises(QentroError, match="density integrates to 2.0"):
         differential_entropy(x, np.full_like(x, 2.0), NATS)  # integrates to 2
+    # the masses f * step / 2 overflow: rejected as an integral of inf, with no warning
+    with pytest.raises(QentroError, match="density integrates to inf"):
+        differential_entropy([0.0, 10.0], [1e308, 1e308], NATS)
     with pytest.raises(QentroError, match="density has negative value"):
         differential_entropy(x, -np.ones_like(x), NATS)
     with pytest.raises(QentroError, match="grid must be uniformly spaced and increasing"):
@@ -292,12 +295,13 @@ def test_pure_entropy_values():
 
 
 def test_pure_entropy_matches_informational_of_projector():
+    # |c_k|^2 and the projector's diagonal are one product, so the two agree to the bit
     rng = np.random.default_rng(15)
-    for dim in (2, 3, 4):
-        state = random_pure(dim, rng)
-        assert pure_entropy(state).value == pytest.approx(
-            informational(density_of_pure(state)).value, abs=1e-12
-        )
+    for dim in range(2, 17):
+        for _ in range(20):
+            state = random_pure(dim, rng)
+            for base in (BITS, NATS):
+                assert pure_entropy(state, base).value == informational(density_of_pure(state), base).value
 
 
 # ------------------------------------------------------------ bound check

@@ -193,6 +193,21 @@ def test_attacks_draw_once_per_position(strategy, trials):
     assert set(rng.sizes) <= {1}
 
 
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda trials: montecarlo.thin(trials, [0.5], np.random.default_rng(0)),
+        lambda trials: simulate_steering(SteeringPlan.from_steps(3), trials, np.random.default_rng(0)),
+        lambda trials: eve_attack_success(MIXED_KEY, GUESS_BITS, trials, np.random.default_rng(0)),
+    ],
+    ids=["thin", "steering", "attack"],
+)
+@pytest.mark.parametrize("trials", [0, -1])
+def test_a_trial_count_below_one_is_rejected(sample, trials):
+    with pytest.raises(QentroError, match=f"trials must be >= 1, got {trials}"):
+        sample(trials)
+
+
 def test_results_carry_their_closed_form():
     plan = SteeringPlan.from_steps(12)
     steering = simulate_steering(plan, 50_000, np.random.default_rng(8))

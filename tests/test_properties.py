@@ -24,6 +24,7 @@ from qentro.entropy import (
     shannon,
     von_neumann,
 )
+from qentro.errors import QentroError
 from qentro.linalg import ROUNDING_TOL, SWEEP_TOL, is_unitary, random_unitary
 from qentro.serialize import matrix_from_json, matrix_to_json, state_from_json
 from qentro.states import (
@@ -38,8 +39,9 @@ from qentro.states import (
     mix,
     random_density,
 )
+from qentro.zeno import Hamiltonian
 from test_entropy import _one_coherence
-from test_states import random_pure
+from test_states import NEAR_LIMIT, ZERO, random_pure
 
 
 @settings(max_examples=100, deadline=None)
@@ -343,6 +345,47 @@ def test_cli_numeric_flags_keep_the_exit_code_contract(argv, seed):
         assert "error:" in err.getvalue()
     else:
         assert out.getvalue()
+
+
+# The library twin of the numeric-flag fuzz: each entry point that takes a
+# matrix or amplitudes, given NaN, inf, parts near the float limit or a
+# non-square shape, raises QentroError or returns a finite result, and never
+# warns.  A measurement set is also used, as an accepted set would be.
+_HOSTILE = {
+    "nan": [[math.nan, 0.0], [0.0, 1.0]],
+    "inf": [[math.inf, 0.0], [0.0, 1.0]],
+    "near-limit": NEAR_LIMIT,
+    "non-square": np.ones((2, 3)) / math.sqrt(6),
+}
+_ENTRY_POINTS = {
+    "PureState": PureState,
+    "DensityMatrix": DensityMatrix,
+    "MeasurementSet": lambda m: measure_collapse(ZERO, MeasurementSet([m, m]), np.random.default_rng(0))[1],
+    "evolve_unitary": lambda m: evolve_unitary(ZERO, m),
+    "is_unitary": is_unitary,
+    "Hamiltonian": Hamiltonian,
+    "von_neumann": von_neumann,
+    "informational": informational,
+    "min_informational_over_unitaries": min_informational_over_unitaries,
+    "dephase": dephase,
+}
+
+
+@pytest.mark.parametrize("value", sorted(_HOSTILE))
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_library_entry_points_reject_hostile_matrices(entry, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = _ENTRY_POINTS[entry](_HOSTILE[value])
+        except QentroError:
+            return
+    if entry == "is_unitary":
+        assert isinstance(result, bool)
+        return
+    for field in vars(result).values():
+        if isinstance(field, (float, np.ndarray)):
+            assert np.isfinite(field).all()
 
 
 # Valid JSON documents of every schema with 2 <= dim <= 4, mutated by the fuzz

@@ -1,12 +1,14 @@
 """Rules with one owner each: ``serialize.write_rows`` turns rows into the
 bytes of every output format, ``montecarlo.seeded`` turns a seed into a
-random stream, and ``interferometer.MirrorModel`` turns an arrangement into
+random stream, ``montecarlo.thin`` rejects a trial count below 1, and
+``interferometer.MirrorModel`` turns an arrangement into
 its joint table.  The CLI parses, checks work limits and picks exit codes,
 each at one place, and reaches the first two rules only through those
 functions; its handlers return the rows the library builds, and compute
 nothing the library has computed.  The minimizer's round-robin tournament is built only by
 ``entropy._schedule``, once per dimension.  Only the owners of a spectrum,
-``states.DensityMatrix`` and ``zeno.Hamiltonian``, call an eigensolver.
+``states.DensityMatrix`` (``eigvalsh``) and ``zeno.Hamiltonian`` (``eigh``),
+call an eigensolver.
 Every public function, class and method has a caller in the library, a demo
 or the benchmark, and every exception class an ``except`` clause in the
 library."""
@@ -81,6 +83,17 @@ def test_eigensolvers_are_called_only_in_states_and_zeno():
     solvers = {"eigh", "eigvalsh", "eig", "eigvals"}
     callers = sorted(path.name for path in SRC.glob("*.py") if names(path) & solvers)
     assert callers == ["states.py", "zeno.py"]
+    # each spectrum has one owner: zeno reads H's eigenpairs only through
+    # Hamiltonian.eigen(), and a state's eigenvalues come only from DensityMatrix
+    assert readers("eigh") == {("zeno.py", "Hamiltonian")}
+    assert readers("eigvalsh") == {("states.py", "DensityMatrix")}
+    assert readers("eig") == readers("eigvals") == set()
+
+
+def test_the_trials_rule_is_stated_only_by_the_sampler():
+    # montecarlo.thin rejects a trial count below 1 for every simulation that thins
+    owners = sorted(path.name for path in SRC.glob("*.py") if "trials must be >= 1" in path.read_text())
+    assert owners == ["montecarlo.py"]
 
 
 def test_cli_prints_each_error_kind_at_one_site():

@@ -12,18 +12,21 @@ from qentro.zeno import (
     Hamiltonian,
     SteeringPlan,
     energy_variance,
-    evolve,
     simulate_steering,
     steering_success_probability,
     steering_sweep_rows,
-    survival_exact,
     zeno_survival,
 )
-from test_states import overlap, random_pure
+from test_states import random_pure
 
 PAULI_X = Hamiltonian([[0, 1], [1, 0]])
 ZERO = PureState.basis_state(2, 0)
 ONE = PureState.basis_state(2, 1)
+
+
+def exact(h, t, psi0):
+    # the survival probability |<psi0|exp(-i H t)|psi0>|^2 of one observation
+    return zeno_survival(h, t, 1, psi0)
 
 
 def second_order(h, t, psi0):
@@ -63,59 +66,68 @@ def test_hamiltonian_validation():
         Hamiltonian([[0, 1], [0, 0]])
 
 
+# the evolution exp(-i H t), seen through the exact survival it leaves
+
+
 def test_evolve_zero_time_is_identity():
-    psi = PureState([0.6, 0.8j])
-    assert overlap(evolve(PAULI_X, 0.0, psi), psi) == pytest.approx(1.0, abs=1e-12)
+    assert exact(PAULI_X, 0.0, PureState([0.6, 0.8j])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evolve_eigenstate_only_gains_phase():
-    omega = 1.7
-    h = Hamiltonian(np.diag([0.0, omega]))
-    t = 0.9
-    out = evolve(h, t, ONE)
-    assert overlap(out, ONE) == pytest.approx(1.0, abs=1e-12)
-    assert np.vdot(ONE.amplitudes, out.amplitudes) == pytest.approx(np.exp(-1j * omega * t), abs=1e-12)
-    assert survival_exact(h, t, ONE) == pytest.approx(1.0, abs=1e-12)
+    h = Hamiltonian(np.diag([0.0, 1.7]))
+    for n in (1, 7):
+        assert zeno_survival(h, 0.9, n, ONE) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evolve_rabi_quarter_period():
-    out = evolve(PAULI_X, math.pi / 2, ZERO)
-    assert np.allclose(out.amplitudes, [0.0, -1.0j], atol=1e-12)
-    assert survival_exact(PAULI_X, math.pi / 2, ZERO) == pytest.approx(0.0, abs=1e-12)
+    assert exact(PAULI_X, math.pi / 2, ZERO) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_evolve_dimension_mismatch():
     with pytest.raises(QentroError, match="Hamiltonian dim 2 != state dim 3"):
-        evolve(PAULI_X, 1.0, PureState([1, 0, 0]))
+        exact(PAULI_X, 1.0, PureState([1, 0, 0]))
 
 
-def test_survival_exact_rabi_oracle():
+def test_exact_survival_rabi_oracle():
     # two-level closed form: |<0|exp(-iXt)|0>|^2 = cos^2 t
     for t in (0.0, 0.1, 0.7, 1.3, 2.9):
-        assert survival_exact(PAULI_X, t, ZERO) == pytest.approx(math.cos(t) ** 2, abs=1e-12)
+        assert exact(PAULI_X, t, ZERO) == pytest.approx(math.cos(t) ** 2, abs=1e-12)
 
 
 def test_evolve_preserves_norm():
+    # H = e0 I + r.sigma turns the Bloch vector s of psi about r, so the
+    # survival is 1 - sin^2(|r| t) (1 - (r.s / |r|)^2), at most 1
     rng = np.random.default_rng(77)
     for _ in range(1000):
         h = random_two_level(rng)
         psi = random_pure(2, rng)
-        out = evolve(h, float(rng.uniform(-3, 3)), psi)
-        assert abs((np.abs(out.amplitudes) ** 2).sum() - 1.0) <= 1e-10
+        t = float(rng.uniform(-3, 3))
+        (a, c), (_, b) = h.matrix
+        r = np.array([c.real, -c.imag, (a.real - b.real) / 2])
+        alpha, beta = psi.amplitudes
+        cross = 2 * alpha.conjugate() * beta
+        s = np.array([cross.real, cross.imag, abs(alpha) ** 2 - abs(beta) ** 2])
+        norm = np.linalg.norm(r)
+        closed = 1.0 - math.sin(norm * t) ** 2 * (1.0 - (r @ s / norm) ** 2)
+        value = exact(h, t, psi)
+        assert 0.0 <= value <= 1.0
+        assert value == pytest.approx(closed, abs=1e-12)
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.37, 2.5])
-def test_evolve_returns_a_state_the_constructor_accepts_unchanged(scale):
-    # evolve normalizes its own amplitudes without validating them again
-    rng = np.random.default_rng(41)
-    for dim in (2, 5, 16, 32):
+def test_exact_survival_matches_the_evolved_state():
+    # the one sum over the spectrum against the state evolved in the
+    # eigenbasis and projected back, compounded over n intervals
+    rng = np.random.default_rng(2025)
+    for dim in range(2, 9):
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = Hamiltonian((m + m.conj().T) / scale)
+        h = Hamiltonian(m + m.conj().T)
+        w, v = h.eigen()
         psi = random_pure(dim, rng)
-        for t in (-2.0, 0.0, 0.3, 1.7, 40.0):
-            out = evolve(h, t, psi)
-            assert np.array_equal(PureState(out.amplitudes).amplitudes, out.amplitudes)
-            assert not out.amplitudes.flags.writeable
+        for t in (0.3, 1.0, 5.0):
+            for n in (1, 7, 100):
+                evolved = v @ (np.exp(-1j * w * t / n) * (v.conj().T @ psi.amplitudes))
+                reference = min(abs(np.vdot(psi.amplitudes, evolved)) ** 2, 1.0) ** n
+                assert zeno_survival(h, t, n, psi) == pytest.approx(reference, rel=1e-12, abs=1e-15)
 
 
 def degenerate_hamiltonian(scale):
@@ -124,29 +136,14 @@ def degenerate_hamiltonian(scale):
     return u, Hamiltonian((u * [1.0, 1.0, 2.0]) @ u.conj().T / scale)
 
 
-def random_qutrit(seed):
-    rng = np.random.default_rng(seed)
-    return random_pure(3, rng)
-
-
 @pytest.mark.parametrize("scale", [1.0, 0.5, 3.0])
 def test_evolve_is_independent_of_the_eigenvector_gauge(scale):
     u, h = degenerate_hamiltonian(scale)
-    psi = random_qutrit(29)
+    psi = random_pure(3, np.random.default_rng(29))
     for t in (-1.3, 0.0, 0.4, 2.0, 7.5):
         phases = np.exp(-1j * np.array([1.0, 1.0, 2.0]) / scale * t)
         expected = u @ (phases * (u.conj().T @ psi.amplitudes))
-        assert np.abs(evolve(h, t, psi).amplitudes - expected).max() <= 1e-12
-
-
-@pytest.mark.parametrize("scale", [1.0, 0.5, 3.0])
-def test_evolve_obeys_the_group_law(scale):
-    _, h = degenerate_hamiltonian(scale)
-    psi = random_qutrit(31)
-    for t1, t2 in ((0.3, 0.9), (-1.1, 2.5), (4.0, -4.0)):
-        direct = evolve(h, t1 + t2, psi).amplitudes
-        composed = evolve(h, t2, evolve(h, t1, psi)).amplitudes
-        assert np.abs(direct - composed).max() <= 1e-12
+        assert exact(h, t, psi) == pytest.approx(abs(np.vdot(psi.amplitudes, expected)) ** 2, abs=1e-12)
 
 
 def test_energy_variance():
@@ -173,7 +170,7 @@ def test_survival_second_order_small_time():
     assert second_order(PAULI_X, 0.0, ZERO) == 1.0
     approx = second_order(PAULI_X, 0.01, ZERO)
     assert approx == pytest.approx(1.0 - 1e-4, abs=1e-15)
-    assert abs(survival_exact(PAULI_X, 0.01, ZERO) - approx) < 1e-8
+    assert abs(exact(PAULI_X, 0.01, ZERO) - approx) < 1e-8
 
 
 def test_survival_second_order_eigenstate():
@@ -189,7 +186,7 @@ def test_second_order_discrepancy_is_fourth_order():
         h = random_two_level(rng)
         psi = random_pure(2, rng)
         disc = [
-            abs(survival_exact(h, t, psi) - second_order(h, t, psi))
+            abs(exact(h, t, psi) - second_order(h, t, psi))
             for t in (0.1, 0.05, 0.025)
         ]
         for coarse, fine in zip(disc, disc[1:]):
@@ -199,10 +196,9 @@ def test_second_order_discrepancy_is_fourth_order():
 
 
 def test_zeno_survival_reductions():
+    # n observations compound the survival of one over t / n
     t = 0.8
-    assert zeno_survival(PAULI_X, t, 1, ZERO) == pytest.approx(
-        survival_exact(PAULI_X, t, ZERO), abs=1e-12
-    )
+    assert zeno_survival(PAULI_X, t, 5, ZERO) == pytest.approx(exact(PAULI_X, t / 5, ZERO) ** 5, abs=1e-12)
     with pytest.raises(QentroError, match="observation count must be >= 1, got 0"):
         zeno_survival(PAULI_X, t, 0, ZERO)
 
@@ -216,9 +212,9 @@ def test_zeno_survival_reductions():
             QentroError,
             "Hamiltonian dim 2 != state dim 3",
         ),
-        (lambda: evolve(PAULI_X, math.nan, ZERO), QentroError, "time t must be finite"),
-        (lambda: evolve(PAULI_X, -math.inf, ZERO), QentroError, "time t must be finite"),
-        (lambda: survival_exact(PAULI_X, math.inf, ZERO), QentroError, "time t must be finite"),
+        (lambda: exact(PAULI_X, math.nan, ZERO), QentroError, "time t must be finite"),
+        (lambda: exact(PAULI_X, -math.inf, ZERO), QentroError, "time t must be finite"),
+        (lambda: exact(PAULI_X, math.inf, ZERO), QentroError, "time t must be finite"),
         (lambda: second_order(PAULI_X, math.nan, ZERO), QentroError, "time t must be finite"),
         (lambda: zeno_survival(PAULI_X, math.nan, 3, ZERO), QentroError, "time t must be finite"),
         (lambda: SteeringPlan.from_steps(0), QentroError, "n_steps must be >= 1, got 0"),
@@ -228,7 +224,8 @@ def test_zeno_survival_reductions():
             "time t must be finite",
         ),
         # a finite t whose phase E t overflows
-        (lambda: evolve(Hamiltonian([[0, 10], [10, 0]]), 1e308, ZERO), QentroError, "t=1e\\+308 puts E t"),
+        (lambda: exact(Hamiltonian([[0, 10], [10, 0]]), 1e308, ZERO), QentroError, "t=1e\\+308 puts E t"),
+        (lambda: zeno_survival(Hamiltonian([[0, 10], [10, 0]]), 1e308, 3, ZERO), QentroError, "t=1e\\+308 puts E t"),
         (lambda: second_order(PAULI_X, 1e200, ZERO), QentroError, "t=1e\\+200 puts E t"),
         (lambda: zeno_survival(PAULI_X, 1e200, 3, ZERO, "second_order"), QentroError, "t=1e\\+200 puts E t"),
     ],
@@ -243,6 +240,7 @@ def test_zeno_survival_reductions():
         "plan-no-steps",
         "zeno-second-order-inf",
         "evolve-phase-overflow",
+        "zeno-exact-phase-overflow",
         "second-order-phase-overflow",
         "zeno-second-order-phase-overflow",
     ],
