@@ -22,7 +22,7 @@ import numpy as np
 
 from . import serialize, states
 from .errors import QentroError
-from .linalg import DEFAULT_TOL, GRID_TOL, INTEGRAL_TOL, LOOSE_TOL, NEWTON_GATE, ROUNDING_TOL, SWEEP_TOL
+from .linalg import DEFAULT_TOL, GRID_TOL, INTEGRAL_TOL, LOOSE_TOL, ROUNDING_TOL, STEP_KEEP, SWEEP_TOL
 
 BITS = "bits"
 NATS = "nats"
@@ -50,7 +50,12 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class UnitaryMinimizationReport:
-    """Outcome of minimizing informational entropy over unitaries."""
+    """Outcome of minimizing informational entropy over unitaries.
+
+    ``iterations`` counts pair visits, ``d(d-1)/2`` for each kept all-pairs
+    step, and ``newton_steps`` the kept all-pairs steps, which only the
+    round path (dimension 8 on) takes; ``certified_gap`` is the last
+    certificate."""
 
     minimizer: np.ndarray
     min_value: float
@@ -279,33 +284,47 @@ def bound_row(area_planck_units: float) -> dict:
 # dimension alone and are built once per dimension (_schedule).  Per
 # matrix on a shared 2-vCPU x86-64 VM (OpenBLAS, one thread), Wishart
 # inputs, best of 5, the two orders timed in turn on 20 matrices, median,
-# two runs, rounds (with the Newton steps below) over lists: d4 1.55x and
+# two runs, rounds (with the gated Newton steps that the all-pairs step
+# replaced) over lists: d4 1.55x and
 # 1.95x, d5 1.42x and 1.25x, d6 0.93x and 0.88x, d7 0.83x and 0.77x, d8
 # 0.59x and 0.61x, d10 0.34x and 0.40x.  Rounds win from d6 on; the bound
 # stays at 8, as moving it changes the output at d6 and d7, which no
 # benchmark workload runs.  The host's speed swings by up to 1.5x from one
 # run of such a table to the next.
 #
-# On the round path, the last sweeps of a search redo work that one
-# all-pairs Newton step can do once the working matrix W is nearly diagonal:
-# the quadratically convergent refinement of Ogita & Aishima (Japan J.
-# Indust. Appl. Math. 35, 1007, 2018), kept exactly unitary by a Cayley
-# transform (Wen & Yin, Math. Program. 142, 397, 2013).  Before each sweep
-# after the first, the search tries one (_newton_step) if the remaining
-# budget covers the d(d-1)/2 pair visits that a kept step counts.  It runs
-# only if every off-diagonal |w_ij| is at most NEWTON_GATE |w_ii - w_jj|,
-# and is kept only if the objective does not rise and the certificate falls
-# to at most NEWTON_GATE^2 times what it was: inside the gate the linear
-# model leaves off-diagonal entries of order NEWTON_GATE times the old
-# ones.  Otherwise the search sweeps; a rejected step is its last try.  The
-# stop rules above apply after every step, a sweep or a kept Newton step.
-# Per matrix on the same VM, 10 matrices per size, min of 7 (3 at d64), the
-# searches without and with Newton steps timed in turn, two runs: Wishart
-# inputs take ~2 kept steps and 0.74-0.81x the time at d8-d64 (d16 2.0 ->
-# 1.5 ms, d64 85 -> 66 ms); rank-deficient, pure, tiny-spectrum, two-level
-# and clustered inputs, which rarely pass the gate, take 0.90-1.08x, within
-# the host's noise.  A gate of 0.3 was 2-10 % faster on Wishart inputs but
-# up to ~8 % slower on two-level and tiny-spectrum ones at d8-d9.
+# On the round path, a sweep of d - 1 rounds costs ~20-35 us of numpy call
+# overhead per round, and a search on a full-rank input spends 3-4 sweeps
+# that converge quadratically only at the end.  After every sweep but the
+# first, the search tries one all-pairs Jacobi step (_all_pairs_step):
+# every pair turns at once by the angle of its own 2x2 Jacobi rotation,
+# mapped through a Cayley transform (Wen & Yin, Math. Program. 142, 397,
+# 2013), so that the rotation is exactly unitary and costs one LU solve and
+# a few products.  A lone pair turns exactly as a sweep turns it, and a pair
+# far apart as the quadratically convergent Newton step of Ogita & Aishima
+# (Japan J. Indust. Appl. Math. 35, 1007, 2018) turns it, so a close pair no
+# longer holds the step back as a gate on |w_ij| / |w_ii - w_jj| did.  In a
+# cluster of nearly equal diagonal entries the pairs' rotations do not
+# commute, and turning them all at once leaves first-order errors in the
+# couplings out of the cluster: the steps then converge only linearly, and
+# the sweep after them loses its quadratic rate.  As Ogita & Aishima do,
+# the step leaves such pairs unturned and a sweep resolves them.  A kept
+# step is tried again at once; a rejected one, which leaves the working
+# matrix as it was, is followed by a sweep.  A kept step's small drop does
+# not end the search, since it may leave a cluster unturned; its
+# certificate does.  The first sweep starts from the input's basis, where
+# the step is rejected after it on most full-rank inputs, so the first try
+# follows the second sweep.  Per call on a shared 2-vCPU x86-64 VM
+# (OpenBLAS, one thread), 15 matrices per family and size, the searches with
+# the gated Newton step this replaced and with this step timed in turn on
+# each matrix in one process (min of 3 calls, 1 at d64), median of 10 runs:
+# Wishart inputs take 0.92x the time at d8, 0.72x at d16 (2.06 -> 1.48 ms),
+# 0.76x at d32 and 0.75x at d64 (68 -> 51 ms), with 3.7-5.5 kept steps;
+# tiny-spectrum ones 0.56-0.77x, rank-deficient (rank d/2) 0.42-0.68x,
+# two-level 0.20-0.86x and 4-fold clustered 0.44-0.70x, d8 the least gain
+# each time; pure ones end with their first sweep, as before.  Without the
+# cluster rule, two-level and clustered inputs took 1.4-1.5x at d8 and
+# two-level ones 1.4x at d16; with a try after the first sweep too, Wishart
+# inputs took 0.94-0.98x at d8 and 0.79x at d16.
 
 _ROUNDS_FROM_DIM = 8
 # the phase b / |b| of a subnormal b loses bits, so the rotation is not unitary, and numpy takes it
@@ -368,18 +387,20 @@ def _round_robin(dim):
 
 @functools.cache
 def _schedule(dim):
-    """The round sweep's tables for ``dim``, kept write-protected (~44 dim^2
+    """The round sweep's tables for ``dim``, kept write-protected (~45 dim^2
     bytes): per round of ``_round_robin(dim)``, its ``p`` and ``q``, the flat
     indices ``pq`` of ``work[p, q]`` and the ``scatter`` indices of
-    ``g[p, p]``, ``g[q, q]``, ``g[p, q]`` and ``g[q, p]`` in turn; and the
-    identity."""
+    ``g[p, p]``, ``g[q, q]``, ``g[p, q]`` and ``g[q, p]`` in turn; the
+    identity; and the mask of the strict upper triangle, which the all-pairs
+    step reads."""
     p, q = _round_robin(dim)
     pq = p * dim + q
     scatter = np.concatenate((p * (dim + 1), q * (dim + 1), pq, q * dim + p), axis=1)
     identity = np.eye(dim, dtype=complex)
-    for table in (p, q, pq, scatter, identity):
+    upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
+    for table in (p, q, pq, scatter, identity, upper):
         table.flags.writeable = False
-    return tuple(zip(p, q, pq, scatter)), identity
+    return tuple(zip(p, q, pq, scatter)), identity, upper
 
 
 def _sweep_rounds(work, u, budget):
@@ -389,7 +410,7 @@ def _sweep_rounds(work, u, budget):
     sweep's rotation elementwise over its pairs, a pair whose entry is 0
     getting the identity block, and applies the block rotation g as
     ``work <- g work g†``, ``u <- g u``."""
-    rounds, identity = _schedule(len(work))
+    rounds, identity, _ = _schedule(len(work))
     size = len(rounds[0][0])
     # work is only written in place, so these views of it stay current
     flat, diagonal = work.reshape(-1), work.diagonal().real
@@ -419,38 +440,52 @@ def _sweep_rounds(work, u, budget):
     return visits, False
 
 
-def _newton_step(work, u, value, gap, base):
-    """One all-pairs Newton step on the working matrix, kept only if it does
-    what its linear model promises; ``work`` and ``u`` are never written.
+def _all_pairs_step(work, u, value, gap, base):
+    """One all-pairs Jacobi step on the working matrix, kept only if it at
+    least quarters the certificate; ``work`` and ``u`` are never written.
 
-    The step runs only if every off-diagonal ``|w_ij|`` is at most
-    ``NEWTON_GATE |w_ii - w_jj|``; it then turns W by the Cayley transform
-    ``g = (I - A/2)^-1 (I + A/2)`` of the skew-Hermitian generator
-    ``a_ij = w_ij / (w_ii - w_jj)``, which zeroes W's off-diagonal entries to
-    first order.  Returns ``None`` when the gate is closed, ``False`` when
-    the step would raise the objective ``value`` or leave the certificate
-    above ``NEWTON_GATE^2`` times ``gap``, and otherwise the new
-    ``(work, u, value, gap)``."""
+    W turns by the Cayley transform ``g = (I - A/2)^-1 (I + A/2)`` of the
+    skew-Hermitian generator ``a_ij = copysign(2 tan(theta_ij / 2), w_ii -
+    w_jj) w_ij / |w_ij|``, where ``theta_ij`` is the angle of the pair's own
+    2x2 Jacobi rotation: a lone pair turns exactly as the sweeps turn it,
+    and a pair far apart as Newton's step turns it.  A pair in a cluster
+    does not turn.  The rotations of the other pairs move ``w_ii`` by up to
+    ``s_i = sum_k |w_ik| tan theta_ik``, the shift each 2x2 rotation gives
+    its diagonal entries; a pair whose gap ``|w_ii - w_jj|`` is at most what
+    the other pairs' rotations move its two entries, ``s_i + s_j`` less its
+    own shift twice, is unresolved, and one that shares an index with another
+    unresolved pair is in a cluster, where turning every pair at once would
+    leave first-order errors (Ogita & Aishima, who leave clustered pairs
+    unturned).  Returns ``None`` when the step would raise the objective
+    ``value`` or leave the certificate above ``STEP_KEEP`` times ``gap``,
+    and otherwise the new ``(work, u, value, gap)``."""
+    _, identity, upper = _schedule(len(work))
     diagonal = work.diagonal().real
-    den = diagonal[:, None] - diagonal
-    # an infinite diagonal lets one comparison cover the whole matrix
-    den.reshape(-1)[:: len(den) + 1] = np.inf
-    if not (np.abs(work) <= NEWTON_GATE * np.abs(den)).all():
-        return None
-    # the gate leaves only zero entries over a zero gap: they get no rotation
-    den[den == 0] = np.inf
-    x = work / den
-    # exactly skew-Hermitian: W's rounding asymmetry over a tiny gap would
-    # otherwise make g measurably non-unitary
-    half = (x - x.conj().T) / 4
-    identity = _schedule(len(work))[1]
+    diff = diagonal[:, None] - diagonal
+    gaps, mod = np.abs(diff), np.abs(work)
+    theta = 0.5 * np.arctan2(2.0 * mod, gaps)
+    shift = mod * np.tan(theta)
+    shift.reshape(-1)[:: len(work) + 1] = 0
+    reach = shift.sum(axis=1)
+    # each row's own diagonal entry is one of its unresolved pairs
+    unresolved = gaps <= reach[:, None] + reach - 2.0 * shift
+    crowded = unresolved.sum(axis=1) > 2
+    turn = upper & ~(unresolved & (crowded[:, None] | crowded)) if crowded.any() else upper
+    # the upper triangle, mirrored: exactly skew-Hermitian, and a pair over an
+    # equal diagonal turns one way, as the sweeps turn it; the floor makes the
+    # phase of a 0 entry 0, and a subnormal entry only turns less, which
+    # leaves g unitary
+    t = np.copysign(np.tan(0.5 * theta) * turn / np.maximum(mod, _TINY), diff) * work
+    half = t - t.conj().T
     g = np.linalg.solve(identity - half, identity + half)
     work = g @ work @ g.conj().T
     diagonal = work.diagonal().real
-    new_value = _plogp_sum(diagonal, base)
     new_gap = _certified_gap(work, diagonal, base)
-    if new_value > value or new_gap > NEWTON_GATE**2 * gap:
-        return False
+    if new_gap > STEP_KEEP * gap:
+        return None
+    new_value = _plogp_sum(diagonal, base)
+    if new_value > value:
+        return None
     return work, g @ u, new_value, new_gap
 
 
@@ -490,19 +525,20 @@ def min_informational_over_unitaries(
     exact minimizer of the objective over that pair.  Pairs whose entry is
     already zero are skipped, so a diagonal input returns the identity.  A
     sweep visits the pairs row by row below dimension 8 and in round-robin
-    rounds of disjoint pairs from dimension 8 on.  There, before each sweep
-    after the first, one all-pairs Newton step is tried if every
-    off-diagonal ``|w_ij|`` is at most ``linalg.NEWTON_GATE |w_ii - w_jj|``;
-    it is kept, in place of the sweep, only if the objective does not rise
-    and ``certified_gap`` falls to at most ``NEWTON_GATE**2`` times what it
-    was, and a rejected step is the search's last try.  A kept step counts
-    ``d(d-1)/2`` pair visits and runs only if the budget covers them;
-    ``newton_steps`` reports how many were kept.
+    rounds of disjoint pairs from dimension 8 on.  There, after every sweep
+    but the first, one all-pairs Jacobi step is tried: it turns every pair
+    at once by the angle of its own 2x2 Jacobi rotation, except the pairs of
+    a cluster of nearly equal diagonal entries, and is kept, in place of the
+    next sweep, only if the objective does not rise and ``certified_gap``
+    falls to at most ``linalg.STEP_KEEP`` times what it was.  A kept step is
+    followed by another try, a rejected one by a sweep.  A kept step counts ``d(d-1)/2``
+    pair visits and runs only if the budget covers them; ``newton_steps``
+    reports how many were kept.
 
-    After each step, a sweep or a kept Newton step, with
-    ``tol = linalg.SWEEP_TOL * (1 + |value|)``, the search stops when the
-    budget is spent, when the step lowered the objective by less than
-    ``tol`` (as a sweep that rotates nothing does, by exactly 0), or when
+    With ``tol = linalg.SWEEP_TOL * (1 + |value|)``, the search stops when
+    the budget is spent, when a sweep lowered the objective by less than
+    ``tol`` (as a sweep that rotates nothing does, by exactly 0), or, after
+    any step, a sweep or a kept all-pairs step, when
     ``certified_gap`` is at most ``tol``.  That
     certificate bounds the objective's gap over the von Neumann entropy, the
     relative entropy of coherence ``D(W || diag W)`` (Baumgratz, Cramer &
@@ -530,17 +566,16 @@ def min_informational_over_unitaries(
         work, u = rho.matrix.tolist(), np.eye(dim, dtype=complex).tolist()
     value = informational(rho, base).value
     evals = newton_steps = 0
-    newton = sweep is _sweep_rounds  # False once a Newton step is rejected
     pairs = dim * (dim - 1) // 2
 
     while True:
         start = value
         step = None
-        # after the first sweep, while no Newton step has been rejected and the
-        # budget covers the visits that a kept one counts
-        if evals and newton and budget - evals >= pairs:
-            step = _newton_step(work, u, value, gap, base)
-            newton = step is not False
+        # after a round sweep but the first, which starts from the input's
+        # basis and leaves angles that a step rarely turns, or after a kept
+        # step; and only if the budget covers the visits that a kept one counts
+        if evals > pairs and sweep is _sweep_rounds and budget - evals >= pairs:
+            step = _all_pairs_step(work, u, value, gap, base)
         if step:
             work, u, value, gap = step
             evals += pairs
@@ -552,7 +587,8 @@ def min_informational_over_unitaries(
             value = _plogp_sum(diagonal, base)
             gap = _certified_gap(work, diagonal, base)
         tol = SWEEP_TOL * (1.0 + abs(value))
-        if exhausted or start - value < tol or gap <= tol:
+        # a kept step may leave a cluster unturned, so only a sweep's small drop ends the search
+        if gap <= tol or not step and (exhausted or start - value < tol):
             break
 
     return UnitaryMinimizationReport(

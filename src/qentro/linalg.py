@@ -20,7 +20,7 @@ ROUNDING_TOL = 1e-12  # negatives taken as zero, certificate's diagonal floor
 GRID_TOL = 1e-9  # relative spacing error of a uniform grid
 INTEGRAL_TOL = 1e-6  # trapezoid integral of a tabulated density away from 1
 SWEEP_TOL = 1e-15  # relative drop below which the unitary minimizer stops sweeping
-NEWTON_GATE = 0.1  # off-diagonal entry over its diagonal gap up to which the minimizer tries Newton
+STEP_KEEP = 0.25  # share of its certificate that the minimizer's all-pairs step must reach to be kept
 RESIDUAL_WARN = 1e-4  # residual over the von Neumann entropy that the CLI warns of
 PART_LIMIT = 2.0  # real or imaginary part above which an amplitude or a state, operator or unitary entry is rejected
 

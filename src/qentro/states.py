@@ -25,7 +25,9 @@ class PureState:
     """Normalized complex amplitude vector over a finite basis (length >= 2)."""
 
     def __init__(self, amplitudes):
-        amps = np.array(amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(amplitudes, dtype=complex)
+        if amps.ndim != 1:
+            raise QentroError(f"amplitudes must be a vector, got shape {amps.shape}")
         if amps.size < 2:
             raise QentroError("a pure state needs at least 2 amplitudes")
         # a unit vector has no amplitude above 1 in modulus; a larger part is
@@ -268,8 +270,7 @@ def measure_collapse(state: PureState, mset: MeasurementSet, rng: np.random.Gene
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     idx = int(cdf.searchsorted(rng.random(), side="right"))
-    branch = mset.operators[idx] @ state.amplitudes
-    return mset.labels[idx], PureState._trusted_normalized(branch)
+    return mset.labels[idx], PureState._trusted_normalized(branches[idx])
 
 
 def dephase(state) -> DensityMatrix:

@@ -846,6 +846,9 @@ BIG = str(10**30)
         (["protocol", "estimate", "--adaptive", "--shots", BIG], "shots"),
         (["mzi", "--arrangement", "rigid", "--photons", BIG], "photons"),
         (["zeno", "--sweep", "1:1414", "--trials", "1"], "steps"),
+        # summed steps one above the limit: one step count, and two
+        (["zeno", "--sweep", "1000001:1000001"], "steps"),
+        (["zeno", "--sweep", "500000:500001"], "steps"),
     ],
 )
 def test_work_above_a_limit_exits_2(capsys, argv, limit):
@@ -883,6 +886,29 @@ def test_readme_work_is_within_the_limits(capsys, argv, monkeypatch):
         monkeypatch.setattr(module, name, stop)
     with pytest.raises(Started):
         main(argv)
+
+
+@pytest.mark.parametrize("sweep", ["1000000:1000000", "7938:8062"])
+def test_a_sweep_summed_to_the_steps_limit_exactly_passes_its_check(sweep, monkeypatch):
+    # 7938 + ... + 8062 is 125 step counts that sum to 10**6; stop where the
+    # sweep's work would start, after the check
+    class Started(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(zeno, "steering_sweep_rows", stop)
+    assert cli.WORK_LIMITS["steps"] == 10**6
+    with pytest.raises(Started):
+        main(["zeno", "--sweep", sweep, "--trials", "1"])
+
+
+def test_a_one_point_sweep_runs_its_one_step_count(capsys):
+    code, out, err = run(capsys, "--format", "csv", "zeno", "--sweep", "4:4", "--trials", "50")
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert row.startswith("4,")
 
 
 def wishart_file(tmp_path, dim):

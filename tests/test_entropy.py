@@ -20,7 +20,7 @@ from qentro.entropy import (
 )
 from qentro.errors import QentroError
 from qentro.interferometer import mirror_position_uncertainty
-from qentro.linalg import NEWTON_GATE, SWEEP_TOL, is_unitary, random_unitary
+from qentro.linalg import STEP_KEEP, SWEEP_TOL, is_unitary, random_unitary
 from qentro.states import DensityMatrix, Ensemble, PureState, density_of_pure, random_density
 from test_states import random_pure
 
@@ -495,11 +495,11 @@ def test_list_sweeps_keep_a_subnormal_phase_unitary(dim, entry):
     assert abs(report.residual_vs_von_neumann) <= 1e-12
 
 
-def _first_newton_step(monkeypatch, rho):
+def _first_kept_step(monkeypatch, rho):
     # the pair visits an unbudgeted search has made when it keeps its first
-    # Newton step, and its count of kept steps
+    # all-pairs step, and its count of kept steps
     visits = []
-    sweep, newton_step = entropy._sweep_rounds, entropy._newton_step
+    sweep, all_pairs_step = entropy._sweep_rounds, entropy._all_pairs_step
 
     def counted_sweep(work, u, budget):
         made, exhausted = sweep(work, u, budget)
@@ -507,14 +507,14 @@ def _first_newton_step(monkeypatch, rho):
         return made, exhausted
 
     def counted_step(work, u, value, gap, base):
-        step = newton_step(work, u, value, gap, base)
+        step = all_pairs_step(work, u, value, gap, base)
         if step:
             visits.append(None)
         return step
 
     with monkeypatch.context() as patch:
         patch.setattr(entropy, "_sweep_rounds", counted_sweep)
-        patch.setattr(entropy, "_newton_step", counted_step)
+        patch.setattr(entropy, "_all_pairs_step", counted_step)
         report = min_informational_over_unitaries(rho)
     return sum(visits[: visits.index(None)]), report.newton_steps
 
@@ -523,15 +523,15 @@ def test_round_sweeps_stop_at_the_budget_exactly(monkeypatch):
     # a budget that ends inside a round of m pairs cuts it short after each
     # position 1 ... m - 1, in the first sweep and in the second; 50 visits
     # end inside a round of 8 pairs at d16, and d9 plays a bye in each round.
-    # A Newton step counts all d(d - 1)/2 pairs, and runs only if the budget
-    # covers them: one pair short, the search sweeps instead, cut short; and
-    # after a kept step, a budget of 0 ... d(d - 1)/2 - 1 more visits cuts
-    # short the sweep that follows it
+    # An all-pairs step counts all d(d - 1)/2 pairs, and runs only if the
+    # budget covers them: one pair short, the search sweeps instead, cut
+    # short; and after a kept step, a budget of 0 ... d(d - 1)/2 - 1 more
+    # visits cuts short the sweep that follows it in place of the next step
     for dim in (16, 9):
         rho = random_density(dim, np.random.default_rng(1650 + dim))
         m, rounds, pairs = dim // 2, dim - 1 + dim % 2, dim * (dim - 1) // 2
         cuts = [k * m + j for k in (3, rounds + 1) for j in range(1, m)]
-        start, kept = _first_newton_step(monkeypatch, rho)
+        start, kept = _first_kept_step(monkeypatch, rho)
         assert kept >= 2  # so the first kept step does not end the search
         after = [start + pairs + j for j in (0, 1, m - 1, m, pairs // 2, pairs - 1)]
         for budget in cuts + [50] * (dim == 16) + [start + pairs - 1] + after:
@@ -543,37 +543,44 @@ def test_round_sweeps_stop_at_the_budget_exactly(monkeypatch):
             assert report.min_value >= von_neumann(rho).value - 1e-12
 
 
-def _watch_newton(monkeypatch):
-    # wraps entropy._newton_step: every kept step lowers the objective and
-    # divides the certificate by at least NEWTON_GATE^-2, and a closed gate or
-    # a rejected step leaves the working matrix and the unitary as they were;
-    # returns the list of outcomes, "closed", "rejected" or "kept" in turn
+def _watch_steps(monkeypatch):
+    # wraps entropy._all_pairs_step: every kept step does not raise the
+    # objective and divides the certificate by at least 1 / STEP_KEEP, and a
+    # rejected step leaves the working matrix and the unitary as they were;
+    # returns the list of outcomes in turn, "kept" or "rejected" for a step
+    # and "swept" for a round sweep
     outcomes = []
-    newton_step = entropy._newton_step
+    all_pairs_step, sweep = entropy._all_pairs_step, entropy._sweep_rounds
 
     def watched(work, u, value, gap, base):
         before = work.tobytes(), u.tobytes()
-        step = newton_step(work, u, value, gap, base)
+        step = all_pairs_step(work, u, value, gap, base)
         assert (work.tobytes(), u.tobytes()) == before
         if step:
             _, _, new_value, new_gap = step
             assert new_value <= value
-            assert new_gap <= NEWTON_GATE**2 * gap
-        outcomes.append("kept" if step else "rejected" if step is False else "closed")
+            assert new_gap <= STEP_KEEP * gap
+        outcomes.append("kept" if step else "rejected")
         return step
 
-    monkeypatch.setattr(entropy, "_newton_step", watched)
+    def swept(work, u, budget):
+        outcomes.append("swept")
+        return sweep(work, u, budget)
+
+    monkeypatch.setattr(entropy, "_all_pairs_step", watched)
+    monkeypatch.setattr(entropy, "_sweep_rounds", swept)
     return outcomes
 
 
 @pytest.mark.parametrize("dim", [8, 16, 17])
 def test_newton_steps_finish_a_wishart_search(monkeypatch, dim):
-    outcomes = _watch_newton(monkeypatch)
+    outcomes = _watch_steps(monkeypatch)
     for seed in range(3):
         rho = random_density(dim, np.random.default_rng(2100 + 10 * dim + seed))
         report = min_informational_over_unitaries(rho)
         assert not report.budget_exhausted
         assert report.newton_steps == outcomes.count("kept") >= 1
+        assert outcomes[-1] == "kept"  # a step ends the search
         assert abs(report.residual_vs_von_neumann) <= 1e-12
         assert is_unitary(report.minimizer, 1e-13)
         outcomes.clear()
@@ -581,16 +588,21 @@ def test_newton_steps_finish_a_wishart_search(monkeypatch, dim):
 
 @pytest.mark.filterwarnings("error")  # 0 / 0 over a zero gap would warn
 def test_newton_steps_keep_to_their_contract_on_every_kind(monkeypatch):
-    # rank-deficient inputs leave rows of rounding-level entries, a two-level
-    # spectrum gaps of rounding noise, and a Wishart block next to a multiple
-    # of the identity exact zeros over exact zero gaps, under the gate
-    outcomes = _watch_newton(monkeypatch)
+    # rank-deficient inputs leave rows of rounding-level entries, two-level
+    # and tiny spectra clusters of equal or near-zero levels that the step
+    # leaves unturned, and a Wishart block next to a multiple of the identity
+    # exact zeros over exact zero gaps
+    outcomes = _watch_steps(monkeypatch)
     seen = set()
     rng = np.random.default_rng(2121)
     for dim in (8, 9, 12):
         u = random_unitary(dim, rng)
         levels = np.where(np.arange(dim) < dim // 3, 0.7, 0.3)
         inputs = [DensityMatrix((u * (levels / levels.sum())) @ u.conj().T)]
+        for _ in range(4):
+            u = random_unitary(dim, rng)
+            spectrum = np.concatenate((rng.uniform(0.1, 1.0, dim - dim // 2), 10 ** rng.uniform(-16, -10, dim // 2)))
+            inputs.append(DensityMatrix((u * (spectrum / spectrum.sum())) @ u.conj().T))
         block = np.eye(dim, dtype=complex) / (2 * dim - 8)
         block[:4, :4] = random_density(4, rng).matrix / 2
         inputs.append(DensityMatrix(block))
@@ -601,15 +613,51 @@ def test_newton_steps_keep_to_their_contract_on_every_kind(monkeypatch):
             report = min_informational_over_unitaries(rho)
             assert abs(report.residual_vs_von_neumann) <= 1e-12
             assert is_unitary(report.minimizer, 1e-13)
-            # a rejected step is the search's last try: nothing follows it
-            assert "rejected" not in outcomes[:-1]
+            assert report.newton_steps == outcomes.count("kept")
+            # a step follows a sweep or a kept step, and a rejected one a sweep
+            assert outcomes[0] == "swept"
+            assert all(after == "swept" for before, after in zip(outcomes, outcomes[1:]) if before == "rejected")
             seen.update(outcomes)
             outcomes.clear()
-    assert seen == {"closed", "rejected", "kept"}
+    assert seen == {"swept", "rejected", "kept"}
+
+
+@pytest.mark.parametrize("seed, dim", [(6, 12), (81, 8), (289, 8)])
+def test_a_cluster_that_steps_leave_unturned_is_swept_before_the_search_stops(seed, dim):
+    # half the spectrum in [1e-16, 1e-10]: the kept steps turn the rest and
+    # lower the objective by less than the stop tolerance while the near-zero
+    # cluster still holds ~1e-12 bits, which ended these searches there when
+    # a kept step's small drop could stop them
+    rng = np.random.default_rng(seed)
+    u = random_unitary(dim, rng)
+    spectrum = np.concatenate((rng.uniform(0.1, 1.0, dim - dim // 2), 10 ** rng.uniform(-16, -10, dim // 2)))
+    report = min_informational_over_unitaries(DensityMatrix((u * (spectrum / spectrum.sum())) @ u.conj().T))
+    assert report.newton_steps >= 1
+    assert abs(report.residual_vs_von_neumann) <= 1e-12
+    assert report.certified_gap <= SWEEP_TOL * (1.0 + report.min_value)
+
+
+@pytest.mark.parametrize("dim", [8, 13])
+def test_an_all_pairs_step_turns_lone_pairs_as_the_sweep_does(dim):
+    # one pair over an equal diagonal and one over a wide gap, sharing no
+    # index: the step zeroes both, as a sweep's exact 2x2 rotations do
+    diagonal = np.linspace(0.3, 0.05, dim)
+    diagonal[2] = diagonal[5]
+    m = np.diag(diagonal / diagonal.sum()).astype(complex)
+    m[2, 5], m[5, 2] = 0.004 + 0.003j, 0.004 - 0.003j
+    m[0, dim - 1], m[dim - 1, 0] = -0.02j, 0.02j
+    value = informational(DensityMatrix(m)).value
+    work, u, new_value, _ = entropy._all_pairs_step(m, np.eye(dim, dtype=complex), value, 1.0, "bits")
+    swept = m.copy()
+    entropy._sweep_rounds(swept, np.eye(dim, dtype=complex), dim * dim)
+    assert np.allclose(work, swept, rtol=0, atol=1e-16)
+    assert np.allclose(work, np.diag(work.diagonal()), rtol=0, atol=1e-16)
+    assert new_value < value
+    assert is_unitary(u, 1e-15)
 
 
 def test_the_list_path_takes_no_newton_step(monkeypatch):
-    outcomes = _watch_newton(monkeypatch)
+    outcomes = _watch_steps(monkeypatch)
     for dim in range(2, entropy._ROUNDS_FROM_DIM):
         assert min_informational_over_unitaries(random_density(dim, np.random.default_rng(dim))).newton_steps == 0
     assert outcomes == []
@@ -636,7 +684,7 @@ def test_round_schedule_is_built_once_per_dim(monkeypatch):
 
 @pytest.mark.parametrize("dim", [8, 9, 16])
 def test_round_schedule_is_read_only_and_scatters_each_rounds_block(dim):
-    rounds, identity = entropy._schedule(dim)
+    rounds, identity, upper = entropy._schedule(dim)
     all_p, all_q = entropy._round_robin(dim)
     assert len(rounds) == len(all_p)
     for (p, q, pq, scatter), round_p, round_q in zip(rounds, all_p, all_q):
@@ -648,6 +696,7 @@ def test_round_schedule_is_read_only_and_scatters_each_rounds_block(dim):
         assert np.array_equal(cols, np.concatenate((p, q, q, p)))
         assert not any(table.flags.writeable for table in (p, q, pq, scatter))
     assert np.array_equal(identity, np.eye(dim)) and not identity.flags.writeable
+    assert np.array_equal(upper, np.triu(np.ones((dim, dim)), 1)) and not upper.flags.writeable
     with pytest.raises(ValueError):
         rounds[0][3][0] = 0
 

@@ -152,8 +152,8 @@ def _density_of_kind(dim, kind, rng):
     # a Wishart matrix of full rank, of a random lower rank, or of rank 1; or
     # I/d with one zero, subnormal or small coherence (at least d6); or, in a
     # Haar basis, eigenvalues in [1e-16, 1e-10] next to O(1) ones, or two
-    # levels, exact or spread by ~1e-9, whose gaps the Newton step's gate can
-    # pass on rounding noise
+    # levels, exact or spread by ~1e-9, clusters that the all-pairs step
+    # leaves unturned
     if kind == "full":
         return random_density(dim, rng)
     if kind == "coherence":
@@ -187,7 +187,7 @@ def test_minimizer_reaches_von_neumann_or_stops_at_its_budget(dim, seed, short, 
     # pure inputs drive entries to subnormal sizes, where the round sweep
     # once took a NaN phase; a subnormal complex coherence once made the list
     # sweep's rotation non-unitary.  Clustered spectra put gaps of rounding
-    # noise under the Newton step's gate.
+    # noise inside the clusters that the all-pairs step leaves unturned.
     rng = np.random.default_rng(seed)
     rho = _density_of_kind(dim, kind, rng)
     budget = int(rng.integers(1, dim * dim)) if short else 200_000

@@ -207,6 +207,17 @@ def test_source_counts_the_copies_each_estimator_reports():
     assert src.copies_used == est.copies_used == est.rounds * 2 * 120
 
 
+def test_estimates_drawn_from_one_source_each_count_only_their_own_copies():
+    src = HiddenQubitSource(0.6, seed=3)
+    first = estimate_theta_bruteforce(src, QuantizationGrid(8), 300)
+    adaptive = estimate_theta_adaptive(src, math.pi / 64, confidence_shots=120)
+    last = estimate_theta_bruteforce(src, QuantizationGrid(4), 50)
+    assert first.copies_used == 8 * 300
+    assert adaptive.rounds > 0 and adaptive.copies_used == adaptive.rounds * 2 * 120
+    assert last.copies_used == 4 * 50
+    assert src.copies_used == first.copies_used + adaptive.copies_used + last.copies_used
+
+
 def test_signature_key_validation():
     with pytest.raises(QentroError, match="a signature key needs at least one angle"):
         SignatureKey([])

@@ -103,6 +103,12 @@ def test_load_json_missing_and_malformed(tmp_path):
         load_json(str(bad))
 
 
+def test_write_csv_of_no_rows_writes_nothing():
+    out = io.StringIO()
+    write_csv([], out)
+    assert out.getvalue() == ""
+
+
 def test_write_csv_full_precision_and_determinism():
     rows = [{"n": 2, "value": 1 / 3, "label": "x"}]
     out1, out2 = io.StringIO(), io.StringIO()

@@ -238,6 +238,7 @@ def test_evolve_unitary_errors():
             "state dim 2 != measurement dim 3",
         ),
         (lambda: DensityMatrix(np.ones((2, 3))), QentroError, r"expected a square matrix, got shape \(2, 3\)"),
+        (lambda: PureState(np.ones((2, 3)) / math.sqrt(6)), QentroError, r"amplitudes must be a vector, got shape \(2, 3\)"),
         # parts above PART_LIMIT are turned away before the products overflow
         (
             lambda: MeasurementSet([NEAR_LIMIT, NEAR_LIMIT]),
@@ -253,6 +254,7 @@ def test_evolve_unitary_errors():
         "evolve-non-state",
         "collapse-dims",
         "non-square",
+        "pure-not-a-vector",
         "measurement-near-limit",
         "evolve-near-limit",
     ],

@@ -54,4 +54,4 @@ def test_table_holds_every_tolerance_at_its_value():
         linalg.RESIDUAL_WARN,
     ) == (1e-10, 1e-9, 1e-12, 1e-9, 1e-6, 1e-15, 1e-4)
     # the table's thresholds written without an exponent
-    assert (linalg.NEWTON_GATE, linalg.PART_LIMIT) == (0.1, 2.0)
+    assert (linalg.STEP_KEEP, linalg.PART_LIMIT) == (0.25, 2.0)
