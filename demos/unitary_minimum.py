@@ -7,10 +7,11 @@ measurement basis; the best possible choice diagonalizes the state, at
 which point the accessible entropy equals the eigenvalue entropy.  The
 optimizer never sees the eigendecomposition (it applies exact pair
 rotations, cyclic Jacobi sweeps that each zero one off-diagonal entry, in
-round-robin rounds of disjoint pairs from dimension 8 on, where all-pairs
-Newton steps finish the search once the rotated state is nearly diagonal),
-so the match is a genuine two-route check.  The last column counts the
-Newton steps kept; below dimension 8 it is always 0.
+round-robin rounds of disjoint pairs from dimension 8 on, where an
+all-pairs Jacobi step, which turns every pair at once, is tried after every
+sweep but the first and kept while it cuts the search's certificate), so the
+match is a genuine two-route check.  The last column, ``newton``, counts
+the all-pairs steps kept; below dimension 8 it is always 0.
 
 It opens with the paper's first point: an unknown pure state, here a
 Haar-random rotation of |0>, has von Neumann entropy 0, yet a receiver

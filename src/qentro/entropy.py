@@ -124,14 +124,14 @@ def differential_entropy(grid, density, base: str = NATS) -> EntropyResult:
         raise QentroError("grid and density must share a length of at least 2")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
         raise QentroError("grid and density must be finite (no NaN/Inf)")
-    # a step of an increasing grid may overflow, unlike one of its halved points
-    if not np.all(x[1:] > x[:-1]):
+    # the rule is read on the halved steps, which cannot overflow as a step
+    # may; halving is exact for points in the normal float range
+    halves = np.diff(x / 2)
+    if halves.min() <= 0 or np.abs(halves - halves[0]).max() > GRID_TOL * halves[0]:
         raise QentroError("grid must be uniformly spaced and increasing")
-    if not math.isfinite(2 * float(np.diff(x / 2).max())):
+    if not math.isfinite(2 * float(halves.max())):
         raise QentroError(f"grid from {float(x[0])!r} to {float(x[-1])!r} has a step out of floating-point range")
     steps = np.diff(x)
-    if np.abs(steps - steps[0]).max() > GRID_TOL * steps[0]:
-        raise QentroError("grid must be uniformly spaced and increasing")
     if f.min() < -ROUNDING_TOL:
         raise QentroError(f"density has negative value {f.min()!r}")
     f = np.clip(f, 0.0, None)
@@ -284,12 +284,11 @@ def bound_row(area_planck_units: float) -> dict:
 # dimension alone and are built once per dimension (_schedule).  Per
 # matrix on a shared 2-vCPU x86-64 VM (OpenBLAS, one thread), Wishart
 # inputs, best of 5, the two orders timed in turn on 20 matrices, median,
-# two runs, rounds (with the gated Newton steps that the all-pairs step
-# replaced) over lists: d4 1.55x and
-# 1.95x, d5 1.42x and 1.25x, d6 0.93x and 0.88x, d7 0.83x and 0.77x, d8
-# 0.59x and 0.61x, d10 0.34x and 0.40x.  Rounds win from d6 on; the bound
-# stays at 8, as moving it changes the output at d6 and d7, which no
-# benchmark workload runs.  The host's speed swings by up to 1.5x from one
+# two runs, rounds over lists, timed with the all-pairs step's predecessor:
+# d4 1.55x and 1.95x, d5 1.42x and 1.25x, d6 0.93x and 0.88x, d7 0.83x and
+# 0.77x, d8 0.59x and 0.61x, d10 0.34x and 0.40x.  Rounds win from d6 on;
+# the bound stays at 8, as moving it changes the output at d6 and d7, which
+# no benchmark workload runs.  The host's speed swings by up to 1.5x from one
 # run of such a table to the next.
 #
 # On the round path, a sweep of d - 1 rounds costs ~20-35 us of numpy call
@@ -301,12 +300,11 @@ def bound_row(area_planck_units: float) -> dict:
 # 2013), so that the rotation is exactly unitary and costs one LU solve and
 # a few products.  A lone pair turns exactly as a sweep turns it, and a pair
 # far apart as the quadratically convergent Newton step of Ogita & Aishima
-# (Japan J. Indust. Appl. Math. 35, 1007, 2018) turns it, so a close pair no
-# longer holds the step back as a gate on |w_ij| / |w_ii - w_jj| did.  In a
-# cluster of nearly equal diagonal entries the pairs' rotations do not
-# commute, and turning them all at once leaves first-order errors in the
-# couplings out of the cluster: the steps then converge only linearly, and
-# the sweep after them loses its quadratic rate.  As Ogita & Aishima do,
+# (Japan J. Indust. Appl. Math. 35, 1007, 2018) turns it.  In a cluster of
+# nearly equal diagonal entries the pairs' rotations do not commute, and
+# turning them all at once leaves first-order errors in the couplings out
+# of the cluster: the steps then converge only linearly, and the sweep
+# after them loses its quadratic rate.  As Ogita & Aishima do,
 # the step leaves such pairs unturned and a sweep resolves them.  A kept
 # step is tried again at once; a rejected one, which leaves the working
 # matrix as it was, is followed by a sweep.  A kept step's small drop does
@@ -315,10 +313,10 @@ def bound_row(area_planck_units: float) -> dict:
 # the step is rejected after it on most full-rank inputs, so the first try
 # follows the second sweep.  Per call on a shared 2-vCPU x86-64 VM
 # (OpenBLAS, one thread), 15 matrices per family and size, the searches with
-# the gated Newton step this replaced and with this step timed in turn on
-# each matrix in one process (min of 3 calls, 1 at d64), median of 10 runs:
-# Wishart inputs take 0.92x the time at d8, 0.72x at d16 (2.06 -> 1.48 ms),
-# 0.76x at d32 and 0.75x at d64 (68 -> 51 ms), with 3.7-5.5 kept steps;
+# this step and with its predecessor timed in turn on each matrix in one
+# process (min of 3 calls, 1 at d64), median of 10 runs: Wishart inputs
+# take 0.92x the time at d8, 0.72x at d16 (2.06 -> 1.48 ms), 0.76x at d32
+# and 0.75x at d64 (68 -> 51 ms), with 3.7-5.5 kept steps;
 # tiny-spectrum ones 0.56-0.77x, rank-deficient (rank d/2) 0.42-0.68x,
 # two-level 0.20-0.86x and 4-fold clustered 0.44-0.70x, d8 the least gain
 # each time; pure ones end with their first sweep, as before.  Without the

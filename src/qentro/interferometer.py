@@ -100,12 +100,16 @@ def posterior_springy(prior: float, outcome: str) -> float:
     return posterior
 
 
-def simulate_photons(mirror: MirrorModel, count: int, rng: np.random.Generator) -> dict:
-    """Multinomial photon counts per outcome; deterministic given the seed."""
+def _draw(count: int, cells, probs, rng: np.random.Generator) -> dict:
+    # one multinomial draw of count photons over the cells, as plain ints
     if count < 1:
         raise QentroError(f"photon count must be >= 1, got {count!r}")
-    draws = rng.multinomial(count, list(outcome_distribution(mirror).values()))
-    return dict(zip(OUTCOMES, (int(c) for c in draws)))
+    return dict(zip(cells, (int(c) for c in rng.multinomial(count, probs))))
+
+
+def simulate_photons(mirror: MirrorModel, count: int, rng: np.random.Generator) -> dict:
+    """Multinomial photon counts per outcome; deterministic given the seed."""
+    return _draw(count, OUTCOMES, list(outcome_distribution(mirror).values()), rng)
 
 
 def simulate_latent_mirror(prior: float, count: int, rng: np.random.Generator) -> dict:
@@ -117,14 +121,12 @@ def simulate_latent_mirror(prior: float, count: int, rng: np.random.Generator) -
     counts keyed by ``(mirror_kind, outcome)``; the springy fraction among
     D1 clicks estimates the Bayes posterior empirically.
     """
-    if count < 1:
-        raise QentroError(f"photon count must be >= 1, got {count!r}")
     # numpy's multinomial gives the last cell whatever the others leave; in
     # this order that is springy D2, so rounding never puts a photon in a
     # cell of probability 0
     probs = [p for row in MirrorModel(UNKNOWN, prior).joint for p in row]
     cells = [(kind, outcome) for kind in (RIGID, SPRINGY) for outcome in OUTCOMES]
-    return dict(zip(cells, (int(c) for c in rng.multinomial(count, probs))))
+    return _draw(count, cells, probs, rng)
 
 
 def mirror_position_uncertainty(wavelength: float) -> float:

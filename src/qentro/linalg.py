@@ -51,11 +51,6 @@ def max_part(a: np.ndarray) -> float:
     return float(np.abs(np.ascontiguousarray(a).view(float)).max())
 
 
-def _hermitian_deviation(m: np.ndarray) -> float:
-    # max |m - m†| of an array already coerced by as_matrix
-    return max_abs(m - m.conj().T)
-
-
 def _unitary_deviation(m: np.ndarray) -> float:
     # max |m†m - I| of an array already coerced by as_matrix; a part above
     # PART_LIMIT, which no unitary has, is infinitely far and never multiplied

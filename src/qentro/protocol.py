@@ -87,12 +87,10 @@ def estimate_theta_bruteforce(
     source's stream j, so evaluation order is irrelevant.  ``copies_used``
     is what the source counted for this estimate.
     """
-    if shots_per_hypothesis < 1:
-        raise QentroError(f"shots_per_hypothesis must be >= 1, got {shots_per_hypothesis!r}")
     hypotheses = grid.hypotheses
-    shots = shots_per_hypothesis
     spent = source.copies_used
-    zeros = np.array([source.measure_batch(float(b), shots, j) for j, b in enumerate(hypotheses)])
+    # measure_batch rejects a shot count below 1
+    zeros = np.array([source.measure_batch(float(b), shots_per_hypothesis, j) for j, b in enumerate(hypotheses)])
     winner = int(np.argmax(zeros))  # argmax returns the first maximal index
     return BruteForceEstimate(
         theta_hat=float(hypotheses[winner]),
@@ -166,9 +164,8 @@ class SignatureKey:
 
     @classmethod
     def uniform(cls, n: int, angle: float = math.pi / 4.0) -> "SignatureKey":
-        if n < 1:
-            raise QentroError("a signature key needs at least one angle")
-        return cls(np.full(n, angle))
+        # n <= 0 gives no angle, which the constructor rejects
+        return cls([angle] * n)
 
     @property
     def length(self) -> int:

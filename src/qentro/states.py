@@ -97,7 +97,7 @@ class DensityMatrix:
             raise QentroError(
                 f"entry part {largest!r} is above {PART_LIMIT}: not positive semidefinite with trace 1"
             )
-        if linalg._hermitian_deviation(m) > DEFAULT_TOL:
+        if linalg.max_abs(m - m.conj().T) > DEFAULT_TOL:
             raise QentroError("matrix is not Hermitian within tolerance")
         m = (m + m.conj().T) / 2
         trace = float(m.trace().real)

@@ -1,7 +1,8 @@
-"""Survival of a state under a Hamiltonian, read off its cached spectrum
-with no state evolved, its short-time approximation, and measurement-driven
-dynamics: survival freezing under repeated observation and steering a qubit
-through a ladder of rotated measurement bases.
+"""Survival of a state under a Hamiltonian and its short-time
+approximation, both read off the Hamiltonian's cached spectrum with no
+state evolved, and measurement-driven dynamics: survival freezing under
+repeated observation and steering a qubit through a ladder of rotated
+measurement bases.
 """
 
 import math
@@ -57,33 +58,17 @@ def _finite_phase(x: float, t) -> float:
     return x
 
 
-def energy_variance(h: Hamiltonian, psi0: PureState) -> float:
-    """``<H^2> - <H>^2`` in the given state (clamped at 0)."""
-    if h.dim != psi0.dim:
-        raise QentroError(f"Hamiltonian dim {h.dim} != state dim {psi0.dim}")
-    # H scaled down by a power of two to entry parts below 1 cannot overflow
-    # the products; the scaling is exact, so ordinary inputs keep their bits
-    exp = max(math.frexp(linalg.max_part(h.matrix))[1], 0)
-    amps = psi0.amplitudes
-    h_amps = (h.matrix * math.ldexp(1.0, -exp)) @ amps
-    mean = float(np.vdot(amps, h_amps).real)
-    second = float(np.vdot(h_amps, h_amps).real)
-    try:
-        return math.ldexp(max(second - mean * mean, 0.0), 2 * exp)
-    except OverflowError:
-        raise QentroError("energy variance of the state is out of floating-point range") from None
-
-
 def zeno_survival(h: Hamiltonian, t: float, n: int, psi0: PureState, mode: str = "exact") -> float:
     """Probability of still finding ``psi0`` after n projective observations
     spread over total time t (projective reset onto psi0 each step).
 
-    ``exact`` compounds the per-interval survival ``|sum_k |<v_k|psi0>|^2
-    exp(-i E_k t/n)|^2``, read off ``h.eigen()``; ``second_order`` uses the
-    linearized ``1 - (dE)^2 t^2 / n``, the short-time expansion, which at
-    n = 1 differs from the exact survival by O(t^4); the gap between the two
-    is the term the linearization drops.  The exact mode tends to 1 as n
-    grows.
+    Both modes read the spectrum ``h.eigen()`` caches, the energies ``E_k``
+    and the weights ``p_k = |<v_k|psi0>|^2``.  ``exact`` compounds the
+    per-interval survival ``|sum_k p_k exp(-i E_k t/n)|^2``; ``second_order``
+    uses the linearized ``1 - (dE)^2 t^2 / n``, the short-time expansion,
+    with ``(dE)^2 = sum_k p_k (E_k - sum_j p_j E_j)^2``, which at n = 1
+    differs from the exact survival by O(t^4); the gap between the two is
+    the term the linearization drops.  The exact mode tends to 1 as n grows.
     """
     # t is read before any arithmetic, as a Python float, whose products
     # overflow to inf without a numpy warning
@@ -92,19 +77,29 @@ def zeno_survival(h: Hamiltonian, t: float, n: int, psi0: PureState, mode: str =
     t = float(t)
     if n < 1:
         raise QentroError(f"observation count must be >= 1, got {n!r}")
+    if mode not in ("exact", "second_order"):
+        raise ValueError(f"mode must be 'exact' or 'second_order', got {mode!r}")
+    if h.dim != psi0.dim:
+        raise QentroError(f"Hamiltonian dim {h.dim} != state dim {psi0.dim}")
+    w, v = h.eigen()
+    c = v.conj().T @ psi0.amplitudes
+    p = (c * c.conj()).real
     if mode == "exact":
-        if h.dim != psi0.dim:
-            raise QentroError(f"Hamiltonian dim {h.dim} != state dim {psi0.dim}")
-        w, v = h.eigen()
         tau = t / n
         _finite_phase(float(np.abs(w).max()) * abs(tau), t)  # the largest phase
-        c = v.conj().T @ psi0.amplitudes
-        amp = np.dot((c * c.conj()).real, np.exp(-1j * w * tau))
+        amp = np.dot(p, np.exp(-1j * w * tau))
         return min(abs(amp) ** 2, 1.0) ** n
-    if mode == "second_order":
-        var = energy_variance(h, psi0)
-        return 1.0 - _finite_phase(var * t * t, t) / n
-    raise ValueError(f"mode must be 'exact' or 'second_order', got {mode!r}")
+    # energies scaled exactly, by a power of two, to below 1 in modulus, so that
+    # no difference or square overflows; unlike <H^2> - <H>^2, the spread about
+    # the mean does not cancel when the mean is large
+    exp = math.frexp(float(np.abs(w).max()))[1]
+    scaled = np.ldexp(w, -exp)
+    var = float(np.dot(p, (scaled - np.dot(p, scaled)) ** 2))
+    try:
+        var = math.ldexp(var, 2 * exp)
+    except OverflowError:
+        raise QentroError("energy variance of the state is out of floating-point range") from None
+    return 1.0 - _finite_phase(var * t * t, t) / n
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qentro.entropy import (
     BITS,
@@ -49,6 +51,8 @@ from qentro.states import (
     DensityMatrix,
     Ensemble,
     PureState,
+    density_of_pure,
+    evolve_unitary,
     random_density,
 )
 from qentro.zeno import (
@@ -156,6 +160,19 @@ def test_criterion_05_majorization_suite():
         worst_violation = max(worst_violation, -gap)
         assert gap >= -1e-10
     _report(5, t0, 30.0, f"1000 conjugations; worst S_i-S_n deficit {worst_violation:.2e}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+def test_the_rotated_diagonal_is_majorized_by_the_spectrum(dim, seed, pure):
+    # the root of S_i >= S_n (Schur; Horn): in any basis, the k largest diagonal
+    # entries sum to at most the k largest eigenvalues, for k = 1 ... d - 1
+    rng = np.random.default_rng(seed)
+    rho = density_of_pure(random_pure(dim, rng)) if pure else random_density(dim, rng)
+    diagonal = np.sort(evolve_unitary(rho, random_unitary(dim, rng)).diagonal())[::-1]
+    spectrum = np.sort(rho.eigenvalues())[::-1]
+    for k in range(1, dim):
+        assert diagonal[:k].sum() <= spectrum[:k].sum() + 1e-12
 
 
 def test_criterion_06_interferometer():

@@ -829,6 +829,28 @@ def test_mzi_unknown_at_a_certain_prior(capsys, prior, posteriors, fmt):
 BIG = str(10**30)
 
 
+class Started(Exception):
+    """Raised where a command's work would start, after its limits are checked."""
+
+
+@pytest.fixture
+def stop_the_work(monkeypatch):
+    # every kernel that the CLI hands work to raises Started instead of running,
+    # so that a limit check that wrongly passes fails at once
+    def stop(*args, **kwargs):
+        raise Started
+
+    for module, name in [
+        (zeno, "simulate_steering"),
+        (zeno, "steering_sweep_rows"),
+        (protocol, "eve_attack_success"),
+        (protocol, "estimate_theta_bruteforce"),
+        (protocol, "estimate_theta_adaptive"),
+        (interferometer, "arrangement_rows"),
+    ]:
+        monkeypatch.setattr(module, name, stop)
+
+
 @pytest.mark.parametrize(
     "argv, limit",
     [
@@ -851,7 +873,7 @@ BIG = str(10**30)
         (["zeno", "--sweep", "500000:500001"], "steps"),
     ],
 )
-def test_work_above_a_limit_exits_2(capsys, argv, limit):
+def test_work_above_a_limit_exits_2(capsys, argv, limit, stop_the_work):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -869,36 +891,14 @@ def test_work_above_a_limit_exits_2(capsys, argv, limit):
         ["zeno", "--sweep", "1:1413", "--trials", "1"],
     ],
 )
-def test_readme_work_is_within_the_limits(capsys, argv, monkeypatch):
-    # stop where the work would start, after the limits are checked
-    class Started(Exception):
-        pass
-
-    def stop(*args, **kwargs):
-        raise Started
-
-    for module, name in [
-        (zeno, "simulate_steering"),
-        (zeno, "steering_sweep_rows"),
-        (protocol, "eve_attack_success"),
-        (interferometer, "arrangement_rows"),
-    ]:
-        monkeypatch.setattr(module, name, stop)
+def test_readme_work_is_within_the_limits(argv, stop_the_work):
     with pytest.raises(Started):
         main(argv)
 
 
 @pytest.mark.parametrize("sweep", ["1000000:1000000", "7938:8062"])
-def test_a_sweep_summed_to_the_steps_limit_exactly_passes_its_check(sweep, monkeypatch):
-    # 7938 + ... + 8062 is 125 step counts that sum to 10**6; stop where the
-    # sweep's work would start, after the check
-    class Started(Exception):
-        pass
-
-    def stop(*args, **kwargs):
-        raise Started
-
-    monkeypatch.setattr(zeno, "steering_sweep_rows", stop)
+def test_a_sweep_summed_to_the_steps_limit_exactly_passes_its_check(sweep, stop_the_work):
+    # 7938 + ... + 8062 is 125 step counts that sum to 10**6
     assert cli.WORK_LIMITS["steps"] == 10**6
     with pytest.raises(Started):
         main(["zeno", "--sweep", sweep, "--trials", "1"])

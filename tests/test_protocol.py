@@ -133,11 +133,26 @@ def test_bruteforce_permutation_stable():
 
 
 def test_bruteforce_validates_shots():
-    with pytest.raises(QentroError, match="shots_per_hypothesis must be >= 1, got 0"):
+    # the source owns the rule; the grid estimator reaches it on its first batch
+    with pytest.raises(QentroError, match="^shots must be >= 1, got 0$"):
         estimate_theta_bruteforce(HiddenQubitSource(0.1), QuantizationGrid(4), 0)
-    # the source's own check, which the estimators' checks come before
-    with pytest.raises(QentroError, match="shots must be >= 1, got 0"):
+    with pytest.raises(QentroError, match="^shots must be >= 1, got 0$"):
         HiddenQubitSource(0.1).measure_batch(0.0, 0, 0)
+
+
+def test_adaptive_bisection_keeps_the_left_half_on_a_tie():
+    class TiedSource:
+        # both probes of every round collect the same count
+        copies_used = 0
+
+        def measure_batch(self, basis_angle, shots, stream):
+            self.copies_used += shots
+            return shots // 2
+
+    est = estimate_theta_adaptive(TiedSource(), math.pi / 32, confidence_shots=10)
+    # three rounds, each keeping [lo, mid]: the interval is [0, pi/16]
+    assert (est.rounds, est.theta_hat, est.halfwidth) == (3, math.pi / 32, math.pi / 32)
+    assert est.copies_used == 60
 
 
 def test_adaptive_reaches_target_near_zero():

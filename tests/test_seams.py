@@ -167,3 +167,16 @@ def test_every_exception_class_is_caught():
                 caught.update(getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(handler.type))
     uncaught = sorted(classes - caught)
     assert not uncaught, f"no except clause under src/qentro names: {uncaught}"
+
+
+def test_each_domain_message_is_raised_at_one_site():
+    # a rule stated twice is a rule that can drift: one owner raises each message
+    sites = collections.Counter()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if getattr(node.exc.func, "id", None) == "QentroError" and node.exc.args:
+                    sites[ast.unparse(node.exc.args[0])] += 1
+    assert sites, "no QentroError raise was found"
+    repeated = sorted(template for template, count in sites.items() if count > 1)
+    assert not repeated, f"raised at more than one site: {repeated}"

@@ -115,6 +115,14 @@ def test_mix_weight_validation():
         Ensemble([(1.5, PLUS), (-0.5, ZERO)])
 
 
+def test_ensemble_takes_a_weight_within_rounding_of_zero():
+    # a part of weight 0, or ROUNDING_TOL-small below it, is no negative weight
+    assert Ensemble([(1.0, PLUS), (0.0, ZERO)]).dim == 2
+    assert Ensemble([(1.0 + 1e-13, PLUS), (-1e-13, ZERO)]).dim == 2
+    with pytest.raises(QentroError, match="negative weight"):
+        Ensemble([(1.0 + 1e-11, PLUS), (-1e-11, ZERO)])
+
+
 def test_ensemble_components_must_share_a_dimension():
     mixed = DensityMatrix(np.eye(3) / 3)
     for pure_parts, mixed_part in [

@@ -11,7 +11,6 @@ from qentro.zeno import (
     HALF_PI,
     Hamiltonian,
     SteeringPlan,
-    energy_variance,
     simulate_steering,
     steering_success_probability,
     steering_sweep_rows,
@@ -146,24 +145,37 @@ def test_evolve_is_independent_of_the_eigenvector_gauge(scale):
         assert exact(h, t, psi) == pytest.approx(abs(np.vdot(psi.amplitudes, expected)) ** 2, abs=1e-12)
 
 
-def test_energy_variance():
-    assert energy_variance(Hamiltonian(np.diag([0.0, 2.0])), ZERO) == 0.0
-    assert energy_variance(PAULI_X, ZERO) == pytest.approx(1.0, abs=1e-12)
+def variance(h, psi0):
+    # the energy variance, read off the second-order survival 1 - (dE)^2 t^2 at t = 1
+    return 1.0 - zeno_survival(h, 1.0, 1, psi0, "second_order")
+
+
+def test_second_order_reads_the_energy_variance():
+    assert variance(Hamiltonian(np.diag([0.0, 2.0])), ZERO) == 0.0
+    assert variance(PAULI_X, ZERO) == pytest.approx(1.0, abs=1e-12)
     plus = PureState([1 / math.sqrt(2), 1 / math.sqrt(2)])
     # eigenvalues 0 and 2 weighted half/half: variance 1 by hand
-    assert energy_variance(Hamiltonian(np.diag([0.0, 2.0])), plus) == pytest.approx(1.0, abs=1e-12)
+    assert variance(Hamiltonian(np.diag([0.0, 2.0])), plus) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_energy_variance_of_a_huge_hamiltonian_is_finite_or_rejected():
+def test_second_order_variance_of_a_huge_hamiltonian_is_finite_or_rejected():
     # the products overflowed to inf, and inf - inf gave a silent NaN
-    assert energy_variance(Hamiltonian([[1e200, 0], [0, -1e200]]), ZERO) == 0.0
-    assert energy_variance(Hamiltonian([[1e-320, 0], [0, 0]]), ZERO) == 0.0
+    assert variance(Hamiltonian([[1e200, 0], [0, -1e200]]), ZERO) == 0.0
+    assert variance(Hamiltonian([[1e-320, 0], [0, 0]]), ZERO) == 0.0
     tilted = PureState([0.6, 0.8])
     h = Hamiltonian([[1e150, 1e150], [1e150, -1e150]])
-    assert energy_variance(h, tilted) == pytest.approx(1.5376e300, rel=1e-12)
+    assert variance(h, tilted) == pytest.approx(1.5376e300, rel=1e-12)
     # the true variance, ~1.5e320, is above the largest float
     with pytest.raises(QentroError, match="energy variance of the state is out of floating-point range"):
-        energy_variance(Hamiltonian([[1e160, 1e160], [1e160, -1e160]]), tilted)
+        variance(Hamiltonian([[1e160, 1e160], [1e160, -1e160]]), tilted)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e6, 1e8])
+def test_second_order_variance_ignores_a_large_mean_energy(shift):
+    # <H^2> - <H>^2 cancelled to 0 at a mean of 1e8; the spread about the mean is 1
+    h = Hamiltonian(shift * np.eye(2) + np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert variance(h, ZERO) == pytest.approx(1.0, abs=1e-6)
+    assert second_order(h, 0.1, ZERO) == pytest.approx(exact(h, 0.1, ZERO), abs=1e-4)
 
 
 def test_survival_second_order_small_time():
@@ -208,7 +220,7 @@ def test_zeno_survival_reductions():
     [
         (lambda: zeno_survival(PAULI_X, 1.0, 3, ZERO, mode="bogus"), ValueError, "mode must be 'exact'"),
         (
-            lambda: energy_variance(PAULI_X, PureState.basis_state(3, 0)),
+            lambda: second_order(PAULI_X, 1.0, PureState.basis_state(3, 0)),
             QentroError,
             "Hamiltonian dim 2 != state dim 3",
         ),
