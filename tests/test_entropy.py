@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -64,6 +65,9 @@ def test_shannon_validates_distribution():
         shannon([0.5, 0.4])
     with pytest.raises(QentroError, match="negative probability"):
         shannon([1.2, -0.2])
+    # the minimum is printed as a float, not as np.float64(-0.5)
+    with pytest.raises(QentroError, match=r"^negative probability -0\.5$"):
+        shannon([1.5, -0.5])
     # rejected before the sum, which overflowed with a numpy warning
     with pytest.raises(QentroError, match=r"probability 1e\+308 is above 1"):
         shannon([1e308, 1e308])
@@ -80,6 +84,49 @@ def test_shannon_permutation_invariant_and_uniform_maximal():
         for _ in range(100):
             perturbed = rng.dirichlet(np.ones(n))
             assert shannon(perturbed).value <= uniform + 1e-12
+
+
+# ------------------------------------------------------ the p log p kernel
+
+
+def plogp_reference(p, base) -> Decimal:
+    """``-sum p log p`` of the float entries, to 60 digits."""
+    with localcontext() as context:
+        context.prec = 60
+        total = Decimal(0)
+        for x in p:
+            if x > 0:
+                term = Decimal(x) * Decimal(x).ln()
+                total += term / Decimal(2).ln() if base == BITS else term
+        return -total
+
+
+# 4 Dirichlet entries whose bits value numpy's pairwise sum left 2 ulps from the reference
+PAIRWISE_TWO_ULPS = [0.42967004825225474, 0.27713557850300585, 0.022627869793589002, 0.2705665034511503]
+
+
+def test_plogp_sum_is_within_one_ulp_of_a_60_digit_reference():
+    rng = np.random.default_rng(29)
+    vectors = [rng.dirichlet(np.ones(n)) for n in (2, 3, 4, 5, 8, 16, 32, 64) for _ in range(4)]
+    for p in [np.array(PAIRWISE_TWO_ULPS), *vectors]:
+        for base in (BITS, NATS):
+            reference = float(plogp_reference(p.tolist(), base))
+            value = entropy._plogp_sum(p, base)
+            assert abs(value - reference) <= math.ulp(reference), (p.size, base)
+            # the list path, which the list sweep takes, gives the same bits
+            assert entropy._plogp_sum(p.tolist(), base) == value
+
+
+def test_informational_is_bit_identical_under_a_basis_permutation():
+    # the sum is rounded once, so the order of the diagonal cannot move a bit
+    rng = np.random.default_rng(30)
+    for dim in range(2, 17):
+        for _ in range(10):
+            rho = random_density(dim, rng)
+            perm = rng.permutation(dim)
+            permuted = DensityMatrix(rho.matrix[perm][:, perm])
+            for base in (BITS, NATS):
+                assert informational(permuted, base).value == informational(rho, base).value
 
 
 # ----------------------------------------------------- differential entropy
@@ -111,7 +158,7 @@ def test_differential_rejects_non_density():
     # the masses f * step / 2 overflow: rejected as an integral of inf, with no warning
     with pytest.raises(QentroError, match="density integrates to inf"):
         differential_entropy([0.0, 10.0], [1e308, 1e308], NATS)
-    with pytest.raises(QentroError, match="density has negative value"):
+    with pytest.raises(QentroError, match=r"^density has negative value -1\.0$"):
         differential_entropy(x, -np.ones_like(x), NATS)
     with pytest.raises(QentroError, match="grid must be uniformly spaced and increasing"):
         differential_entropy(np.cumsum(np.linspace(0.1, 1, 101)), np.ones(101), NATS)
@@ -399,6 +446,19 @@ def test_minimizer_budget_exhaustion_returns_best_so_far():
     assert report.iterations == 2
     assert report.min_value >= von_neumann(rho).value - 1e-6
     assert is_unitary(report.minimizer, 1e-8)
+
+
+@pytest.mark.parametrize("dim, rank, seed, iterations", [(6, 2, 6022, 60), (8, 2, 8020, 140)])
+@pytest.mark.parametrize("base", [BITS, NATS])
+def test_a_sweep_that_lowers_the_objective_too_little_ends_the_search(dim, rank, seed, iterations, base):
+    # on these rank-deficient inputs the drop test stops the search a sweep
+    # before the certificate would: without it, 75 and 168 pair visits
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    report = min_informational_over_unitaries(DensityMatrix(z @ z.conj().T / np.vdot(z, z).real), base)
+    assert report.iterations == iterations
+    assert not report.budget_exhausted
+    assert abs(report.residual_vs_von_neumann) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [16, 32])
