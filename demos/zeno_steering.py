@@ -46,17 +46,18 @@ print("agree as n grows and the state stops evolving at all.")
 print()
 print("Steering |0> to |1> through n bases rotated by theta = 90deg/n:")
 rng = np.random.default_rng(33)
-print("   n   theta     closed form   Monte Carlo (1e5 trials)")
+print("   n   theta     closed form   Monte Carlo (1e5 trials)   z")
 for n in (2, 10, 45, 90):
     plan = SteeringPlan.from_steps(n)
     p = steering_success_probability(plan)
     result = simulate_steering(plan, 100_000, rng)
     print(
         f"  {n:3d}  {math.degrees(plan.theta_step):6.2f}deg"
-        f"  {p:.6f}      {result.success_rate:.6f}"
+        f"  {p:.6f}      {result.success_rate:.6f}               {result.z:+.2f}"
     )
 print("Two 45-degree filters pass 1/4 of the photons; ninety 1-degree")
 print("filters pass 97.3%: gentler steps succeed more often overall.")
+print("z is each rate's distance from the closed form in standard errors.")
 
 print()
 plan = SteeringPlan.from_steps(10)

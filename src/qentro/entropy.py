@@ -188,12 +188,6 @@ def von_neumann(rho, base: str = BITS) -> EntropyResult:
     _check_base(base)
     if not isinstance(rho, states.DensityMatrix):
         rho = states.DensityMatrix(rho)
-    m = rho.matrix
-    # a diagonal matrix's spectrum is its diagonal, read without an eigvalsh,
-    # whose values need not be the entries to the bit: the same numbers as
-    # informational sums, so the two agree exactly
-    if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
-        return EntropyResult(_plogp_sum(rho.diagonal(), base), base)
     return EntropyResult(_plogp_sum(rho.eigenvalues(), base), base)
 
 

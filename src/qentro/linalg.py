@@ -1,12 +1,12 @@
 """Complex linear algebra for small dense matrices.
 
-The structural predicates (Hermiticity, unitarity) used everywhere else in
-the package, and a Haar-random unitary.  Every comparison takes an
-explicit tolerance, and every tolerance the package applies is named once,
-in the table below; none relies on exact float equality.  All functions
-are pure and never modify their inputs.  The eigensolvers are called only
-where a spectrum is owned: ``states.DensityMatrix`` and
-``zeno.Hamiltonian``.
+Coercion to a square complex matrix, the two norms behind every tolerance
+check, the package's one unitarity check, a Haar-random unitary, and the
+tolerance table.  Every comparison takes an explicit tolerance, and every
+tolerance the package applies is named once, in the table below; none
+relies on exact float equality.  All functions are pure and never modify
+their inputs.  The eigensolvers are called only where a spectrum is owned:
+``states.DensityMatrix`` and ``zeno.Hamiltonian``.
 """
 
 import numpy as np
@@ -51,17 +51,13 @@ def max_part(a: np.ndarray) -> float:
     return float(np.abs(np.ascontiguousarray(a).view(float)).max())
 
 
-def _unitary_deviation(m: np.ndarray) -> float:
-    # max |m†m - I| of an array already coerced by as_matrix; a part above
-    # PART_LIMIT, which no unitary has, is infinitely far and never multiplied
-    if max_part(m) > PART_LIMIT:
-        return np.inf
-    return max_abs(m.conj().T @ m - np.eye(m.shape[0]))
-
-
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``max |a†a - I| <= tol``."""
-    return _unitary_deviation(as_matrix(a)) <= tol
+    m = as_matrix(a)
+    # a part above PART_LIMIT, which no unitary has, is rejected before the product
+    if max_part(m) > PART_LIMIT:
+        return False
+    return max_abs(m.conj().T @ m - np.eye(m.shape[0])) <= tol
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

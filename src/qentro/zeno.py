@@ -116,7 +116,7 @@ class SteeringPlan:
         steps = HALF_PI / self.theta_step
         if not math.isfinite(steps):
             raise QentroError(f"step angle {self.theta_step!r} rad is too small: pi/2 over it is not finite")
-        object.__setattr__(self, "n_steps", max(int(round(steps)), 1))
+        object.__setattr__(self, "n_steps", int(round(steps)))
 
     @classmethod
     def from_steps(cls, n: int) -> "SteeringPlan":

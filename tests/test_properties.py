@@ -64,6 +64,43 @@ def test_informational_equals_von_neumann_exactly_on_diagonal_matrices(weights):
         assert informational(rho, base).value == von_neumann(rho, base).value
 
 
+def _with_entry(p, index, value):
+    # p with one entry set to value and the others rescaled to keep trace 1
+    q = p.copy()
+    q[index] = 0.0
+    q *= (1.0 - value) / q.sum()
+    q[index] = value
+    return q
+
+
+def test_informational_equals_von_neumann_exactly_on_trusted_diagonal_states():
+    # von_neumann reads eigvalsh on every input, and eigvalsh returns a diagonal
+    # matrix's entries to the bit.  Trusted states (dephase, mix) compute that
+    # spectrum on first use; public ones at construction, also with -0.0 off
+    # the diagonal.  Entries include zeros, a subnormal, a slightly negative
+    # one and equal ones, at every dim up to the CLI's limit of 64
+    rng = np.random.default_rng(30)
+    for dim in range(1, 65):
+        p = rng.dirichlet(np.full(dim, 0.5))
+        entries = [p, np.full(dim, 1.0 / dim)]
+        if dim > 1:
+            zeros = p.copy()
+            zeros[::2] = 0.0
+            entries += [zeros / zeros.sum(), _with_entry(p, 0, 5e-324), _with_entry(p, dim - 1, -5e-11)]
+        states = [dephase(random_density(dim, rng))]
+        for q in entries:
+            signed = np.full((dim, dim), -0.0)
+            np.fill_diagonal(signed, q)
+            states += [DensityMatrix(np.diag(q)), DensityMatrix(signed), dephase(np.diag(q))]
+            if dim > 1 and q.min() >= 0.0:  # a pure state has at least 2 amplitudes
+                basis = [(w, PureState.basis_state(dim, k)) for k, w in enumerate(q)]
+                states.append(mix(Ensemble(basis)))
+        for rho in states:
+            assert np.array_equal(rho.eigenvalues(), np.sort(rho.diagonal()))
+            for base in (BITS, NATS):
+                assert informational(rho, base).value == von_neumann(rho, base).value
+
+
 @settings(max_examples=200, deadline=None)
 @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), target=st.floats(1e-3, 1.0))
 def test_informational_exceeds_von_neumann_off_the_diagonal(dim, seed, target):

@@ -8,7 +8,7 @@ functions; its handlers return the rows the library builds, and compute
 nothing the library has computed.  The minimizer's round-robin tournament is built only by
 ``entropy._schedule``, once per dimension.  Only the owners of a spectrum,
 ``states.DensityMatrix`` (``eigvalsh``) and ``zeno.Hamiltonian`` (``eigh``),
-call an eigensolver.
+call an eigensolver.  No module reads another module's private name.
 Every public function, class and method has a caller in the library, a demo
 or the benchmark, and every exception class an ``except`` clause in the
 library."""
@@ -24,14 +24,10 @@ SRC = Path(cli.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def tokens(path):
+def names(path):
     # every identifier in the code; docstrings and comments are not NAME tokens
     with tokenize.open(path) as handle:
-        return [tok.string for tok in tokenize.generate_tokens(handle.readline) if tok.type == tokenize.NAME]
-
-
-def names(path):
-    return set(tokens(path))
+        return {tok.string for tok in tokenize.generate_tokens(handle.readline) if tok.type == tokenize.NAME}
 
 
 def imported_modules(path):
@@ -138,23 +134,67 @@ def own_names(path):
     return own
 
 
+def reads(path, own):
+    # (bare names, attribute names) that the file reads; a definition, an
+    # import or an assignment target is not a read
+    bare, attrs = collections.Counter(), collections.Counter()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
+            bare[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr not in own:
+            attrs[node.attr] += 1
+    return bare, attrs
+
+
 def test_every_public_name_has_a_caller():
-    # a caller is any use in the library, a demo or the benchmark; tests do not count
+    # a caller is any read in the library, a demo or the benchmark; tests do
+    # not count.  A method or property is read only as an attribute, so a
+    # local variable of the same name is not its caller
     modules = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
-    uses = collections.Counter(name for path in modules for name in tokens(path))
+    callers = [(path, set()) for path in modules]
     for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
-        own = own_names(path)
-        uses.update(name for name in tokens(path) if name not in own)
-    defined = collections.Counter()
+        callers.append((path, own_names(path)))
+    bare, attrs = collections.Counter(), collections.Counter()
+    for path, own in callers:
+        file_bare, file_attrs = reads(path, own)
+        bare.update(file_bare)
+        attrs.update(file_attrs)
+    uncalled = []
     for path in modules:
         for top in ast.parse(path.read_text()).body:
-            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
-                defined[top.name] += 1
-            if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+                continue
+            if not bare[top.name] + attrs[top.name]:
+                uncalled.append(top.name)
+            if isinstance(top, ast.ClassDef):
                 methods = [node.name for node in top.body if isinstance(node, ast.FunctionDef)]
-                defined.update([top.name] + [name for name in methods if not name.startswith("_")])
-    uncalled = sorted(name for name, count in defined.items() if uses[name] <= count)
+                uncalled += [name for name in methods if not name.startswith("_") and not attrs[name]]
     assert not uncalled, f"no caller outside the tests: {uncalled}"
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a private name is its module's own: a rule that another module needs
+    # is public, or it is read through the public name that owns it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                found += [f"{path.stem}: from .{node.module or ''} import {name}" for name in private]
+                if node.module is None:
+                    aliases.update(alias.asname or alias.name for alias in node.names)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                found.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert not found, f"private names read from another module: {found}"
 
 
 def test_every_exception_class_is_caught():

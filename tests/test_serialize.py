@@ -59,6 +59,35 @@ def test_probs_from_json():
         probs_from_json({"p": [1.0]})
 
 
+# One entry value in each decoder's documents: a probability, a matrix
+# entry and an amplitude part
+_NUMBER_DOCS = {
+    "probs": (probs_from_json, lambda v: {"probs": [v, 0.5]}, "probs"),
+    "matrix": (matrix_from_json, lambda v: {"dim": 2, "re": [[v, 0.0], [0.0, 0.5]], "im": [[0.0] * 2] * 2}, "matrix entry"),
+    "state": (state_from_json, lambda v: {"amplitudes": [{"re": v, "im": 0.0}, {"re": 0.0, "im": 0.8}]}, "amplitude"),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(_NUMBER_DOCS))
+def test_json_numbers_accept_float_subclasses(schema):
+    # np.float64 subclasses float, so the number rule takes it as a JSON number
+    decode, doc, _ = _NUMBER_DOCS[schema]
+    got = decode(doc(np.float64(0.6)))
+    want = decode(doc(0.6))
+    got, want = (getattr(value, "amplitudes", value) for value in (got, want))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value, name", [(True, "bool"), (np.bool_(True), "bool"), (np.int64(1), "int64")])
+@pytest.mark.parametrize("schema", sorted(_NUMBER_DOCS))
+def test_json_numbers_reject_bools_and_numpy_ints(schema, value, name):
+    # bool subclasses int and is no number here; np.int64 subclasses neither
+    # int nor float, so it is rejected while np.float64 is accepted
+    decode, doc, what = _NUMBER_DOCS[schema]
+    with pytest.raises(ParseError, match=f"^{what} must be a number, got {name}$"):
+        decode(doc(value))
+
+
 def test_ensemble_from_json_matches_direct_mix():
     root2 = 1 / math.sqrt(2)
     obj = {

@@ -254,6 +254,16 @@ def test_evolve_unitary_errors():
             "operator entry part 1e\\+308 is above 2.0: sum_i M_i† M_i cannot be I",
         ),
         (lambda: evolve_unitary(ZERO, NEAR_LIMIT), QentroError, "matrix is not unitary within tolerance"),
+        # with several faults, evolve_unitary reports the matrix's shape and
+        # finiteness first, then unitarity, then the state's type, then the dims
+        (lambda: evolve_unitary([1.0, 0.0], np.ones((2, 3))), QentroError, r"expected a square matrix, got shape \(2, 3\)"),
+        (
+            lambda: evolve_unitary([1.0, 0.0], [[math.nan, 0.0], [0.0, 2.0]]),
+            QentroError,
+            r"matrix entries must be finite \(no NaN/Inf\)",
+        ),
+        (lambda: evolve_unitary([1.0, 0.0], np.diag([1.0, 2.0])), QentroError, "matrix is not unitary within tolerance"),
+        (lambda: evolve_unitary([1.0, 0.0], np.eye(3)), TypeError, "expected PureState or DensityMatrix, got list"),
     ],
     ids=[
         "empty-set",
@@ -265,6 +275,10 @@ def test_evolve_unitary_errors():
         "pure-not-a-vector",
         "measurement-near-limit",
         "evolve-near-limit",
+        "evolve-shape-first",
+        "evolve-finiteness-second",
+        "evolve-unitarity-before-type",
+        "evolve-type-before-dims",
     ],
 )
 def test_states_reject_bad_arguments(call, error, message):

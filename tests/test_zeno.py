@@ -293,6 +293,9 @@ def test_zeno_survival_nondecreasing_in_n():
 
 def test_steering_plan_construction():
     assert SteeringPlan(math.pi / 4).n_steps == 2
+    # the largest accepted angles give one step, with no floor on the count
+    assert SteeringPlan(HALF_PI).n_steps == 1
+    assert SteeringPlan(math.nextafter(HALF_PI, 0.0)).n_steps == 1
     assert SteeringPlan.from_steps(90).theta_step == pytest.approx(math.radians(1.0))
     with pytest.raises(QentroError, match=r"step angle must be in \(0, pi/2\], got 0.0"):
         SteeringPlan(0.0)
