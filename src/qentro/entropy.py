@@ -53,9 +53,10 @@ class UnitaryMinimizationReport:
     """Outcome of minimizing informational entropy over unitaries.
 
     ``iterations`` counts pair visits, ``d(d-1)/2`` for each kept all-pairs
-    step, and ``newton_steps`` the kept all-pairs steps, which only the
+    step, and ``all_pairs_steps`` the kept all-pairs steps, which only the
     round path (dimension 8 on) takes; ``certified_gap`` is the last
-    certificate."""
+    certificate, read with no spectrum, and bounds
+    ``residual_vs_von_neumann`` from above up to rounding."""
 
     minimizer: np.ndarray
     min_value: float
@@ -63,8 +64,8 @@ class UnitaryMinimizationReport:
     von_neumann: float
     certified_gap: float
     base: str
-    budget_exhausted: bool = False
-    newton_steps: int = 0
+    budget_exhausted: bool
+    all_pairs_steps: int
 
     @property
     def residual_vs_von_neumann(self) -> float:
@@ -295,12 +296,12 @@ def bound_row(area_planck_units: float) -> dict:
 # dimension alone and are built once per dimension (_schedule).  Per
 # matrix on a shared 2-vCPU x86-64 VM (OpenBLAS, one thread), Wishart
 # inputs, best of 5, the two orders timed in turn on 20 matrices, median,
-# two runs, rounds over lists, timed with the all-pairs step's predecessor:
-# d4 1.55x and 1.95x, d5 1.42x and 1.25x, d6 0.93x and 0.88x, d7 0.83x and
-# 0.77x, d8 0.59x and 0.61x, d10 0.34x and 0.40x.  Rounds win from d6 on;
-# the bound stays at 8, as moving it changes the output at d6 and d7, which
-# no benchmark workload runs.  The host's speed swings by up to 1.5x from one
-# run of such a table to the next.
+# two runs, rounds (with their all-pairs steps) over lists: d2 2.33x and
+# 2.27x, d3 3.15x and 3.03x, d4 1.68x and 1.49x, d5 1.40x and 1.33x, d6
+# 0.91x and 0.78x, d7 0.67x and 0.56x, d8 0.49x and 0.44x, d10 0.29x and
+# 0.29x.  Rounds win from d6 on; the bound stays at 8, as moving it changes
+# the output at d6 and d7, which no benchmark workload runs.  The host's
+# speed swings by up to 1.5x from one run of such a table to the next.
 #
 # On the round path, a sweep of d - 1 rounds costs ~20-35 us of numpy call
 # overhead per round, and a search on a full-rank input spends 3-4 sweeps
@@ -541,7 +542,7 @@ def min_informational_over_unitaries(
     next sweep, only if the objective does not rise and ``certified_gap``
     falls to at most ``linalg.STEP_KEEP`` times what it was.  A kept step is
     followed by another try, a rejected one by a sweep.  A kept step counts ``d(d-1)/2``
-    pair visits and runs only if the budget covers them; ``newton_steps``
+    pair visits and runs only if the budget covers them; ``all_pairs_steps``
     reports how many were kept.
 
     With ``tol = linalg.SWEEP_TOL * (1 + |value|)``, the search stops when
@@ -574,7 +575,7 @@ def min_informational_over_unitaries(
         sweep = _sweep_lists
         work, u = rho.matrix.tolist(), np.eye(dim, dtype=complex).tolist()
     value = informational(rho, base).value
-    evals = newton_steps = 0
+    evals = all_pairs_steps = 0
     pairs = dim * (dim - 1) // 2
 
     while True:
@@ -588,7 +589,7 @@ def min_informational_over_unitaries(
         if step:
             work, u, value, gap = step
             evals += pairs
-            newton_steps += 1
+            all_pairs_steps += 1
         else:
             visits, exhausted = sweep(work, u, budget - evals)
             evals += visits
@@ -608,7 +609,7 @@ def min_informational_over_unitaries(
         certified_gap=gap,
         base=base,
         budget_exhausted=exhausted,
-        newton_steps=newton_steps,
+        all_pairs_steps=all_pairs_steps,
     )
 
 

@@ -72,7 +72,6 @@ class QuantizationGrid:
 @dataclass(frozen=True)
 class BruteForceEstimate:
     theta_hat: float
-    zero_counts: np.ndarray
     copies_used: int
 
 
@@ -92,15 +91,21 @@ def estimate_theta_bruteforce(
     # measure_batch rejects a shot count below 1
     zeros = np.array([source.measure_batch(float(b), shots_per_hypothesis, j) for j, b in enumerate(hypotheses)])
     winner = int(np.argmax(zeros))  # argmax returns the first maximal index
-    return BruteForceEstimate(
-        theta_hat=float(hypotheses[winner]),
-        zero_counts=zeros,
-        copies_used=source.copies_used - spent,
-    )
+    return BruteForceEstimate(theta_hat=float(hypotheses[winner]), copies_used=source.copies_used - spent)
 
 
 @dataclass(frozen=True)
 class AdaptiveEstimate:
+    """Outcome of ``estimate_theta_adaptive``.
+
+    ``halfwidth`` is the halfwidth of the last bisection interval, which
+    ``theta_hat`` is the midpoint of; it is not a confidence interval.  Once
+    the two probes of a round lie closer than about ``1/sqrt(shots)``, the
+    round's choice of half is close to a coin flip, and later rounds shrink
+    the interval without learning the angle: at 200 shots per probe, the
+    hidden angle lay outside ``theta_hat +- halfwidth`` in 79-100 % of runs.
+    """
+
     theta_hat: float
     halfwidth: float
     copies_used: int

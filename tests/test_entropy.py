@@ -162,6 +162,9 @@ def test_differential_rejects_non_density():
         differential_entropy(x, -np.ones_like(x), NATS)
     with pytest.raises(QentroError, match="grid must be uniformly spaced and increasing"):
         differential_entropy(np.cumsum(np.linspace(0.1, 1, 101)), np.ones(101), NATS)
+    # a constant grid has steps of 0: uniform, but not increasing
+    with pytest.raises(QentroError, match="^grid must be uniformly spaced and increasing$"):
+        differential_entropy([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], NATS)
 
 
 @pytest.mark.parametrize(
@@ -576,7 +579,7 @@ def _first_kept_step(monkeypatch, rho):
         patch.setattr(entropy, "_sweep_rounds", counted_sweep)
         patch.setattr(entropy, "_all_pairs_step", counted_step)
         report = min_informational_over_unitaries(rho)
-    return sum(visits[: visits.index(None)]), report.newton_steps
+    return sum(visits[: visits.index(None)]), report.all_pairs_steps
 
 
 def test_round_sweeps_stop_at_the_budget_exactly(monkeypatch):
@@ -598,7 +601,7 @@ def test_round_sweeps_stop_at_the_budget_exactly(monkeypatch):
             report = min_informational_over_unitaries(rho, budget=budget)
             assert report.budget_exhausted
             assert report.iterations == budget
-            assert report.newton_steps == (budget in after)
+            assert report.all_pairs_steps == (budget in after)
             assert is_unitary(report.minimizer, 1e-10)
             assert report.min_value >= von_neumann(rho).value - 1e-12
 
@@ -633,13 +636,17 @@ def _watch_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [8, 16, 17])
-def test_newton_steps_finish_a_wishart_search(monkeypatch, dim):
+def test_all_pairs_steps_finish_a_wishart_search(monkeypatch, dim):
     outcomes = _watch_steps(monkeypatch)
     for seed in range(3):
         rho = random_density(dim, np.random.default_rng(2100 + 10 * dim + seed))
         report = min_informational_over_unitaries(rho)
         assert not report.budget_exhausted
-        assert report.newton_steps == outcomes.count("kept") >= 1
+        assert report.all_pairs_steps == outcomes.count("kept") >= 1
+        # the first try follows the second sweep, not the first
+        assert outcomes[:2] == ["swept", "swept"]
+        if dim == 8:
+            assert outcomes[2] == "kept"
         assert outcomes[-1] == "kept"  # a step ends the search
         assert abs(report.residual_vs_von_neumann) <= 1e-12
         assert is_unitary(report.minimizer, 1e-13)
@@ -647,7 +654,7 @@ def test_newton_steps_finish_a_wishart_search(monkeypatch, dim):
 
 
 @pytest.mark.filterwarnings("error")  # 0 / 0 over a zero gap would warn
-def test_newton_steps_keep_to_their_contract_on_every_kind(monkeypatch):
+def test_all_pairs_steps_keep_to_their_contract_on_every_kind(monkeypatch):
     # rank-deficient inputs leave rows of rounding-level entries, two-level
     # and tiny spectra clusters of equal or near-zero levels that the step
     # leaves unturned, and a Wishart block next to a multiple of the identity
@@ -673,7 +680,7 @@ def test_newton_steps_keep_to_their_contract_on_every_kind(monkeypatch):
             report = min_informational_over_unitaries(rho)
             assert abs(report.residual_vs_von_neumann) <= 1e-12
             assert is_unitary(report.minimizer, 1e-13)
-            assert report.newton_steps == outcomes.count("kept")
+            assert report.all_pairs_steps == outcomes.count("kept")
             # a step follows a sweep or a kept step, and a rejected one a sweep
             assert outcomes[0] == "swept"
             assert all(after == "swept" for before, after in zip(outcomes, outcomes[1:]) if before == "rejected")
@@ -692,7 +699,7 @@ def test_a_cluster_that_steps_leave_unturned_is_swept_before_the_search_stops(se
     u = random_unitary(dim, rng)
     spectrum = np.concatenate((rng.uniform(0.1, 1.0, dim - dim // 2), 10 ** rng.uniform(-16, -10, dim // 2)))
     report = min_informational_over_unitaries(DensityMatrix((u * (spectrum / spectrum.sum())) @ u.conj().T))
-    assert report.newton_steps >= 1
+    assert report.all_pairs_steps >= 1
     assert abs(report.residual_vs_von_neumann) <= 1e-12
     assert report.certified_gap <= SWEEP_TOL * (1.0 + report.min_value)
 
@@ -716,10 +723,10 @@ def test_an_all_pairs_step_turns_lone_pairs_as_the_sweep_does(dim):
     assert is_unitary(u, 1e-15)
 
 
-def test_the_list_path_takes_no_newton_step(monkeypatch):
+def test_the_list_path_takes_no_all_pairs_step(monkeypatch):
     outcomes = _watch_steps(monkeypatch)
     for dim in range(2, entropy._ROUNDS_FROM_DIM):
-        assert min_informational_over_unitaries(random_density(dim, np.random.default_rng(dim))).newton_steps == 0
+        assert min_informational_over_unitaries(random_density(dim, np.random.default_rng(dim))).all_pairs_steps == 0
     assert outcomes == []
 
 

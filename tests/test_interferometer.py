@@ -120,6 +120,12 @@ def test_posteriors_at_even_prior():
     assert posterior_springy(0.5, ABSORBED) == 1.0
 
 
+def test_posterior_of_a_column_with_equal_cells():
+    # at prior 0.8 both cells of the d1 column hold 0.2 within rounding, so
+    # the posterior, the springy share of their sum, is one half
+    assert posterior_springy(0.8, D1) == pytest.approx(0.5)
+
+
 def test_posterior_impossible_outcome():
     with pytest.raises(QentroError, match="outcome 'absorbed' has probability 0 at prior 0.0"):
         posterior_springy(0.0, ABSORBED)

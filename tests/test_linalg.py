@@ -25,6 +25,18 @@ def test_random_unitary_is_unitary():
         assert is_unitary(random_unitary(dim, rng), 1e-10)
 
 
+def test_random_unitary_has_the_haar_fourth_moment():
+    # under the Haar measure |U_00|^2 is Beta(1, d - 1), so |U_00|^4 has mean
+    # 2 / (d (d + 1)) and variance 24 (d - 1)! / (d + 3)! - mean^2; an
+    # imaginary part drawn heavy-tailed would put the mean near 0.144 at d4
+    dim, draws = 4, 4000
+    rng = np.random.default_rng(17)
+    fourth = np.array([abs(random_unitary(dim, rng)[0, 0]) ** 4 for _ in range(draws)])
+    mean = 2 / (dim * (dim + 1))
+    variance = 24 * math.factorial(dim - 1) / math.factorial(dim + 3) - mean**2
+    assert abs(fourth.mean() - mean) / math.sqrt(variance / draws) < 4
+
+
 def test_as_matrix_rejects_non_finite_entries_as_domain_error():
     for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
         m = np.eye(2, dtype=complex)

@@ -120,16 +120,28 @@ def test_bruteforce_calibrated_shot_budget():
 
 
 def test_bruteforce_permutation_stable():
-    # per-hypothesis streams are keyed by hypothesis index, so evaluating
-    # the grid in any order reproduces the same scores
+    # per-hypothesis streams are keyed by hypothesis index, so the counts the
+    # estimator receives are the grid's draws in any order: hypothesis j's
+    # from stream j
+    class LoggedSource(HiddenQubitSource):
+        def __init__(self, secret_theta, seed):
+            super().__init__(secret_theta, seed)
+            self.log = []
+
+        def measure_batch(self, basis_angle, shots, stream):
+            count = super().measure_batch(basis_angle, shots, stream)
+            self.log.append((stream, count))
+            return count
+
     grid = QuantizationGrid(6)
-    src = HiddenQubitSource(0.5, seed=31)
+    src = LoggedSource(0.5, seed=31)
     est = estimate_theta_bruteforce(src, grid, 500)
-    shuffled_scores = np.empty(6, dtype=int)
     shuffled = HiddenQubitSource(0.5, seed=31)
-    for j in reversed(range(6)):
-        shuffled_scores[j] = shuffled.measure_batch(float(grid.hypotheses[j]), 500, j)
-    assert np.array_equal(est.zero_counts, shuffled_scores)
+    reversed_draws = {j: shuffled.measure_batch(float(grid.hypotheses[j]), 500, j) for j in reversed(range(6))}
+    assert src.log == [(j, reversed_draws[j]) for j in range(6)]
+    # the winner is the first hypothesis with the most 0 outcomes
+    counts = [count for _, count in src.log]
+    assert est.theta_hat == grid.hypotheses[counts.index(max(counts))]
 
 
 def test_bruteforce_validates_shots():
@@ -153,6 +165,12 @@ def test_adaptive_bisection_keeps_the_left_half_on_a_tie():
     # three rounds, each keeping [lo, mid]: the interval is [0, pi/16]
     assert (est.rounds, est.theta_hat, est.halfwidth) == (3, math.pi / 32, math.pi / 32)
     assert est.copies_used == 60
+
+
+def test_adaptive_takes_one_shot_per_probe():
+    # the fewest shots a probe may take: [0, pi/2] halved twice reaches 0.2
+    est = estimate_theta_adaptive(HiddenQubitSource(0.5), 0.2, confidence_shots=1)
+    assert (est.rounds, est.copies_used) == (2, 4)
 
 
 def test_adaptive_reaches_target_near_zero():

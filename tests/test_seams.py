@@ -10,8 +10,8 @@ nothing the library has computed.  The minimizer's round-robin tournament is bui
 ``states.DensityMatrix`` (``eigvalsh``) and ``zeno.Hamiltonian`` (``eigh``),
 call an eigensolver.  No module reads another module's private name.
 Every public function, class and method has a caller in the library, a demo
-or the benchmark, and every exception class an ``except`` clause in the
-library."""
+or the benchmark, every field of a public class has a reader there, and
+every exception class has an ``except`` clause in the library."""
 
 import ast
 import collections
@@ -146,12 +146,13 @@ def reads(path, own):
     return bare, attrs
 
 
-def test_every_public_name_has_a_caller():
-    # a caller is any read in the library, a demo or the benchmark; tests do
-    # not count.  A method or property is read only as an attribute, so a
-    # local variable of the same name is not its caller
-    modules = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
-    callers = [(path, set()) for path in modules]
+MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+
+
+def caller_reads():
+    # (bare names, attribute names) read in the library, a demo or the
+    # benchmark; tests do not count
+    callers = [(path, set()) for path in MODULES]
     for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
         callers.append((path, own_names(path)))
     bare, attrs = collections.Counter(), collections.Counter()
@@ -159,8 +160,15 @@ def test_every_public_name_has_a_caller():
         file_bare, file_attrs = reads(path, own)
         bare.update(file_bare)
         attrs.update(file_attrs)
+    return bare, attrs
+
+
+def test_every_public_name_has_a_caller():
+    # a method or property is read only as an attribute, so a local
+    # variable of the same name is not its caller
+    bare, attrs = caller_reads()
     uncalled = []
-    for path in modules:
+    for path in MODULES:
         for top in ast.parse(path.read_text()).body:
             if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
                 continue
@@ -170,6 +178,29 @@ def test_every_public_name_has_a_caller():
                 methods = [node.name for node in top.body if isinstance(node, ast.FunctionDef)]
                 uncalled += [name for name in methods if not name.startswith("_") and not attrs[name]]
     assert not uncalled, f"no caller outside the tests: {uncalled}"
+
+
+def test_every_result_field_has_a_reader():
+    # a field of a public class, annotated in its body or stored on self, is
+    # state that some caller reads.  Reads are matched by attribute name, so
+    # any ``x.name`` counts for every field called ``name``: the fields this
+    # flags are a lower bound on the unread ones, and each of them is certain
+    _, attrs = caller_reads()
+    unread = []
+    for path in MODULES:
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
+                continue
+            fields = {node.target.id for node in top.body if isinstance(node, ast.AnnAssign)}
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self"
+                ):
+                    fields.add(node.attr)
+            unread += [f"{top.name}.{name}" for name in sorted(fields) if not name.startswith("_") and not attrs[name]]
+    assert not unread, f"no reader outside the tests: {unread}"
 
 
 def test_no_module_reads_another_modules_private_name():

@@ -370,6 +370,18 @@ def _same_bytes(got, ref):
     )
 
 
+def test_random_density_has_the_hilbert_schmidt_mean_purity():
+    # a normalized complex Wishart matrix is Hilbert-Schmidt distributed, with
+    # mean purity 2d / (d^2 + 1) (Zyczkowski & Sommers, J. Phys. A 34, 7111,
+    # 2001); an imaginary part drawn heavy-tailed would put it near 0.70 at d4
+    dim, draws = 4, 4000
+    rng = np.random.default_rng(17)
+    matrices = [random_density(dim, rng).matrix for _ in range(draws)]
+    purity = np.array([np.vdot(m, m).real for m in matrices])
+    stderr = purity.std(ddof=1) / math.sqrt(draws)
+    assert abs(purity.mean() - 2 * dim / (dim**2 + 1)) / stderr < 4
+
+
 def test_derived_states_match_validating_constructor_bitwise():
     # each derived state equals DensityMatrix(<the array it is built from>),
     # matrix and spectrum, to the last bit
