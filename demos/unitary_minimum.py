@@ -64,15 +64,17 @@ print(f"  S_i(V† rho V) = {informational(rotated).value:.12f}")
 print(f"  S_n(rho)      = {von_neumann(rho).value:.12f}")
 
 print()
-print("A tiny evaluation budget degrades gracefully (best-so-far + flag):")
-report = min_informational_over_unitaries(rho, budget=2)
-assert report.budget_exhausted
+print("A budget of one d3 sweep, 3 pair visits, degrades gracefully (best-so-far + flag):")
+report = min_informational_over_unitaries(rho, budget=3)
+assert report.budget_exhausted and report.iterations == 3
 print(
-    f"  budget 2 -> min {report.min_value:.5f}, residual"
-    f" {report.residual_vs_von_neumann:.2e}, exhausted={report.budget_exhausted}"
+    f"  budget 3 -> min {report.min_value:.5f}, residual"
+    f" {report.residual_vs_von_neumann:.2e}, iterations {report.iterations},"
+    f" exhausted={report.budget_exhausted}"
 )
 report = min_informational_over_unitaries(rho)
 print(
     f"  full budget -> min {report.min_value:.5f}, residual"
-    f" {report.residual_vs_von_neumann:.2e}, exhausted={report.budget_exhausted}"
+    f" {report.residual_vs_von_neumann:.2e}, iterations {report.iterations},"
+    f" exhausted={report.budget_exhausted}"
 )

@@ -52,11 +52,13 @@ class BoundCheck:
 class UnitaryMinimizationReport:
     """Outcome of minimizing informational entropy over unitaries.
 
-    ``iterations`` counts pair visits, ``d(d-1)/2`` for each kept all-pairs
-    step, and ``all_pairs_steps`` the kept all-pairs steps, which only the
-    round path (dimension 8 on) takes; ``certified_gap`` is the last
-    certificate, read with no spectrum, and bounds
-    ``residual_vs_von_neumann`` from above up to rounding."""
+    ``iterations`` counts pair visits, ``d(d-1)/2`` for each sweep and each
+    kept all-pairs step, as the budget rule of
+    ``min_informational_over_unitaries`` spends them; ``all_pairs_steps``
+    counts the kept all-pairs steps, which only the round path (dimension 8
+    on) takes; ``certified_gap`` is the last certificate, read with no
+    spectrum, and bounds ``residual_vs_von_neumann`` from above up to
+    rounding."""
 
     minimizer: np.ndarray
     min_value: float
@@ -344,16 +346,12 @@ _SCALE = 2.0**512
 _TINY = np.finfo(float).tiny
 
 
-def _sweep_lists(work, u, budget):
-    """One cyclic-by-rows sweep on nested lists, at most ``budget`` pair
-    visits; returns ``(visits, exhausted)``."""
+def _sweep_lists(work, u):
+    """One cyclic-by-rows sweep on nested lists, updated in place; returns
+    the working matrix's diagonal."""
     dim = len(work)
-    visits = 0
     for p in range(dim):
         for q in range(p + 1, dim):
-            if visits >= budget:
-                return visits, True
-            visits += 1
             b = work[p][q]
             if b == 0:
                 continue
@@ -376,7 +374,7 @@ def _sweep_lists(work, u, budget):
                 x, y = row[p], row[q]
                 row[p] = x * g_pp + y * h_pq
                 row[q] = x * h_qp + y * g_qq
-    return visits, False
+    return [row[k].real for k, row in enumerate(work)]
 
 
 def _round_robin(dim):
@@ -413,23 +411,16 @@ def _schedule(dim):
     return tuple(zip(p, q, pq, scatter)), identity, upper
 
 
-def _sweep_rounds(work, u, budget):
-    """One round-robin sweep on complex arrays, updated in place, at most
-    ``budget`` pair visits (the round that reaches it is cut short);
-    returns ``(visits, exhausted)``.  Each round computes the list
-    sweep's rotation elementwise over its pairs, a pair whose entry is 0
-    getting the identity block, and applies the block rotation g as
-    ``work <- g work g†``, ``u <- g u``."""
+def _sweep_rounds(work, u):
+    """One round-robin sweep on complex arrays, updated in place; returns
+    the working matrix's diagonal.  Each round computes the list sweep's
+    rotation elementwise over its pairs, a pair whose entry is 0 getting the
+    identity block, and applies the block rotation g as ``work <- g work
+    g†``, ``u <- g u``."""
     rounds, identity, _ = _schedule(len(work))
-    size = len(rounds[0][0])
     # work is only written in place, so these views of it stay current
     flat, diagonal = work.reshape(-1), work.diagonal().real
-    visits = 0
     for p, q, pq, scatter in rounds:
-        k = min(size, max(budget - visits, 0))
-        visits += k
-        if k < size:  # the round the budget cuts short: its first k pairs
-            p, q, pq, scatter = p[:k], q[:k], pq[:k], scatter.reshape(4, size)[:, :k].reshape(-1)
         b = flat[pq]
         if np.count_nonzero(b):
             mod = np.abs(b)
@@ -445,9 +436,7 @@ def _sweep_rounds(work, u, budget):
             g.reshape(-1)[scatter] = np.concatenate((c, c, g_pq, -g_pq.conj()))
             np.matmul(g @ work, g.conj().T, out=work)
             np.matmul(g, u, out=u)
-        if k < size:
-            return visits, True
-    return visits, False
+    return diagonal
 
 
 def _all_pairs_step(work, u, value, gap, base):
@@ -541,14 +530,13 @@ def min_informational_over_unitaries(
     a cluster of nearly equal diagonal entries, and is kept, in place of the
     next sweep, only if the objective does not rise and ``certified_gap``
     falls to at most ``linalg.STEP_KEEP`` times what it was.  A kept step is
-    followed by another try, a rejected one by a sweep.  A kept step counts ``d(d-1)/2``
-    pair visits and runs only if the budget covers them; ``all_pairs_steps``
+    followed by another try, a rejected one by a sweep; ``all_pairs_steps``
     reports how many were kept.
 
     With ``tol = linalg.SWEEP_TOL * (1 + |value|)``, the search stops when
-    the budget is spent, when a sweep lowered the objective by less than
-    ``tol`` (as a sweep that rotates nothing does, by exactly 0), or, after
-    any step, a sweep or a kept all-pairs step, when
+    the budget does not cover the next step, when a sweep lowered the
+    objective by less than ``tol`` (as a sweep that rotates nothing does, by
+    exactly 0), or, after any step, a sweep or a kept all-pairs step, when
     ``certified_gap`` is at most ``tol``.  That
     certificate bounds the objective's gap over the von Neumann entropy, the
     relative entropy of coherence ``D(W || diag W)`` (Baumgratz, Cramer &
@@ -560,9 +548,15 @@ def min_informational_over_unitaries(
     The infimum equals the von Neumann entropy, attained at the eigenbasis
     rotation, so ``residual_vs_von_neumann`` measures search quality
     directly; ``certified_gap`` is the last certificate, in ``base``.
-    ``budget`` caps evaluations, one per pair visit, and ``iterations``
-    reports the pair visits made; on exhaustion the point reached so far is
-    returned with ``budget_exhausted=True``.  The search is deterministic.
+
+    ``budget`` caps the pair visits, and the budget is spent in whole steps
+    of ``d(d-1)/2`` pair visits: a sweep and a kept all-pairs step each
+    count ``d(d-1)/2``, and a step that what is left of the budget does not
+    cover is not begun.  ``iterations`` reports the pair visits made.  A
+    search that stops so returns the point reached so far with
+    ``budget_exhausted=True``, the report of a budget of ``budget - budget %
+    (d(d-1)/2)``; a budget that covers no step returns the identity and the
+    input basis's certificate.  The search is deterministic.
     """
     _check_base(base)
     if not isinstance(rho, states.DensityMatrix):
@@ -575,36 +569,39 @@ def min_informational_over_unitaries(
         sweep = _sweep_lists
         work, u = rho.matrix.tolist(), np.eye(dim, dtype=complex).tolist()
     value = informational(rho, base).value
-    evals = all_pairs_steps = 0
+    iterations = all_pairs_steps = 0
     pairs = dim * (dim - 1) // 2
+    gap = None
 
     while True:
+        exhausted = budget - iterations < pairs
+        if exhausted:
+            break
         start = value
         step = None
         # after a round sweep but the first, which starts from the input's
-        # basis and leaves angles that a step rarely turns, or after a kept
-        # step; and only if the budget covers the visits that a kept one counts
-        if evals > pairs and sweep is _sweep_rounds and budget - evals >= pairs:
+        # basis and leaves angles that a step rarely turns, or after a kept step
+        if iterations > pairs and sweep is _sweep_rounds:
             step = _all_pairs_step(work, u, value, gap, base)
         if step:
             work, u, value, gap = step
-            evals += pairs
             all_pairs_steps += 1
         else:
-            visits, exhausted = sweep(work, u, budget - evals)
-            evals += visits
-            diagonal = work.diagonal().real if sweep is _sweep_rounds else [work[k][k].real for k in range(dim)]
+            diagonal = sweep(work, u)
             value = _plogp_sum(diagonal, base)
             gap = _certified_gap(work, diagonal, base)
+        iterations += pairs
         tol = SWEEP_TOL * (1.0 + abs(value))
         # a kept step may leave a cluster unturned, so only a sweep's small drop ends the search
-        if gap <= tol or not step and (exhausted or start - value < tol):
+        if gap <= tol or not step and start - value < tol:
             break
+    if gap is None:  # the budget covered no step: the input's basis is reported
+        gap = _certified_gap(work, rho.diagonal(), base)
 
     return UnitaryMinimizationReport(
         minimizer=np.array(u),
         min_value=value,
-        iterations=evals,
+        iterations=iterations,
         von_neumann=von_neumann(rho, base).value,
         certified_gap=gap,
         base=base,

@@ -238,9 +238,10 @@ def mix(ensemble: Ensemble) -> DensityMatrix:
 def evolve_unitary(state, u):
     """Apply a unitary (within ``linalg.LOOSE_TOL``): ``U|phi>`` for pure states,
     ``U rho U†`` for density matrices.  Returns the same kind as the input."""
+    # a nested list is parsed once, here; is_unitary copies the array
+    u = np.asarray(u, dtype=complex)
     if not linalg.is_unitary(u, LOOSE_TOL):
         raise QentroError("matrix is not unitary within tolerance")
-    u = np.asarray(u, dtype=complex)
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
     if state.dim != u.shape[0]:

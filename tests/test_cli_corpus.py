@@ -8,11 +8,13 @@ sets, if any, and the first 16 hex digits of the sha256 of its exit code,
 stdout and stderr, and of the file it writes with ``--out``.  The inputs
 are literal numbers, so a change of a random stream cannot move them.
 
-The digests pin this Python, numpy and OpenBLAS build, as the Monte Carlo
-digests of ``test_cli.py`` do.  A change that moves a digest on purpose
-regenerates it with ``PYTHONPATH=src python tests/test_cli_corpus.py``,
-which rewrites every digest and prints the argv of each entry whose digest
-changed.
+The seeded Monte Carlo commands (``zeno``, ``protocol attack`` and
+``estimate``, ``mzi``) also run at ``--seed 8`` in all three formats, so a
+change of a random stream or of an output format moves their digests.  The
+digests pin this Python, numpy and OpenBLAS build.  A change that moves a
+digest on purpose regenerates it with ``PYTHONPATH=src python
+tests/test_cli_corpus.py``, which rewrites every digest and prints the argv
+of each entry whose digest changed.
 """
 
 import contextlib

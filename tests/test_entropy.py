@@ -442,11 +442,12 @@ def test_minimizer_converges_at_dim_8():
 def test_minimizer_budget_exhaustion_returns_best_so_far():
     rng = np.random.default_rng(21)
     rho = random_density(3, rng)
-    # a d3 sweep visits 3 pairs, so a budget of 2 ends inside the first one;
-    # the budget is checked before every pair visit, so it is met exactly
-    report = min_informational_over_unitaries(rho, budget=2)
+    # a d3 sweep visits 3 pairs, so a budget of 5 covers one sweep, and the
+    # second, which it does not cover, is not begun
+    report = min_informational_over_unitaries(rho, budget=5)
     assert report.budget_exhausted
-    assert report.iterations == 2
+    assert report.iterations == 3
+    assert report.min_value < informational(rho).value
     assert report.min_value >= von_neumann(rho).value - 1e-6
     assert is_unitary(report.minimizer, 1e-8)
 
@@ -561,49 +562,63 @@ def test_list_sweeps_keep_a_subnormal_phase_unitary(dim, entry):
 def _first_kept_step(monkeypatch, rho):
     # the pair visits an unbudgeted search has made when it keeps its first
     # all-pairs step, and its count of kept steps
-    visits = []
+    steps = []
     sweep, all_pairs_step = entropy._sweep_rounds, entropy._all_pairs_step
 
-    def counted_sweep(work, u, budget):
-        made, exhausted = sweep(work, u, budget)
-        visits.append(made)
-        return made, exhausted
+    def counted_sweep(work, u):
+        steps.append("swept")
+        return sweep(work, u)
 
     def counted_step(work, u, value, gap, base):
         step = all_pairs_step(work, u, value, gap, base)
         if step:
-            visits.append(None)
+            steps.append("kept")
         return step
 
     with monkeypatch.context() as patch:
         patch.setattr(entropy, "_sweep_rounds", counted_sweep)
         patch.setattr(entropy, "_all_pairs_step", counted_step)
         report = min_informational_over_unitaries(rho)
-    return sum(visits[: visits.index(None)]), report.all_pairs_steps
+    dim = len(report.minimizer)
+    return steps.index("kept") * dim * (dim - 1) // 2, report.all_pairs_steps
 
 
-def test_round_sweeps_stop_at_the_budget_exactly(monkeypatch):
-    # a budget that ends inside a round of m pairs cuts it short after each
-    # position 1 ... m - 1, in the first sweep and in the second; 50 visits
-    # end inside a round of 8 pairs at d16, and d9 plays a bye in each round.
-    # An all-pairs step counts all d(d - 1)/2 pairs, and runs only if the
-    # budget covers them: one pair short, the search sweeps instead, cut
-    # short; and after a kept step, a budget of 0 ... d(d - 1)/2 - 1 more
-    # visits cuts short the sweep that follows it in place of the next step
-    for dim in (16, 9):
-        rho = random_density(dim, np.random.default_rng(1650 + dim))
-        m, rounds, pairs = dim // 2, dim - 1 + dim % 2, dim * (dim - 1) // 2
-        cuts = [k * m + j for k in (3, rounds + 1) for j in range(1, m)]
+def _bits(report):
+    # every field of a report but those that depend on the input alone, to the bit
+    return (
+        report.minimizer.tobytes(),
+        report.min_value.hex(),
+        report.certified_gap.hex(),
+        report.iterations,
+        report.all_pairs_steps,
+    )
+
+
+@pytest.mark.parametrize("dim", [5, 9, 16])
+def test_the_budget_is_spent_in_whole_steps(monkeypatch, dim):
+    # a budget that ends inside a step of d(d - 1)/2 pair visits gives the
+    # report of the budget that ends at the step before, to the bit: every
+    # budget that ends inside the first or the second sweep, one pair short
+    # of the first kept all-pairs step, and every budget that ends inside the
+    # step after it.  d9 and d16 take the round path, d9 with a bye in each
+    # round, and d5 the list path
+    rho = random_density(dim, np.random.default_rng(1650 + dim))
+    pairs = dim * (dim - 1) // 2
+    budgets = [budget for budget in range(1, 2 * pairs) if budget % pairs]
+    start = math.inf  # the list path keeps no all-pairs step
+    if dim >= entropy._ROUNDS_FROM_DIM:
         start, kept = _first_kept_step(monkeypatch, rho)
         assert kept >= 2  # so the first kept step does not end the search
-        after = [start + pairs + j for j in (0, 1, m - 1, m, pairs // 2, pairs - 1)]
-        for budget in cuts + [50] * (dim == 16) + [start + pairs - 1] + after:
-            report = min_informational_over_unitaries(rho, budget=budget)
-            assert report.budget_exhausted
-            assert report.iterations == budget
-            assert report.all_pairs_steps == (budget in after)
-            assert is_unitary(report.minimizer, 1e-10)
-            assert report.min_value >= von_neumann(rho).value - 1e-12
+        budgets += [start + pairs - 1] + [start + pairs + j for j in range(1, pairs)]
+    for budget in budgets:
+        whole = budget - budget % pairs
+        report = min_informational_over_unitaries(rho, budget=budget)
+        assert report.budget_exhausted
+        assert _bits(report) == _bits(min_informational_over_unitaries(rho, budget=whole))
+        assert report.iterations == whole
+        assert report.all_pairs_steps == (whole > start)
+        assert is_unitary(report.minimizer, 1e-10)
+        assert report.min_value >= von_neumann(rho).value - 1e-12
 
 
 def _watch_steps(monkeypatch):
@@ -626,9 +641,9 @@ def _watch_steps(monkeypatch):
         outcomes.append("kept" if step else "rejected")
         return step
 
-    def swept(work, u, budget):
+    def swept(work, u):
         outcomes.append("swept")
-        return sweep(work, u, budget)
+        return sweep(work, u)
 
     monkeypatch.setattr(entropy, "_all_pairs_step", watched)
     monkeypatch.setattr(entropy, "_sweep_rounds", swept)
@@ -716,7 +731,7 @@ def test_an_all_pairs_step_turns_lone_pairs_as_the_sweep_does(dim):
     value = informational(DensityMatrix(m)).value
     work, u, new_value, _ = entropy._all_pairs_step(m, np.eye(dim, dtype=complex), value, 1.0, "bits")
     swept = m.copy()
-    entropy._sweep_rounds(swept, np.eye(dim, dtype=complex), dim * dim)
+    entropy._sweep_rounds(swept, np.eye(dim, dtype=complex))
     assert np.allclose(work, swept, rtol=0, atol=1e-16)
     assert np.allclose(work, np.diag(work.diagonal()), rtol=0, atol=1e-16)
     assert new_value < value
@@ -777,6 +792,15 @@ def test_minimizer_with_no_budget_makes_no_visit(dim, budget):
     assert report.iterations == 0
     assert np.array_equal(report.minimizer, np.eye(dim))
     assert report.min_value == informational(rho).value
+
+
+def test_a_dim_1_step_visits_no_pair():
+    # so a budget of 0 covers it, and a negative one does not
+    rho = DensityMatrix([[1.0]])
+    assert not min_informational_over_unitaries(rho, budget=0).budget_exhausted
+    report = min_informational_over_unitaries(rho, budget=-1)
+    assert report.budget_exhausted and report.iterations == 0 and report.certified_gap == 0.0
+
 
 @pytest.mark.parametrize("dim", [8, 9, 12])
 def test_round_and_list_sweeps_reach_the_same_minimum(monkeypatch, dim):

@@ -220,21 +220,25 @@ def _density_of_kind(dim, kind, rng):
 def test_minimizer_reaches_von_neumann_or_stops_at_its_budget(dim, seed, short, kind):
     # dims 2-20 draw both sweep orders (rows below the crossover, round-robin
     # rounds from it on) and odd dims, whose rounds give each index a bye;
-    # a short budget ends inside the first few sweeps.  Rank-deficient and
-    # pure inputs drive entries to subnormal sizes, where the round sweep
-    # once took a NaN phase; a subnormal complex coherence once made the list
-    # sweep's rotation non-unitary.  Clustered spectra put gaps of rounding
-    # noise inside the clusters that the all-pairs step leaves unturned.
+    # a short budget ends inside one of the first few steps, which the search
+    # then does not begin, as it spends its budget in whole steps of
+    # d(d-1)/2 pair visits.  Rank-deficient and pure inputs drive entries to
+    # subnormal sizes, where the round sweep once took a NaN phase; a
+    # subnormal complex coherence once made the list sweep's rotation
+    # non-unitary.  Clustered spectra put gaps of rounding noise inside the
+    # clusters that the all-pairs step leaves unturned.
     rng = np.random.default_rng(seed)
     rho = _density_of_kind(dim, kind, rng)
-    budget = int(rng.integers(1, dim * dim)) if short else 200_000
+    # the coherence kind is at least d6
+    budget = int(rng.integers(1, rho.dim * rho.dim)) if short else 200_000
     report = min_informational_over_unitaries(rho, budget=budget)
-    assert report.iterations <= budget
+    pairs = rho.dim * (rho.dim - 1) // 2
+    assert report.iterations <= budget and report.iterations % pairs == 0
     assert is_unitary(report.minimizer, 1e-10)
     rotated = evolve_unitary(rho, report.minimizer)
     assert abs(informational(rotated).value - report.min_value) <= 1e-9
     if report.budget_exhausted:
-        assert report.iterations == budget
+        assert report.iterations == budget - budget % pairs
         assert report.min_value >= von_neumann(rho).value - 1e-12
     else:
         assert abs(report.residual_vs_von_neumann) <= 1e-10

@@ -6,7 +6,9 @@ its joint table.  The CLI parses, checks work limits and picks exit codes,
 each at one place, and reaches the first two rules only through those
 functions; its handlers return the rows the library builds, and compute
 nothing the library has computed.  The minimizer's round-robin tournament is built only by
-``entropy._schedule``, once per dimension.  Only the owners of a spectrum,
+``entropy._schedule``, once per dimension, and only
+``min_informational_over_unitaries`` reads its budget, which it spends in
+whole steps.  Only the owners of a spectrum,
 ``states.DensityMatrix`` (``eigvalsh``) and ``zeno.Hamiltonian`` (``eigh``),
 call an eigensolver.  No module reads another module's private name.
 Every public function, class and method has a caller in the library, a demo
@@ -120,6 +122,14 @@ def test_the_round_robin_is_built_only_by_the_cached_schedule():
     tops = ast.parse((SRC / "entropy.py").read_text()).body
     schedule = next(top for top in tops if getattr(top, "name", None) == "_schedule")
     assert [ast.unparse(decorator) for decorator in schedule.decorator_list] == ["functools.cache"]
+
+
+def test_only_the_minimizer_reads_its_budget():
+    # the search spends the budget in whole steps, so neither sweep takes or checks it
+    assert readers("budget") == {
+        ("entropy.py", "min_informational_over_unitaries"),
+        ("cli.py", "_cmd_unitary_min"),
+    }
 
 
 def own_names(path):
