@@ -29,7 +29,7 @@ from .linalg import RESIDUAL_WARN
 # simulation starts.  A request above a limit exits 2 and names the limit.
 WORK_LIMITS = {
     "trials": 10**7,  # --trials of zeno and protocol attack
-    # zeno steps: --n-steps, about 90 / --theta-deg, or summed over a --sweep;
+    # zeno steps: --n-steps, the plan of --theta-deg, or summed over a --sweep;
     # the samplers make one draw per step or key position, whatever the trial
     # count, so the steps and key angles bound their time
     "steps": 10**6,
@@ -112,13 +112,13 @@ def _cmd_zeno(args) -> list[dict]:
         _check_work("--sweep summed over its step counts", steps, "steps")
         return zeno.steering_sweep_rows(range(lo, hi + 1), args.trials, args.seed)
     if args.n_steps is not None:
+        # pi/2 over a huge step count overflows: check the count before planning
         _check_work("--n-steps", args.n_steps, "steps")
         plan = zeno.SteeringPlan.from_steps(args.n_steps)
     else:
-        # a step of theta degrees plans about 90 / theta steps, maybe inf: check first
-        if args.theta_deg > 0:
-            _check_work("--theta-deg", 90.0 / args.theta_deg, "steps")
+        # planning is O(1), and the plan alone owns its step count
         plan = zeno.SteeringPlan(math.radians(args.theta_deg))
+        _check_work("--theta-deg", plan.n_steps, "steps")
     result = zeno.simulate_steering(plan, args.trials, montecarlo.seeded(args.seed))
     return [zeno.steering_row(plan, result, args.seed)]
 
@@ -153,7 +153,7 @@ def _cmd_attack(args) -> list[dict]:
     _check_work("--trials", args.trials, "trials")
     key = protocol.SignatureKey.uniform(args.n, math.radians(args.key_angle_deg))
     result = protocol.eve_attack_success(key, args.strategy, args.trials, montecarlo.seeded(args.seed))
-    return [protocol.attack_row(key, result, args.seed)]
+    return [protocol.attack_row(key, args.strategy, result, args.seed)]
 
 
 def _cmd_bound(args) -> list[dict]:

@@ -1,8 +1,9 @@
 """The one constructor of seeded random streams, the one Monte Carlo
-sampler, and the shared reading of its success count against the closed
-form it samples."""
+sampler, and the one record of its run, read against the closed form it
+samples."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +39,20 @@ def thin(trials: int, pass_probs, rng: np.random.Generator) -> np.ndarray:
     return survivors
 
 
+@dataclass(frozen=True)
 class RateEstimate:
-    """Mixin for a frozen result with ``successes`` out of ``trials`` and the
-    closed-form success probability ``expected_rate`` it samples."""
+    """One ``thin`` run of ``trials`` trials: the survivors after each step
+    (``survivors_per_step``, as ``thin`` returns them) and the closed-form
+    probability ``expected_rate`` that a trial passes every step.  The
+    trials that pass every step are its successes."""
+
+    trials: int
+    survivors_per_step: np.ndarray
+    expected_rate: float
+
+    @property
+    def successes(self) -> int:
+        return int(self.survivors_per_step[-1])
 
     @property
     def success_rate(self) -> float:

@@ -211,21 +211,11 @@ def attack_success_probability(key: SignatureKey, strategy: str) -> float:
     return float(np.prod(_pass_probabilities(key, strategy)))
 
 
-@dataclass(frozen=True)
-class AttackResult(RateEstimate):
-    """Forgery counts and the closed-form acceptance rate ``expected_rate``
-    they sample."""
-
-    strategy: str
-    trials: int
-    successes: int
-    expected_rate: float
-
-
 def eve_attack_success(
     key: SignatureKey, strategy: str, trials: int, rng: np.random.Generator
-) -> AttackResult:
-    """Number of forged streams the verifier accepts out of ``trials``.
+) -> RateEstimate:
+    """Forged streams the verifier accepts out of ``trials``, and how many
+    are still unrejected after each key position.
 
     Each forged photon is prepared independently of the others and passes
     its key position with a fixed probability (see
@@ -237,8 +227,8 @@ def eve_attack_success(
     A forger who guesses computational-basis bits against an all-45-degree
     key passes each position with probability 1/2, so the acceptance rate
     is 2^-n."""
-    successes = int(thin(trials, _pass_probabilities(key, strategy), rng)[-1])
-    return AttackResult(strategy, trials, successes, attack_success_probability(key, strategy))
+    survivors = thin(trials, _pass_probabilities(key, strategy), rng)
+    return RateEstimate(trials, survivors, attack_success_probability(key, strategy))
 
 
 def estimation_row(n: int, shots: int, theta_true: float, estimate, seed: int) -> dict:
@@ -258,14 +248,14 @@ def estimation_row(n: int, shots: int, theta_true: float, estimate, seed: int) -
     }
 
 
-def attack_row(key: SignatureKey, result: AttackResult, seed: int) -> dict:
-    """One row of forgery statistics against ``key``.
+def attack_row(key: SignatureKey, strategy: str, result: RateEstimate, seed: int) -> dict:
+    """One row of forgery statistics of ``strategy`` against ``key``.
 
     Columns: n, strategy, trials, successes, rate, seed.
     """
     return {
         "n": key.length,
-        "strategy": result.strategy,
+        "strategy": strategy,
         "trials": result.trials,
         "successes": result.successes,
         "rate": result.success_rate,

@@ -132,18 +132,7 @@ def steering_success_probability(plan: SteeringPlan) -> float:
     return float(np.cos(plan.theta_step) ** (2 * plan.n_steps))
 
 
-@dataclass(frozen=True)
-class SteeringResult(RateEstimate):
-    """Monte Carlo steering counts and the closed-form success probability
-    ``expected_rate`` they sample."""
-
-    successes: int
-    trials: int
-    survivors_per_step: np.ndarray
-    expected_rate: float
-
-
-def simulate_steering(plan: SteeringPlan, trials: int, rng: np.random.Generator) -> SteeringResult:
+def simulate_steering(plan: SteeringPlan, trials: int, rng: np.random.Generator) -> RateEstimate:
     """Monte Carlo steering: each trial starts at |0> and is measured in
     bases rotated by cumulative k*theta.
 
@@ -151,15 +140,15 @@ def simulate_steering(plan: SteeringPlan, trials: int, rng: np.random.Generator)
     state, so each step is an independent forward collapse with probability
     cos^2(theta); a single backward collapse makes the trial a failure (no
     resampling).  The trials are thinned by ``montecarlo.thin``, one draw
-    per step.  ``survivors_per_step`` records how many trials are still on
-    the forward ladder after each step.
+    per step.  The result's ``survivors_per_step`` records how many trials
+    are still on the forward ladder after each step, and its
+    ``expected_rate`` is ``steering_success_probability(plan)``.
     """
     p_forward = float(np.cos(plan.theta_step) ** 2)
-    survivors = thin(trials, [p_forward] * plan.n_steps, rng)
-    return SteeringResult(int(survivors[-1]), trials, survivors, steering_success_probability(plan))
+    return RateEstimate(trials, thin(trials, [p_forward] * plan.n_steps, rng), steering_success_probability(plan))
 
 
-def steering_row(plan: SteeringPlan, result: SteeringResult, seed: int) -> dict:
+def steering_row(plan: SteeringPlan, result: RateEstimate, seed: int) -> dict:
     """One row comparing the closed form with a Monte Carlo run of ``plan``.
 
     Columns: n_steps, theta_deg, closed_form_prob, empirical_prob, trials,

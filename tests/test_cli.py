@@ -28,7 +28,12 @@ def blend_file(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one in-process call, argparse's own
+    exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -275,21 +280,11 @@ def test_seed_env_var_default(capsys, monkeypatch):
     assert rows[0]["seed"] == 123
 
 
-def outcome(capsys, *argv):
-    """Exit code, stdout and stderr of one call, argparse's exits included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def test_repeated_main_calls_reuse_one_parser(capsys, monkeypatch, blend_file):
     rigid = ["mzi", "--arrangement", "rigid", "--format", "json"]
 
     def seed_of(*argv):
-        code, out, err = outcome(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 0, err
         return json.loads(out)[0]["seed"]
 
@@ -325,15 +320,15 @@ def test_repeated_main_calls_reuse_one_parser(capsys, monkeypatch, blend_file):
     ]
     # the same bytes whether a probe runs on a new parser or after the mix
     cli._parser.cache_clear()
-    first = [outcome(capsys, *argv) for argv in probes]
+    first = [run(capsys, *argv) for argv in probes]
     assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 0]
-    mixed = [outcome(capsys, *argv) for argv in mix]
+    mixed = [run(capsys, *argv) for argv in mix]
     assert [code for code, _, _ in mixed] == [0, 0, 0, 0, 2, 2, 2, 2, 2]
-    assert [outcome(capsys, *argv) for argv in probes] == first
+    assert [run(capsys, *argv) for argv in probes] == first
     # a call that argparse rejects leaves the next valid call unchanged
     for rejected, probe, expected in zip(mix[4:], probes, first):
-        outcome(capsys, *rejected)
-        assert outcome(capsys, *probe) == expected
+        run(capsys, *rejected)
+        assert run(capsys, *probe) == expected
 
     # once built, the parser is reused: 30 more calls construct no parser
     built = []
@@ -345,7 +340,7 @@ def test_repeated_main_calls_reuse_one_parser(capsys, monkeypatch, blend_file):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     for argv in (probes + mix) * 2:
-        outcome(capsys, *argv)
+        run(capsys, *argv)
     assert built == []
 
 
@@ -446,14 +441,10 @@ def test_out_into_missing_directory_exits_2(capsys, tmp_path):
 )
 def test_zeno_takes_exactly_one_well_formed_plan(capsys, plan, message):
     # argparse rejects a missing or doubled plan by exiting with 2
-    try:
-        code = main(["zeno", *plan, "--trials", "10"])
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
+    code, out, err = run(capsys, "zeno", *plan, "--trials", "10")
     assert code == 2
-    assert captured.out == ""
-    assert message in captured.err
+    assert out == ""
+    assert message in err
 
 
 def test_failed_command_creates_no_out_file(capsys, tmp_path):
@@ -703,7 +694,7 @@ def test_protocol_attack_prints_attack_row(capsys):
     result = protocol.eve_attack_success(key, protocol.REPLAY, 4000, np.random.default_rng(SEED))
     argv = ["protocol", "attack", "--n", "5", "--trials", "4000", "--strategy", "replay"]
     assert cli_items(capsys, *argv, "--key-angle-deg", "30") == lib_items(
-        [protocol.attack_row(key, result, SEED)]
+        [protocol.attack_row(key, protocol.REPLAY, result, SEED)]
     )
 
 
@@ -748,7 +739,7 @@ def test_protocol_takes_global_flags_before_between_and_after(capsys, mode, size
     ]
     outs = set()
     for before, between, after in placements:
-        code, out, err = outcome(capsys, *before, "protocol", *between, mode, *size, *after)
+        code, out, err = run(capsys, *before, "protocol", *between, mode, *size, *after)
         assert code == 0, err
         outs.add(out)
     (out,) = outs
@@ -771,7 +762,7 @@ def test_protocol_takes_global_flags_before_between_and_after(capsys, mode, size
     ],
 )
 def test_protocol_flag_of_the_other_mode_exits_2(capsys, mode, flag):
-    code, out, err = outcome(capsys, "protocol", mode, *flag)
+    code, out, err = run(capsys, "protocol", mode, *flag)
     assert code == 2
     assert out == ""
     assert f"unrecognized arguments: {' '.join(flag)}" in err

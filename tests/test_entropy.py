@@ -559,30 +559,6 @@ def test_list_sweeps_keep_a_subnormal_phase_unitary(dim, entry):
     assert abs(report.residual_vs_von_neumann) <= 1e-12
 
 
-def _first_kept_step(monkeypatch, rho):
-    # the pair visits an unbudgeted search has made when it keeps its first
-    # all-pairs step, and its count of kept steps
-    steps = []
-    sweep, all_pairs_step = entropy._sweep_rounds, entropy._all_pairs_step
-
-    def counted_sweep(work, u):
-        steps.append("swept")
-        return sweep(work, u)
-
-    def counted_step(work, u, value, gap, base):
-        step = all_pairs_step(work, u, value, gap, base)
-        if step:
-            steps.append("kept")
-        return step
-
-    with monkeypatch.context() as patch:
-        patch.setattr(entropy, "_sweep_rounds", counted_sweep)
-        patch.setattr(entropy, "_all_pairs_step", counted_step)
-        report = min_informational_over_unitaries(rho)
-    dim = len(report.minimizer)
-    return steps.index("kept") * dim * (dim - 1) // 2, report.all_pairs_steps
-
-
 def _bits(report):
     # every field of a report but those that depend on the input alone, to the bit
     return (
@@ -648,6 +624,17 @@ def _watch_steps(monkeypatch):
     monkeypatch.setattr(entropy, "_all_pairs_step", watched)
     monkeypatch.setattr(entropy, "_sweep_rounds", swept)
     return outcomes
+
+
+def _first_kept_step(monkeypatch, rho):
+    # the pair visits a watched, unbudgeted search has made when it keeps its
+    # first all-pairs step, one sweep of d(d - 1)/2 per "swept" before it, and
+    # its count of kept steps
+    with monkeypatch.context() as patch:
+        outcomes = _watch_steps(patch)
+        report = min_informational_over_unitaries(rho)
+    dim = len(report.minimizer)
+    return outcomes[: outcomes.index("kept")].count("swept") * dim * (dim - 1) // 2, report.all_pairs_steps
 
 
 @pytest.mark.parametrize("dim", [8, 16, 17])

@@ -216,17 +216,29 @@ def test_results_carry_their_closed_form():
         attack = eve_attack_success(MIXED_KEY, strategy, 50_000, np.random.default_rng(9))
         assert attack.expected_rate == attack_success_probability(MIXED_KEY, strategy)
         assert abs(attack.z) <= 3.0
+        assert type(attack) is type(steering) is montecarlo.RateEstimate
+        # one survivor count per key position, thinning down to the successes
+        survivors = attack.survivors_per_step
+        assert survivors.shape == (MIXED_KEY.length,)
+        assert np.all(np.diff(survivors) <= 0)
+        assert survivors[-1] == attack.successes
     assert abs(steering.z) <= 3.0
+    # guessed bits pass each 45-degree position with 1/2: 2^-k survive k positions
+    trials, key = 50_000, SignatureKey.uniform(10)
+    survivors = eve_attack_success(key, GUESS_BITS, trials, np.random.default_rng(10)).survivors_per_step
+    for k, alive in enumerate(survivors, start=1):
+        p = 2.0**-k
+        assert abs(alive - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
 
 
 def test_stderr_and_z_follow_the_closed_form():
-    result = protocol.AttackResult(GUESS_BITS, 400, 110, 0.25)
+    result = montecarlo.RateEstimate(400, np.array([300, 110]), 0.25)
+    assert result.successes == 110
     assert result.stderr == pytest.approx(math.sqrt(0.25 * 0.75 / 400), rel=1e-15)
     assert result.z == pytest.approx((110 / 400 - 0.25) / result.stderr, rel=1e-15)
     # a closed form of exactly 0 or 1 has no spread
-    assert protocol.AttackResult(REPLAY, 10, 10, 1.0).z == 0.0
-    assert protocol.AttackResult(REPLAY, 10, 9, 1.0).z == -math.inf
-    assert isinstance(result, montecarlo.RateEstimate)
+    assert montecarlo.RateEstimate(10, np.array([10]), 1.0).z == 0.0
+    assert montecarlo.RateEstimate(10, np.array([9]), 1.0).z == -math.inf
 
 
 @pytest.mark.parametrize(

@@ -317,7 +317,7 @@ def test_a_pure_input_stops_on_the_certificate_after_one_sweep(dim, base):
 # Numeric flag values for the CLI fuzz.  Sizes stay small so each run is
 # quick: trials and shots at most 50, step counts, key lengths and grid
 # sizes at most 64, and step angles of zero or less, or of at least 0.01
-# degrees (a positive step of theta degrees asks for 90 / theta steps).
+# degrees (a positive step of theta degrees plans about 90 / theta steps).
 _SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
 _FLOAT = st.one_of(_SPECIAL, st.floats(-1e6, 1e6)).map(repr)
 _STEP_DEG = st.one_of(_SPECIAL, st.floats(-400, 0), st.floats(0.01, 400)).map(repr)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from qentro.errors import QentroError
+from qentro.montecarlo import RateEstimate
 from qentro.protocol import (
     GUESS_ANGLES,
     GUESS_BITS,
     REPLAY,
-    AttackResult,
     HiddenQubitSource,
     QuantizationGrid,
     SignatureKey,
@@ -355,7 +355,12 @@ def test_accepted_forgery_does_not_replay_at_future_times():
 
 
 def test_attack_result_rate():
-    assert AttackResult("guess-bits", 100, 25, 0.25).success_rate == 0.25
+    assert RateEstimate(100, np.array([50, 25]), 0.25).success_rate == 0.25
+
+
+def test_an_unknown_strategy_is_named_before_a_bad_trial_count():
+    with pytest.raises(QentroError, match="strategy must be one of"):
+        eve_attack_success(SignatureKey.uniform(3), "bogus", 0, np.random.default_rng(0))
 
 
 def test_signature_key_rejects_nonpositive_length_and_nan():

@@ -1,6 +1,7 @@
 """Rules with one owner each: ``serialize.write_rows`` turns rows into the
 bytes of every output format, ``montecarlo.seeded`` turns a seed into a
-random stream, ``montecarlo.thin`` rejects a trial count below 1, and
+random stream, ``montecarlo.thin`` rejects a trial count below 1 and
+``montecarlo.RateEstimate`` records each of its runs, and
 ``interferometer.MirrorModel`` turns an arrangement into
 its joint table.  The CLI parses, checks work limits and picks exit codes,
 each at one place, and reaches the first two rules only through those
@@ -92,6 +93,22 @@ def test_the_trials_rule_is_stated_only_by_the_sampler():
     # montecarlo.thin rejects a trial count below 1 for every simulation that thins
     owners = sorted(path.name for path in SRC.glob("*.py") if "trials must be >= 1" in path.read_text())
     assert owners == ["montecarlo.py"]
+
+
+def test_every_thinned_run_is_one_rate_estimate():
+    # a second result class would restate the fields that stderr and z read
+    annotating, subclassing = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
+                continue
+            fields = {node.target.id for node in top.body if isinstance(node, ast.AnnAssign)}
+            if "expected_rate" in fields:
+                annotating.append(f"{path.stem}.{top.name}")
+            if any(ast.unparse(base).split(".")[-1] == "RateEstimate" for base in top.bases):
+                subclassing.append(f"{path.stem}.{top.name}")
+    assert annotating == ["montecarlo.RateEstimate"]
+    assert subclassing == []
 
 
 def test_cli_prints_each_error_kind_at_one_site():

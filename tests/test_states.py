@@ -56,6 +56,13 @@ def test_pure_state_validation():
     PureState([1.0, 0.0])  # exact norm fine
 
 
+def test_reprs_show_their_entries_to_six_digits():
+    psi = PureState([1 / math.sqrt(2), 1j / math.sqrt(2)])
+    assert repr(psi) == "PureState([0.707107+0.j       0.      +0.707107j])"
+    rho = DensityMatrix([[2 / 3, 0.25j], [-0.25j, 1 / 3]])
+    assert repr(rho) == "DensityMatrix([[0.666667+0.j   0.      +0.25j]\n [0.      -0.25j 0.333333+0.j  ]])"
+
+
 def test_density_of_pure_basis_state():
     rho = density_of_pure(ZERO)
     assert np.allclose(rho.matrix, np.diag([1.0, 0.0]))
