@@ -290,20 +290,22 @@ def bound_row(area_planck_units: float) -> dict:
 # A sweep visits every pair once, in one of two orders chosen by dimension.
 # Below _ROUNDS_FROM_DIM it goes row by row, one pair at a time, on nested
 # lists of Python complex: a pair step touches two rows and two columns of
-# d entries each, too few to pay for a numpy call.  From there on it runs
-# the rounds of a round-robin tournament (the parallel Jacobi ordering of
-# Golub & Van Loan): each round is a set of disjoint pairs, so one block
-# rotation g turns them all with numpy, for ~35 us of call overhead per
-# round whatever its size; the tournament's index tables depend on the
-# dimension alone and are built once per dimension (_schedule).  Per
-# matrix on a shared 2-vCPU x86-64 VM (OpenBLAS, one thread), Wishart
-# inputs, best of 5, the two orders timed in turn on 20 matrices, median,
-# two runs, rounds (with their all-pairs steps) over lists: d2 2.33x and
-# 2.27x, d3 3.15x and 3.03x, d4 1.68x and 1.49x, d5 1.40x and 1.33x, d6
-# 0.91x and 0.78x, d7 0.67x and 0.56x, d8 0.49x and 0.44x, d10 0.29x and
-# 0.29x.  Rounds win from d6 on; the bound stays at 8, as moving it changes
-# the output at d6 and d7, which no benchmark workload runs.  The host's
-# speed swings by up to 1.5x from one run of such a table to the next.
+# d entries each, too few to pay for a numpy call, and turns them in one
+# pass, the columns mirrored from the rows, as W stays exactly Hermitian.
+# From there on it runs the rounds of a round-robin tournament (the
+# parallel Jacobi ordering of Golub & Van Loan): each round is a set of
+# disjoint pairs, so one block rotation g turns them all with numpy, for
+# ~35 us of call overhead per round whatever its size; the tournament's
+# index tables depend on the dimension alone and are built once per
+# dimension (_schedule).  Per matrix on a shared 2-vCPU x86-64 VM
+# (OpenBLAS, one thread), Wishart inputs, best of 5, the two orders timed
+# in turn on 20 matrices, median, two runs, rounds (with their all-pairs
+# steps) over lists: d2 2.19x and 2.22x, d3 3.69x and 3.83x, d4 2.07x and
+# 2.19x, d5 1.96x and 2.00x, d6 1.07x and 1.12x, d7 0.93x and 0.92x, d8
+# 0.65x and 0.64x, d10 0.44x and 0.43x.  Rounds win from d7 on; the bound
+# stays at 8, as moving it changes the output at d7, which no benchmark
+# workload runs.  The host's speed swings by up to 1.5x from one run of
+# such a table to the next.
 #
 # On the round path, a sweep of d - 1 rounds costs ~20-35 us of numpy call
 # overhead per round, and a search on a full-rank input spends 3-4 sweeps
@@ -348,32 +350,46 @@ _TINY = np.finfo(float).tiny
 
 def _sweep_lists(work, u):
     """One cyclic-by-rows sweep on nested lists, updated in place; returns
-    the working matrix's diagonal."""
+    the working matrix's diagonal.
+
+    The pair (p, q) with ``a = w_pp``, ``d = w_qq`` and ``b = w_pq`` turns
+    by the angle theta of ``tan 2 theta = 2|b| / |a - d|``, taken as ``t =
+    tan theta = 2|b| / (|a - d| + hypot(a - d, 2|b|))`` and ``c = 1 /
+    sqrt(1 + t^2)``.  W is kept exactly Hermitian, so one pass per pair does
+    the pair step: for each k it turns ``work[p][k]``, ``work[q][k]`` and the
+    two rows of U, and writes ``work[k][p]`` and ``work[k][q]`` as the
+    conjugates of the new row entries, which are W's new columns.  The 2x2
+    block is then closed in closed form (the classical Jacobi update;
+    Rutishauser, Numer. Math. 9, 1, 1966), over what the pass wrote there:
+    with ``sgn`` the sign of ``a - d``, + on a tie, ``w_pp = a + sgn t |b|``,
+    ``w_qq = d - sgn t |b|`` and ``w_pq = w_qp = 0``.  The diagonal entries
+    are written as floats, so their imaginary parts are exactly 0."""
     dim = len(work)
     for p in range(dim):
+        row_p, u_p = work[p], u[p]
         for q in range(p + 1, dim):
-            b = work[p][q]
+            b = row_p[q]
             if b == 0:
                 continue
-            a, d = work[p][p].real, work[q][q].real
-            sgn = 1.0 if a >= d else -1.0
+            row_q, u_q = work[q], u[q]
+            a, d = row_p[p].real, row_q[q].real
+            mod = abs(b)
+            t = 2.0 * mod / (abs(a - d) + math.hypot(a - d, 2.0 * mod))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            shift = t * mod if a >= d else -t * mod
             scaled = b * _SCALE
-            e = -sgn * scaled.conjugate() / abs(scaled)
-            theta = 0.5 * math.atan2(2.0 * abs(b), abs(a - d))
-            c, s = math.cos(theta), math.sin(theta)
-            g_pp, g_pq = c, -s * e.conjugate()
-            g_qp, g_qq = s * e, c
-            for rows in (work, u):
-                row_p, row_q = rows[p], rows[q]
-                for k in range(dim):
-                    x, y = row_p[k], row_q[k]
-                    row_p[k] = g_pp * x + g_pq * y
-                    row_q[k] = g_qp * x + g_qq * y
-            h_pq, h_qp = g_pq.conjugate(), g_qp.conjugate()
-            for row in work:
-                x, y = row[p], row[q]
-                row[p] = x * g_pp + y * h_pq
-                row[q] = x * h_qp + y * g_qq
+            g_pq = math.copysign(t * c, shift) * scaled / abs(scaled)
+            g_qp = -g_pq.conjugate()
+            for k, row in enumerate(work):
+                x, y = row_p[k], row_q[k]
+                row_p[k] = new_p = c * x + g_pq * y
+                row_q[k] = new_q = g_qp * x + c * y
+                row[p], row[q] = new_p.conjugate(), new_q.conjugate()
+                x, y = u_p[k], u_q[k]
+                u_p[k] = c * x + g_pq * y
+                u_q[k] = g_qp * x + c * y
+            row_p[p], row_q[q] = a + shift, d - shift
+            row_p[q] = row_q[p] = 0.0
     return [row[k].real for k, row in enumerate(work)]
 
 
@@ -427,7 +443,7 @@ def _sweep_rounds(work, u):
             diff = diagonal[p] - diagonal[q]
             theta = 0.5 * np.arctan2(2.0 * mod, np.abs(diff))
             c = np.cos(theta)
-            # the sign of a - d is the list sweep's sgn except for a = -0.0,
+            # the sign of a - d is the list sweep's a >= d except for a = -0.0,
             # d = 0.0, which a PSD matrix with b != 0 cannot have; a b of 0
             # gets sin(theta) = 0 and so the identity block
             scaled = b * _SCALE
@@ -494,14 +510,22 @@ def _certified_gap(work, diagonal, base):
     nats, in ``base``, with each ``w_ii`` floored at ``linalg.ROUNDING_TOL``.
     A row below the floor holds only what rounding leaves in a
     rank-deficient input, so the bound is finite on every input and holds
-    there to within rounding."""
+    there to within rounding.
+
+    The list form reads the list sweep's working matrix, which is exactly
+    Hermitian, so it sums the strict upper triangle once and doubles it.
+    The array form reads both triangles, as the round path's products are
+    Hermitian only to rounding."""
     if isinstance(work, list):
-        roots = [math.sqrt(max(w, ROUNDING_TOL)) for w in diagonal]
+        scales = [1.0 / math.sqrt(max(w, ROUNDING_TOL)) for w in diagonal]
         total = 0.0
         for i, row in enumerate(work):
-            for j, w in enumerate(row):
-                if w and j != i:
-                    total += (w.real * w.real + w.imag * w.imag) / (roots[i] * roots[j])
+            part = 0.0
+            for j in range(i + 1, len(row)):
+                w = row[j]
+                part += (w.real * w.real + w.imag * w.imag) * scales[j]
+            total += part * scales[i]
+        total *= 2.0
     else:
         r = np.maximum(diagonal, ROUNDING_TOL) ** -0.25
         x = work * (r[:, None] * r)

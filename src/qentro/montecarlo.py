@@ -39,16 +39,25 @@ def thin(trials: int, pass_probs, rng: np.random.Generator) -> np.ndarray:
     return survivors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateEstimate:
     """One ``thin`` run of ``trials`` trials: the survivors after each step
     (``survivors_per_step``, as ``thin`` returns them) and the closed-form
     probability ``expected_rate`` that a trial passes every step.  The
-    trials that pass every step are its successes."""
+    trials that pass every step are its successes.
+
+    The survivors are held as a read-only copy, so a result cannot change
+    after it is made.  Results compare and hash by identity: an array field
+    has no truth value to compare by."""
 
     trials: int
     survivors_per_step: np.ndarray
     expected_rate: float
+
+    def __post_init__(self):
+        survivors = np.array(self.survivors_per_step)
+        survivors.flags.writeable = False
+        object.__setattr__(self, "survivors_per_step", survivors)
 
     @property
     def successes(self) -> int:

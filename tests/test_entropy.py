@@ -559,6 +559,43 @@ def test_list_sweeps_keep_a_subnormal_phase_unitary(dim, entry):
     assert abs(report.residual_vs_von_neumann) <= 1e-12
 
 
+@pytest.mark.parametrize("dim", range(2, 8))
+def test_list_sweeps_keep_the_working_matrix_exactly_hermitian(monkeypatch, dim):
+    # the list form of the certificate reads only the upper triangle, so
+    # every sweep must leave W Hermitian to the bit, its diagonal real; the
+    # inputs are Wishart, of every lower rank down to pure, and, from d6 on,
+    # I/d with one subnormal coherence
+    sweep, sweeps = entropy._sweep_lists, []
+
+    def checked(work, u):
+        diagonal = sweep(work, u)
+        for p, row in enumerate(work):
+            assert row[p].imag == 0.0
+            assert row[p].real == diagonal[p]
+            for k, w in enumerate(row):
+                assert work[k][p] == w.conjugate()
+        array = np.array(work)
+        list_gap = entropy._certified_gap(work, diagonal, BITS)
+        array_gap = entropy._certified_gap(array, array.diagonal().real, BITS)
+        assert math.isclose(list_gap, array_gap, rel_tol=1e-12)
+        sweeps.append(list_gap)
+        return diagonal
+
+    monkeypatch.setattr(entropy, "_sweep_lists", checked)
+    rng = np.random.default_rng(3500 + dim)
+    inputs = [random_density(dim, rng) for _ in range(3)]
+    for rank in range(1, dim):
+        z = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        inputs.append(DensityMatrix(z @ z.conj().T / np.vdot(z, z).real))
+    if dim >= 6:
+        inputs += [_one_coherence(dim, entry) for entry in (1e-310, 5e-324, 1e-320 + 3e-321j)]
+    for rho in inputs:
+        sweeps.clear()
+        report = min_informational_over_unitaries(rho)
+        assert len(sweeps) * dim * (dim - 1) // 2 == report.iterations > 0
+        assert abs(report.residual_vs_von_neumann) <= 1e-12
+
+
 def _bits(report):
     # every field of a report but those that depend on the input alone, to the bit
     return (

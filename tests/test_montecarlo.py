@@ -241,6 +241,28 @@ def test_stderr_and_z_follow_the_closed_form():
     assert montecarlo.RateEstimate(10, np.array([9]), 1.0).z == -math.inf
 
 
+def test_a_result_cannot_change_after_it_is_made():
+    survivors = np.array([300, 110])
+    result = montecarlo.RateEstimate(400, survivors, 0.25)
+    with pytest.raises(ValueError, match="read-only"):
+        result.survivors_per_step[-1] = 9
+    # the result holds its own copy, so the caller's array does not reach it
+    survivors[-1] = 9
+    assert result.successes == 110
+    assert result.survivors_per_step.tolist() == [300, 110]
+
+
+def test_results_hash():
+    result = montecarlo.RateEstimate(400, np.array([300, 110]), 0.25)
+    assert {result: 1}[result] == 1
+
+
+def test_results_compare_by_identity():
+    result = montecarlo.RateEstimate(400, np.array([300, 110]), 0.25)
+    assert result == result
+    assert result != montecarlo.RateEstimate(400, np.array([300, 110]), 0.25)
+
+
 @pytest.mark.parametrize(
     "angle, per_position",
     [

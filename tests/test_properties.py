@@ -285,9 +285,12 @@ def test_a_zero_diagonal_row_raises_no_warning(dim):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = min_informational_over_unitaries(DensityMatrix(m))
+        # the list form reads an exactly Hermitian matrix, as the list sweep
+        # keeps it, so the product is symmetrized as DensityMatrix does
+        work = report.minimizer @ m @ report.minimizer.conj().T
+        work = (work + work.conj().T) / 2
         # a nonzero entry in a row whose diagonal entry is 0 is read against
         # the floor ROUNDING_TOL, so the bound stays finite
-        work = report.minimizer @ m @ report.minimizer.conj().T
         work[2, 0] = work[0, 2] = 1e-20
         array_gap = entropy._certified_gap(work, work.diagonal().real, BITS)
         lists = work.tolist()
