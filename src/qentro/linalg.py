@@ -57,7 +57,10 @@ def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     # a part above PART_LIMIT, which no unitary has, is rejected before the product
     if max_part(m) > PART_LIMIT:
         return False
-    return max_abs(m.conj().T @ m - np.eye(m.shape[0])) <= tol
+    gram = m.conj().T @ m
+    # subtract I in place: the diagonal of the fresh C-ordered product, with no identity built
+    gram.ravel()[:: m.shape[0] + 1] -= 1
+    return max_abs(gram) <= tol
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -46,11 +46,13 @@ class PureState:
         self._amps = amps
 
     @classmethod
-    def _trusted_normalized(cls, amps: np.ndarray) -> "PureState":
-        # Normalize a nonzero vector derived from validated inputs; the
-        # result is not checked again.
+    def _trusted(cls, amps: np.ndarray, norm_sq: float) -> "PureState":
+        # Wrap a nonzero vector derived from validated inputs, divided by the
+        # square root of its squared norm ``norm_sq``, which the caller has
+        # summed from ``(c * c.conj()).real`` as __init__ does; the result is
+        # not checked again.
         state = cls.__new__(cls)
-        state._amps = amps / np.linalg.norm(amps)
+        state._amps = amps / math.sqrt(norm_sq)
         state._amps.setflags(write=False)
         return state
 
@@ -97,9 +99,10 @@ class DensityMatrix:
             raise QentroError(
                 f"entry part {largest!r} is above {PART_LIMIT}: not positive semidefinite with trace 1"
             )
-        if linalg.max_abs(m - m.conj().T) > DEFAULT_TOL:
+        adjoint = m.conj().T
+        if linalg.max_abs(m - adjoint) > DEFAULT_TOL:
             raise QentroError("matrix is not Hermitian within tolerance")
-        m = (m + m.conj().T) / 2
+        m = (m + adjoint) / 2
         trace = float(m.trace().real)
         if abs(trace - 1.0) > DEFAULT_TOL:
             raise QentroError(f"trace {trace!r} is not 1 within tolerance")
@@ -217,7 +220,7 @@ class MeasurementSet:
 def density_of_pure(state: PureState) -> DensityMatrix:
     """Rank-1 density matrix ``|phi><phi|`` of a pure state."""
     amps = state.amplitudes
-    return DensityMatrix._trusted(np.outer(amps, amps.conj()))
+    return DensityMatrix._trusted(amps[:, None] * amps.conj())
 
 
 def mix(ensemble: Ensemble) -> DensityMatrix:
@@ -226,7 +229,7 @@ def mix(ensemble: Ensemble) -> DensityMatrix:
     rho = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
     for weight, state in ensemble.pure_parts:
         amps = state.amplitudes
-        rho += weight * np.outer(amps, amps.conj())
+        rho += weight * (amps[:, None] * amps.conj())
     if ensemble.mixed_part is not None:
         weight, component = ensemble.mixed_part
         rho += weight * component.matrix
@@ -248,7 +251,8 @@ def evolve_unitary(state, u):
         raise QentroError(f"state dim {state.dim} != unitary dim {u.shape[0]}")
     if isinstance(state, PureState):
         # renormalize away the (<= LOOSE_TOL) drift allowed by the unitarity check
-        return PureState._trusted_normalized(u @ state.amplitudes)
+        amps = u @ state.amplitudes
+        return PureState._trusted(amps, (amps * amps.conj()).real.sum())
     rho = u @ state.matrix @ u.conj().T
     return DensityMatrix._trusted(rho / rho.trace().real)
 
@@ -256,22 +260,24 @@ def evolve_unitary(state, u):
 def measure_collapse(state: PureState, mset: MeasurementSet, rng: np.random.Generator):
     """Sample one measurement outcome by the Born rule and collapse.
 
-    Returns ``(label, post_state)`` where the post state is
-    ``M_i|phi> / sqrt(p_i)``.  Deterministic given the generator state; an
-    outcome with probability 0 is never returned.
+    Returns ``(label, post_state)`` where the post state is the branch
+    ``M_i|phi>`` divided by ``sqrt(w_i)``, with ``w_i`` its Born weight: the
+    sum of the branch's ``(c * conj(c)).real``, computed once for both the
+    draw and the renormalization.  Deterministic given the generator state;
+    an outcome with probability 0 is never returned.
     """
     if state.dim != mset.dim:
         raise QentroError(f"state dim {state.dim} != measurement dim {mset.dim}")
-    # Born probabilities <phi|M_i† M_i|phi>, each the squared norm of its branch
-    branches = np.einsum("kij,j->ki", mset.operators, state.amplitudes)
-    probs = (branches * branches.conj()).real.sum(axis=1)
-    probs = probs / probs.sum()
+    # Born weights <phi|M_i† M_i|phi>, each the squared norm of its branch
+    branches = mset.operators @ state.amplitudes
+    weights = (branches * branches.conj()).real.sum(axis=1)
+    probs = weights / weights.sum()
     # inverse-CDF draw, the step Generator.choice(len(probs), p=probs) runs
     # for one sample, so the outcome stream is the same
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     idx = int(cdf.searchsorted(rng.random(), side="right"))
-    return mset.labels[idx], PureState._trusted_normalized(branches[idx])
+    return mset.labels[idx], PureState._trusted(branches[idx], weights[idx])
 
 
 def dephase(state) -> DensityMatrix:

@@ -11,7 +11,8 @@ nothing the library has computed.  The minimizer's round-robin tournament is bui
 ``min_informational_over_unitaries`` reads its budget, which it spends in
 whole steps.  Only the owners of a spectrum,
 ``states.DensityMatrix`` (``eigvalsh``) and ``zeno.Hamiltonian`` (``eigh``),
-call an eigensolver.  No module reads another module's private name.
+call an eigensolver.  No module calls ``np.linalg.norm`` or reads another
+module's private name.
 Every public function, class and method has a caller in the library, a demo
 or the benchmark, every field of a public class has a reader there, and
 every exception class has an ``except`` clause in the library."""
@@ -87,6 +88,12 @@ def test_eigensolvers_are_called_only_in_states_and_zeno():
     assert readers("eigh") == {("zeno.py", "Hamiltonian")}
     assert readers("eigvalsh") == {("states.py", "DensityMatrix")}
     assert readers("eig") == readers("eigvals") == set()
+
+
+def test_no_module_reads_the_norm_from_numpy_linalg():
+    # every squared norm of an amplitude vector is the sum of (c * conj(c)).real,
+    # the norm check's, the Born weight's and each renormalization's alike
+    assert readers("norm") == set()
 
 
 def test_the_trials_rule_is_stated_only_by_the_sampler():

@@ -41,6 +41,18 @@ def computational(dim):
     return MeasurementSet([np.diag(row) for row in np.eye(dim)])
 
 
+def rotated(dim, rng):
+    # the projectors onto the columns of a Haar-random unitary, where the
+    # branches M_i|phi> are inexact products
+    return MeasurementSet([np.outer(v, v.conj()) for v in random_unitary(dim, rng).T])
+
+
+def born_weights(state, mset):
+    # each branch's squared norm, the sum of its (c * conj(c)).real
+    branches = mset.operators @ state.amplitudes
+    return branches, (branches * branches.conj()).real.sum(axis=1)
+
+
 def overlap(a, b):
     # |<a|b>|, 1 exactly when the states differ only by a global phase
     return abs(np.vdot(a.amplitudes, b.amplitudes))
@@ -393,7 +405,7 @@ def test_derived_states_match_validating_constructor_bitwise():
     # each derived state equals DensityMatrix(<the array it is built from>),
     # matrix and spectrum, to the last bit
     rng = np.random.default_rng(11)
-    for dim in (2, 3, 5):
+    for dim in (2, 3, 5, 8, 16):
         rho = random_density(dim, rng)
         u = random_unitary(dim, rng)
         state = random_pure(dim, rng)
@@ -449,6 +461,37 @@ def test_measure_collapse_draws_the_generator_choice_stream():
     rng = np.random.default_rng(2024)
     drawn = [measure_collapse(state, mset, rng)[0] for _ in range(10_000)]
     assert drawn == reference
+
+
+def test_measure_collapse_draws_the_generator_choice_stream_in_a_rotated_basis():
+    rng = np.random.default_rng(36)
+    for dim in range(2, 9):
+        for _ in range(3):
+            state, mset = random_pure(dim, rng), rotated(dim, rng)
+            _, weights = born_weights(state, mset)
+            p = weights / weights.sum()
+            seed = int(rng.integers(2**32))
+            reference_rng = np.random.default_rng(seed)
+            reference = [str(reference_rng.choice(dim, p=p)) for _ in range(400)]
+            draws = np.random.default_rng(seed)
+            assert [measure_collapse(state, mset, draws)[0] for _ in range(400)] == reference
+
+
+def test_measure_collapse_divides_the_branch_by_the_root_of_its_born_weight():
+    # the post state is branch / sqrt(p) to the bit, with p the weight the draw
+    # used, and has unit squared norm within 4 ulps
+    rng = np.random.default_rng(37)
+    for dim in range(2, 17):
+        for _ in range(20):
+            state, mset = random_pure(dim, rng), rotated(dim, rng)
+            label, post = measure_collapse(state, mset, rng)
+            branches, weights = born_weights(state, mset)
+            branch = branches[int(label)]
+            p = (branch * branch.conj()).real.sum()
+            assert p == weights[int(label)]
+            assert post.amplitudes.tobytes() == (branch / math.sqrt(p)).tobytes()
+            norm_sq = (post.amplitudes * post.amplitudes.conj()).real.sum()
+            assert abs(norm_sq - 1.0) <= 4 * np.finfo(float).eps
 
 
 def test_boundary_still_rejects_invalid_inputs():
