@@ -18,8 +18,8 @@ from qentro.zeno import (
     Hamiltonian,
     SteeringPlan,
     simulate_steering,
+    steering_rows,
     steering_success_probability,
-    steering_sweep_rows,
     zeno_survival,
 )
 
@@ -69,7 +69,7 @@ print("These per-step counts are the raw material for anyone who wants to")
 print("model the drag as an effective time-dependent generator; the package")
 print("emits the statistics and leaves the model fitting to the reader.")
 
-rows = steering_sweep_rows(range(1, 101), trials=20_000, seed=99)
+rows = steering_rows([SteeringPlan.from_steps(n) for n in range(1, 101)], trials=20_000, seed=99)
 path = sys.argv[1] if len(sys.argv) > 1 else "steering_curve.csv"
 with open(path, "w", newline="") as handle:
     write_csv(rows, handle)

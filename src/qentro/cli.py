@@ -21,7 +21,7 @@ import sys
 
 from . import entropy as ent
 from . import interferometer as mzi
-from . import montecarlo, protocol, serialize, zeno
+from . import protocol, serialize, zeno
 from .errors import ParseError, QentroError
 from .linalg import RESIDUAL_WARN
 
@@ -110,17 +110,16 @@ def _cmd_zeno(args) -> list[dict]:
         first = max(lo, 1)  # step counts below 1 are rejected by the plan
         steps = (hi * (hi + 1) - (first - 1) * first) // 2 if hi >= first else 0
         _check_work("--sweep summed over its step counts", steps, "steps")
-        return zeno.steering_sweep_rows(range(lo, hi + 1), args.trials, args.seed)
-    if args.n_steps is not None:
+        plans = [zeno.SteeringPlan.from_steps(n) for n in range(lo, hi + 1)]
+    elif args.n_steps is not None:
         # pi/2 over a huge step count overflows: check the count before planning
         _check_work("--n-steps", args.n_steps, "steps")
-        plan = zeno.SteeringPlan.from_steps(args.n_steps)
+        plans = [zeno.SteeringPlan.from_steps(args.n_steps)]
     else:
         # planning is O(1), and the plan alone owns its step count
-        plan = zeno.SteeringPlan(math.radians(args.theta_deg))
-        _check_work("--theta-deg", plan.n_steps, "steps")
-    result = zeno.simulate_steering(plan, args.trials, montecarlo.seeded(args.seed))
-    return [zeno.steering_row(plan, result, args.seed)]
+        plans = [zeno.SteeringPlan(math.radians(args.theta_deg))]
+        _check_work("--theta-deg", plans[0].n_steps, "steps")
+    return zeno.steering_rows(plans, args.trials, args.seed)
 
 
 def _cmd_mzi(args) -> list[dict]:
@@ -152,8 +151,7 @@ def _cmd_attack(args) -> list[dict]:
     _check_work("--n", args.n, "key angles")
     _check_work("--trials", args.trials, "trials")
     key = protocol.SignatureKey.uniform(args.n, math.radians(args.key_angle_deg))
-    result = protocol.eve_attack_success(key, args.strategy, args.trials, montecarlo.seeded(args.seed))
-    return [protocol.attack_row(key, args.strategy, result, args.seed)]
+    return [protocol.attack_row(key, args.strategy, args.trials, args.seed)]
 
 
 def _cmd_bound(args) -> list[dict]:

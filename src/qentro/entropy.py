@@ -22,7 +22,7 @@ import numpy as np
 
 from . import serialize, states
 from .errors import QentroError
-from .linalg import DEFAULT_TOL, GRID_TOL, INTEGRAL_TOL, LOOSE_TOL, ROUNDING_TOL, STEP_KEEP, SWEEP_TOL
+from .linalg import DEFAULT_TOL, GRID_TOL, INTEGRAL_TOL, LOOSE_TOL, ROUNDING_TOL, STEP_KEEP, SWEEP_TOL, as_vector
 
 BITS = "bits"
 NATS = "nats"
@@ -111,7 +111,7 @@ def _plogp_sum(probs, base: str) -> float:
 def shannon(probs, base: str = BITS) -> EntropyResult:
     """Shannon entropy ``-sum_i p_i log p_i`` of a probability vector."""
     _check_base(base)
-    p = np.asarray(probs, dtype=float).reshape(-1)
+    p = as_vector(probs, "probabilities")
     if p.size == 0:
         raise QentroError("empty probability vector")
     if not np.all(np.isfinite(p)):
@@ -137,8 +137,8 @@ def differential_entropy(grid, density, base: str = NATS) -> EntropyResult:
     can exceed 1), so no nonnegativity clamp is applied here.
     """
     _check_base(base)
-    x = np.asarray(grid, dtype=float).reshape(-1)
-    f = np.asarray(density, dtype=float).reshape(-1)
+    x = as_vector(grid, "grid")
+    f = as_vector(density, "density")
     if x.size != f.size or x.size < 2:
         raise QentroError("grid and density must share a length of at least 2")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):

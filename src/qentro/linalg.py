@@ -1,12 +1,13 @@
 """Complex linear algebra for small dense matrices.
 
-Coercion to a square complex matrix, the two norms behind every tolerance
-check, the package's one unitarity check, a Haar-random unitary, and the
-tolerance table.  Every comparison takes an explicit tolerance, and every
-tolerance the package applies is named once, in the table below; none
-relies on exact float equality.  All functions are pure and never modify
-their inputs.  The eigensolvers are called only where a spectrum is owned:
-``states.DensityMatrix`` and ``zeno.Hamiltonian``.
+Coercion to a vector and to a square complex matrix, the two norms behind
+every tolerance check, the package's one unitarity check, a Haar-random
+unitary, and the tolerance table.  Every comparison takes an explicit
+tolerance, and every tolerance the package applies is named once, in the
+table below; none relies on exact float equality.  All functions are
+pure and never modify their inputs.  The eigensolvers are called only
+where a spectrum is owned: ``states.DensityMatrix`` and
+``zeno.Hamiltonian``.
 """
 
 import numpy as np
@@ -35,6 +36,15 @@ def as_matrix(m) -> np.ndarray:
         raise QentroError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise QentroError("matrix entries must be finite (no NaN/Inf)")
+    return a
+
+
+def as_vector(v, name: str, dtype=float) -> np.ndarray:
+    """Coerce ``v`` to a new 1-D ndarray of ``dtype``, rejecting any other
+    shape; ``name`` names the input in the error."""
+    a = np.array(v, dtype=dtype)
+    if a.ndim != 1:
+        raise QentroError(f"{name} must be a vector, got shape {a.shape}")
     return a
 
 

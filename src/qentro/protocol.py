@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QentroError
+from .linalg import as_vector
 from .montecarlo import RateEstimate, seeded, thin
 
 HALF_PI = math.pi / 2.0
@@ -157,7 +158,7 @@ class SignatureKey:
     """Shared secret: a sequence of polarization angles in [0, pi/2]."""
 
     def __init__(self, angles):
-        arr = np.asarray(angles, dtype=float).reshape(-1)
+        arr = as_vector(angles, "key angles")
         if arr.size < 1:
             raise QentroError("a signature key needs at least one angle")
         if np.isnan(arr).any():
@@ -181,7 +182,7 @@ def verify_signature(key: SignatureKey, prepared_angles, rng: np.random.Generato
     """Measure photon k in the basis of key angle k; accept iff every
     outcome is 0.  An honest stream is accepted with probability 1 (every
     photon is aligned with its verification basis)."""
-    prepared = np.asarray(prepared_angles, dtype=float).reshape(-1)
+    prepared = as_vector(prepared_angles, "prepared angles")
     if prepared.size != key.length:
         raise QentroError(f"stream length {prepared.size} != key length {key.length}")
     p_zero = np.cos(prepared - key.angles) ** 2
@@ -248,11 +249,13 @@ def estimation_row(n: int, shots: int, theta_true: float, estimate, seed: int) -
     }
 
 
-def attack_row(key: SignatureKey, strategy: str, result: RateEstimate, seed: int) -> dict:
-    """One row of forgery statistics of ``strategy`` against ``key``.
+def attack_row(key: SignatureKey, strategy: str, trials: int, seed: int) -> dict:
+    """One row of forgery statistics of ``strategy`` against ``key``, from
+    ``eve_attack_success`` run on the stream of ``seed``.
 
     Columns: n, strategy, trials, successes, rate, seed.
     """
+    result = eve_attack_success(key, strategy, trials, seeded(seed))
     return {
         "n": key.length,
         "strategy": strategy,

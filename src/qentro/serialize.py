@@ -49,7 +49,7 @@ def matrix_to_json(matrix) -> dict:
 
 def matrix_dim(obj) -> int:
     """The ``dim`` of a matrix object, read by the number rule before any
-    entry is: a JSON integer or a whole-number float."""
+    entry is: a JSON integer or a whole-number float, at least 1."""
     if not isinstance(obj, dict):
         raise ParseError(f"matrix object must be a JSON object, got {type(obj).__name__}")
     try:
@@ -59,6 +59,8 @@ def matrix_dim(obj) -> int:
     _check_numbers((dim,), "matrix dim")
     if isinstance(dim, float) and not dim.is_integer():  # also inf and NaN
         raise ParseError(f"matrix dim must be a whole number, got {dim!r}")
+    if dim < 1:
+        raise ParseError(f"matrix dim must be at least 1, got {int(dim)}")
     return int(dim)
 
 

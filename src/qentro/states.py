@@ -25,9 +25,7 @@ class PureState:
     """Normalized complex amplitude vector over a finite basis (length >= 2)."""
 
     def __init__(self, amplitudes):
-        amps = np.array(amplitudes, dtype=complex)
-        if amps.ndim != 1:
-            raise QentroError(f"amplitudes must be a vector, got shape {amps.shape}")
+        amps = linalg.as_vector(amplitudes, "amplitudes", complex)
         if amps.size < 2:
             raise QentroError("a pure state needs at least 2 amplitudes")
         # a unit vector has no amplitude above 1 in modulus; a larger part is
@@ -280,17 +278,12 @@ def measure_collapse(state: PureState, mset: MeasurementSet, rng: np.random.Gene
     return mset.labels[idx], PureState._trusted(branches[idx], weights[idx])
 
 
-def dephase(state) -> DensityMatrix:
+def dephase(state: DensityMatrix) -> DensityMatrix:
     """Drop all coherences: zero the off-diagonal entries in the
-    computational basis, keeping the diagonal.  A matrix that is not a
-    state yet is validated as a ``DensityMatrix`` first."""
-    if isinstance(state, PureState):
-        diag = state.probabilities()
-    else:
-        if not isinstance(state, DensityMatrix):
-            state = DensityMatrix(state)
-        diag = state.diagonal()
-    return DensityMatrix._trusted(np.diag(diag.astype(complex)))
+    computational basis, keeping the diagonal."""
+    if not isinstance(state, DensityMatrix):
+        raise TypeError(f"expected DensityMatrix, got {type(state).__name__}")
+    return DensityMatrix._trusted(np.diag(state.diagonal().astype(complex)))
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:

@@ -148,30 +148,26 @@ def simulate_steering(plan: SteeringPlan, trials: int, rng: np.random.Generator)
     return RateEstimate(trials, thin(trials, [p_forward] * plan.n_steps, rng), steering_success_probability(plan))
 
 
-def steering_row(plan: SteeringPlan, result: RateEstimate, seed: int) -> dict:
-    """One row comparing the closed form with a Monte Carlo run of ``plan``.
+def steering_rows(plans, trials: int, seed: int) -> list[dict]:
+    """Closed form vs Monte Carlo, one row per plan in ``plans``.  Each plan
+    runs ``trials`` trials on the stream of ``seed`` keyed by its step
+    count, so a plan's row is the same whether it is run alone or among
+    others, and rows are deterministic for a fixed seed.
 
     Columns: n_steps, theta_deg, closed_form_prob, empirical_prob, trials,
     seed.
     """
-    return {
-        "n_steps": plan.n_steps,
-        "theta_deg": math.degrees(plan.theta_step),
-        "closed_form_prob": result.expected_rate,
-        "empirical_prob": result.success_rate,
-        "trials": result.trials,
-        "seed": seed,
-    }
-
-
-def steering_sweep_rows(n_values, trials: int, seed: int) -> list[dict]:
-    """Closed-form vs Monte Carlo steering curve, one ``steering_row`` per
-    step count, each run on its own stream spawned from ``seed``.  Rows are
-    deterministic for a fixed seed.
-    """
     rows = []
-    for n in n_values:
-        plan = SteeringPlan.from_steps(int(n))
+    for plan in plans:
         result = simulate_steering(plan, trials, seeded(seed, plan.n_steps))
-        rows.append(steering_row(plan, result, seed))
+        rows.append(
+            {
+                "n_steps": plan.n_steps,
+                "theta_deg": math.degrees(plan.theta_step),
+                "closed_form_prob": result.expected_rate,
+                "empirical_prob": result.success_rate,
+                "trials": result.trials,
+                "seed": seed,
+            }
+        )
     return rows

@@ -648,17 +648,45 @@ def lib_items(rows):
 
 
 @pytest.mark.parametrize(
-    "flag, value, plan",
+    "flag, value, plans",
     [
-        ("--n-steps", "7", zeno.SteeringPlan.from_steps(7)),
-        ("--theta-deg", "15", zeno.SteeringPlan(math.radians(15))),
+        ("--n-steps", "7", [zeno.SteeringPlan.from_steps(7)]),
+        ("--theta-deg", "15", [zeno.SteeringPlan(math.radians(15))]),
+        ("--sweep", "3:6", [zeno.SteeringPlan.from_steps(n) for n in range(3, 7)]),
     ],
 )
-def test_zeno_prints_steering_row(capsys, flag, value, plan):
-    result = zeno.simulate_steering(plan, 500, np.random.default_rng(SEED))
+def test_zeno_prints_steering_rows(capsys, flag, value, plans):
     assert cli_items(capsys, "zeno", flag, value, "--trials", "500") == lib_items(
-        [zeno.steering_row(plan, result, SEED)]
+        zeno.steering_rows(plans, 500, SEED)
     )
+
+
+def row_texts(out, fmt):
+    # the printed text of each row, without the csv header
+    if fmt == "json":
+        return [json.dumps(row) for row in json.loads(out)]
+    if fmt == "csv":
+        return out.splitlines()[1:]
+    return out.rstrip("\n").split("\n\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("lo, hi, seed", [(1, 6, 0), (3, 5, 8), (29, 31, 8), (12, 12, 123)])
+def test_a_plan_prints_the_same_row_alone_and_in_a_sweep(capsys, lo, hi, seed, fmt):
+    def rows(*argv):
+        code, out, err = run(capsys, "zeno", *argv, "--trials", "1000", "--seed", str(seed), "--format", fmt)
+        assert code == 0, err
+        return row_texts(out, fmt)
+
+    sweep = rows("--sweep", f"{lo}:{hi}")
+    assert len(sweep) == hi - lo + 1
+    for n, swept in zip(range(lo, hi + 1), sweep):
+        assert rows("--n-steps", str(n)) == [swept]
+        theta_deg = 90 / n
+        # the angle's plan is the step count's plan bit for bit at 18 degrees
+        # and 5 steps, for example, but not at every step count
+        if zeno.SteeringPlan(math.radians(theta_deg)) == zeno.SteeringPlan.from_steps(n):
+            assert rows("--theta-deg", repr(theta_deg)) == [swept]
 
 
 @pytest.mark.parametrize("arrangement", ["rigid", "springy", "unknown"])
@@ -691,10 +719,9 @@ def test_mzi_unknown_defaults_to_an_even_prior(capsys):
 
 def test_protocol_attack_prints_attack_row(capsys):
     key = protocol.SignatureKey.uniform(5, math.radians(30))
-    result = protocol.eve_attack_success(key, protocol.REPLAY, 4000, np.random.default_rng(SEED))
     argv = ["protocol", "attack", "--n", "5", "--trials", "4000", "--strategy", "replay"]
     assert cli_items(capsys, *argv, "--key-angle-deg", "30") == lib_items(
-        [protocol.attack_row(key, protocol.REPLAY, result, SEED)]
+        [protocol.attack_row(key, protocol.REPLAY, 4000, SEED)]
     )
 
 
@@ -824,7 +851,7 @@ def stop_the_work(monkeypatch):
 
     for module, name in [
         (zeno, "simulate_steering"),
-        (zeno, "steering_sweep_rows"),
+        (zeno, "steering_rows"),
         (protocol, "eve_attack_success"),
         (protocol, "estimate_theta_bruteforce"),
         (protocol, "estimate_theta_adaptive"),

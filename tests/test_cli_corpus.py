@@ -83,6 +83,14 @@ def test_cli_bytes_are_pinned(entry, tmp_path, monkeypatch):
     assert digest(parts) == entry["digest"]
 
 
+def test_a_plan_alone_and_in_a_one_plan_sweep_are_pinned_alike():
+    # a plan's stream is keyed by its step count, whichever flag asked for it
+    digests = {entry_id(entry): entry["digest"] for entry in CORPUS}
+    for fmt in ("table", "csv", "json"):
+        alone = digests[f"zeno --n-steps 30 --seed 8 --format {fmt}"]
+        assert digests[f"zeno --sweep 30:30 --seed 8 --format {fmt}"] == alone
+
+
 def regenerate() -> None:
     # as the test runs them: each entry in an empty directory of its own
     warnings.simplefilter("error", RuntimeWarning)

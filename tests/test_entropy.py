@@ -73,6 +73,14 @@ def test_shannon_validates_distribution():
         shannon([1e308, 1e308])
 
 
+def test_shannon_reads_only_a_vector():
+    # a density matrix is not a 4-entry distribution
+    with pytest.raises(QentroError, match=r"^probabilities must be a vector, got shape \(2, 2\)$"):
+        shannon(np.eye(2) / 2)
+    with pytest.raises(QentroError, match=r"^probabilities must be a vector, got shape \(\)$"):
+        shannon(1.0)
+
+
 def test_shannon_permutation_invariant_and_uniform_maximal():
     rng = np.random.default_rng(8)
     for n in (2, 3, 4):
@@ -149,6 +157,14 @@ def test_differential_gaussian_matches_closed_form():
     pdf = np.exp(-x * x / 2) / math.sqrt(2 * math.pi)
     h = differential_entropy(x, pdf, NATS)
     assert h.value == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=1e-3)
+
+
+def test_differential_reads_only_vectors():
+    x = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(QentroError, match=r"^grid must be a vector, got shape \(1, 5\)$"):
+        differential_entropy(x.reshape(1, 5), np.ones((5, 1)), NATS)
+    with pytest.raises(QentroError, match=r"^density must be a vector, got shape \(5, 1\)$"):
+        differential_entropy(x, np.ones((5, 1)), NATS)
 
 
 def test_differential_rejects_non_density():

@@ -91,7 +91,7 @@ def test_informational_equals_von_neumann_exactly_on_trusted_diagonal_states():
         for q in entries:
             signed = np.full((dim, dim), -0.0)
             np.fill_diagonal(signed, q)
-            states += [DensityMatrix(np.diag(q)), DensityMatrix(signed), dephase(np.diag(q))]
+            states += [DensityMatrix(np.diag(q)), DensityMatrix(signed), dephase(DensityMatrix(np.diag(q)))]
             if dim > 1 and q.min() >= 0.0:  # a pure state has at least 2 amplitudes
                 basis = [(w, PureState.basis_state(dim, k)) for k, w in enumerate(q)]
                 states.append(mix(Ensemble(basis)))
@@ -176,7 +176,7 @@ def test_trusted_states_pass_the_validating_constructors(dim, seed):
         mix(ensemble),
         evolve_unitary(rho, u),
         dephase(rho),
-        dephase(psi),
+        dephase(density_of_pure(psi)),
     ]
     for state in densities:
         assert np.array_equal(DensityMatrix(state.matrix).matrix, state.matrix)
@@ -411,7 +411,7 @@ _ENTRY_POINTS = {
     "von_neumann": von_neumann,
     "informational": informational,
     "min_informational_over_unitaries": min_informational_over_unitaries,
-    "dephase": dephase,
+    "dephase": lambda m: dephase(DensityMatrix(m)),
 }
 
 

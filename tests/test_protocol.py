@@ -258,6 +258,13 @@ def test_signature_key_validation():
         SignatureKey([0.1, 3.0])
 
 
+def test_key_and_stream_are_read_only_as_vectors():
+    with pytest.raises(QentroError, match=r"^key angles must be a vector, got shape \(2, 2\)$"):
+        SignatureKey([[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(QentroError, match=r"^prepared angles must be a vector, got shape \(2, 2\)$"):
+        verify_signature(SignatureKey.uniform(4), np.zeros((2, 2)), np.random.default_rng(0))
+
+
 def test_honest_verification_always_accepts():
     rng = np.random.default_rng(5)
     key = SignatureKey(rng.uniform(0, HALF_PI, size=12))

@@ -4,9 +4,10 @@ random stream, ``montecarlo.thin`` rejects a trial count below 1 and
 ``montecarlo.RateEstimate`` records each of its runs, and
 ``interferometer.MirrorModel`` turns an arrangement into
 its joint table.  The CLI parses, checks work limits and picks exit codes,
-each at one place, and reaches the first two rules only through those
-functions; its handlers return the rows the library builds, and compute
-nothing the library has computed.  The minimizer's round-robin tournament is built only by
+each at one place, and writes rows only through ``serialize.write_rows``;
+it hands the library an integer seed, builds no random stream and calls no
+Monte Carlo kernel.  Its handlers return the rows the library builds, and
+compute nothing the library has computed.  The minimizer's round-robin tournament is built only by
 ``entropy._schedule``, once per dimension, and only
 ``min_informational_over_unitaries`` reads its budget, which it spends in
 whole steps.  Only the owners of a spectrum,
@@ -71,6 +72,12 @@ def test_cli_handlers_build_no_rows():
     # the rows of unitary-min and bound carry these values already
     called = {getattr(node.func, "attr", None) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert called & {"von_neumann", "bekenstein_bound"} == set()
+
+
+def test_cli_hands_the_library_an_integer_seed():
+    # the row builders key their own streams, so the CLI neither builds a
+    # stream nor runs a kernel on one
+    assert names(SRC / "cli.py") & {"montecarlo", "seeded", "simulate_steering", "eve_attack_success"} == set()
 
 
 def test_seeded_streams_are_built_only_in_montecarlo():

@@ -40,6 +40,13 @@ def test_matrix_from_json_errors():
         matrix_from_json([1, 2, 3])
 
 
+@pytest.mark.parametrize("dim, shown", [(0, "0"), (-1, "-1"), (-3.0, "-3")])
+def test_matrix_dim_below_1_is_named(dim, shown):
+    # rejected before the parts are read, whose shapes would only echo the dim
+    with pytest.raises(ParseError, match=f"^matrix dim must be at least 1, got {shown}$"):
+        matrix_from_json({"dim": dim, "re": [], "im": []})
+
+
 def test_state_round_trip():
     obj = {"amplitudes": [{"re": 0.6, "im": 0.0}, {"re": 0.0, "im": 0.8}]}
     back = state_from_json(json.loads(json.dumps(obj)))

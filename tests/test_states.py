@@ -367,7 +367,7 @@ def test_measurement_set_completeness():
 
 def test_dephase_pure_state():
     state = PureState([0.6, 0.8j])
-    rho = dephase(state)
+    rho = dephase(density_of_pure(state))
     assert np.allclose(rho.matrix, np.diag([0.36, 0.64]))
 
 
@@ -419,7 +419,7 @@ def test_derived_states_match_validating_constructor_bitwise():
         assert _same_bytes(mix(ensemble), DensityMatrix(raw / raw.trace().real))
         assert _same_bytes(dephase(rho), DensityMatrix(np.diag(rho.diagonal().astype(complex))))
         assert _same_bytes(
-            dephase(state), DensityMatrix(np.diag(state.probabilities().astype(complex)))
+            dephase(density_of_pure(state)), DensityMatrix(np.diag(state.probabilities().astype(complex)))
         )
         amps = state.amplitudes
         assert _same_bytes(density_of_pure(state), DensityMatrix(np.outer(amps, amps.conj())))
@@ -439,7 +439,7 @@ def test_derived_states_call_no_eigensolver(monkeypatch):
         evolve_unitary(rho, u),
         mix(Ensemble([(0.5, state)], (0.5, rho))),
         dephase(rho),
-        dephase(state),
+        dephase(density_of_pure(state)),
         density_of_pure(state),
     ]
     evolve_unitary(state, u)
@@ -498,13 +498,19 @@ def test_boundary_still_rejects_invalid_inputs():
     with pytest.raises(QentroError, match="matrix is not unitary within tolerance"):
         evolve_unitary(random_density(2, np.random.default_rng(0)), [[1.0, 0.0], [0.0, 1.1]])
     with pytest.raises(QentroError, match="not positive semidefinite"):
-        dephase(np.array([[1.5, 0.2], [0.2, -0.5]]))
+        dephase(DensityMatrix(np.array([[1.5, 0.2], [0.2, -0.5]])))
 
 
-def test_dephase_validates_a_raw_matrix():
-    # a non-Hermitian array whose diagonal alone would pass
-    with pytest.raises(QentroError, match="entry part 5.0 is above 2.0"):
-        dephase(np.array([[0.5, 5.0], [0.0, 0.5]]))
+@pytest.mark.parametrize(
+    "state, kind",
+    [
+        (np.array([[0.5, 0.0], [0.0, 0.5]]), "ndarray"),
+        (PureState([0.6, 0.8]), "PureState"),
+    ],
+)
+def test_dephase_takes_only_a_density_matrix(state, kind):
+    with pytest.raises(TypeError, match=f"^expected DensityMatrix, got {kind}$"):
+        dephase(state)
 
 
 def test_ensemble_rejects_parts_of_the_wrong_type():

@@ -12,8 +12,8 @@ from qentro.zeno import (
     Hamiltonian,
     SteeringPlan,
     simulate_steering,
+    steering_rows,
     steering_success_probability,
-    steering_sweep_rows,
     zeno_survival,
 )
 from test_states import random_pure
@@ -386,9 +386,10 @@ def test_simulate_steering_agrees_with_collapse_machinery():
     assert abs(successes / trials - p) <= 3 * sigma
 
 
-def test_steering_sweep_rows_deterministic():
-    rows1 = steering_sweep_rows(range(1, 11), 2000, seed=9)
-    rows2 = steering_sweep_rows(range(1, 11), 2000, seed=9)
+def test_steering_rows_deterministic():
+    plans = [SteeringPlan.from_steps(n) for n in range(1, 11)]
+    rows1 = steering_rows(plans, 2000, seed=9)
+    rows2 = steering_rows(plans, 2000, seed=9)
     assert rows1 == rows2
     closed = [row["closed_form_prob"] for row in rows1]
     assert all(b > a for a, b in zip(closed, closed[1:]))
