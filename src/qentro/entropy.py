@@ -292,20 +292,23 @@ def bound_row(area_planck_units: float) -> dict:
 # lists of Python complex: a pair step touches two rows and two columns of
 # d entries each, too few to pay for a numpy call, and turns them in one
 # pass, the columns mirrored from the rows, as W stays exactly Hermitian.
-# From there on it runs the rounds of a round-robin tournament (the
-# parallel Jacobi ordering of Golub & Van Loan): each round is a set of
+# The pass leaves W's entries in the pair's own 2x2 block to the closed-form
+# close, which overwrites them; on the same machine as below, 40 Wishart
+# inputs per size, best of 7, searches took 0.94x the time of a pass over
+# all d entries at d2, 0.90x at d4 and 0.91-0.93x at d6-d7, bits unchanged.
+# From _ROUNDS_FROM_DIM on it runs the rounds of a round-robin tournament
+# (the parallel Jacobi ordering of Golub & Van Loan): each round is a set of
 # disjoint pairs, so one block rotation g turns them all with numpy, for
 # ~35 us of call overhead per round whatever its size; the tournament's
 # index tables depend on the dimension alone and are built once per
 # dimension (_schedule).  Per matrix on a shared 2-vCPU x86-64 VM
 # (OpenBLAS, one thread), Wishart inputs, best of 5, the two orders timed
 # in turn on 20 matrices, median, two runs, rounds (with their all-pairs
-# steps) over lists: d2 2.19x and 2.22x, d3 3.69x and 3.83x, d4 2.07x and
-# 2.19x, d5 1.96x and 2.00x, d6 1.07x and 1.12x, d7 0.93x and 0.92x, d8
-# 0.65x and 0.64x, d10 0.44x and 0.43x.  Rounds win from d7 on; the bound
-# stays at 8, as moving it changes the output at d7, which no benchmark
-# workload runs.  The host's speed swings by up to 1.5x from one run of
-# such a table to the next.
+# steps) over lists: d2 2.43x and 2.35x, d3 4.30x and 3.85x, d4 2.23x and
+# 2.10x, d5 2.21x and 1.86x, d6 1.37x and 1.28x, d7 1.09x and 0.92x, d8
+# 0.78x and 0.70x, d9 0.61x and 0.60x, d10 0.46x and 0.47x.  Rounds win
+# from d8 on and split d7; the bound stays at 8.  The host's speed swings
+# by up to 1.5x from one run of such a table to the next.
 #
 # On the round path, a sweep of d - 1 rounds costs ~20-35 us of numpy call
 # overhead per round, and a search on a full-rank input spends 3-4 sweeps
@@ -356,14 +359,16 @@ def _sweep_lists(work, u):
     by the angle theta of ``tan 2 theta = 2|b| / |a - d|``, taken as ``t =
     tan theta = 2|b| / (|a - d| + hypot(a - d, 2|b|))`` and ``c = 1 /
     sqrt(1 + t^2)``.  W is kept exactly Hermitian, so one pass per pair does
-    the pair step: for each k it turns ``work[p][k]``, ``work[q][k]`` and the
-    two rows of U, and writes ``work[k][p]`` and ``work[k][q]`` as the
-    conjugates of the new row entries, which are W's new columns.  The 2x2
-    block is then closed in closed form (the classical Jacobi update;
-    Rutishauser, Numer. Math. 9, 1, 1966), over what the pass wrote there:
-    with ``sgn`` the sign of ``a - d``, + on a tie, ``w_pp = a + sgn t |b|``,
-    ``w_qq = d - sgn t |b|`` and ``w_pq = w_qp = 0``.  The diagonal entries
-    are written as floats, so their imaginary parts are exactly 0."""
+    the pair step: for each k it turns the two rows of U, ``u[p][k]`` and
+    ``u[q][k]``, and for each k but p and q it turns ``work[p][k]`` and
+    ``work[q][k]`` and writes ``work[k][p]`` and ``work[k][q]`` as the
+    conjugates of the new row entries, which are W's new columns.  The
+    pair's own 2x2 block, which the pass leaves as it was, is then closed
+    in closed form (the classical Jacobi update; Rutishauser, Numer. Math.
+    9, 1, 1966): with ``sgn`` the sign of ``a - d``, + on a tie, ``w_pp =
+    a + sgn t |b|``, ``w_qq = d - sgn t |b|`` and ``w_pq = w_qp = 0``.  The
+    diagonal entries are written as floats, so their imaginary parts are
+    exactly 0."""
     dim = len(work)
     for p in range(dim):
         row_p, u_p = work[p], u[p]
@@ -381,13 +386,16 @@ def _sweep_lists(work, u):
             g_pq = math.copysign(t * c, shift) * scaled / abs(scaled)
             g_qp = -g_pq.conjugate()
             for k, row in enumerate(work):
+                x, y = u_p[k], u_q[k]
+                u_p[k] = c * x + g_pq * y
+                u_q[k] = g_qp * x + c * y
+                # the close below writes the pair's own 2x2 block, and no other k reads it
+                if k == p or k == q:
+                    continue
                 x, y = row_p[k], row_q[k]
                 row_p[k] = new_p = c * x + g_pq * y
                 row_q[k] = new_q = g_qp * x + c * y
                 row[p], row[q] = new_p.conjugate(), new_q.conjugate()
-                x, y = u_p[k], u_q[k]
-                u_p[k] = c * x + g_pq * y
-                u_q[k] = g_qp * x + c * y
             row_p[p], row_q[q] = a + shift, d - shift
             row_p[q] = row_q[p] = 0.0
     return [row[k].real for k, row in enumerate(work)]

@@ -26,12 +26,25 @@ RESIDUAL_WARN = 1e-4  # residual over the von Neumann entropy that the CLI warns
 PART_LIMIT = 2.0  # real or imaginary part above which an amplitude or a state, operator or unitary entry is rejected
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a square complex ndarray, rejecting NaN/Inf entries.
+def as_array(x, name: str, dtype=complex, copy: bool | None = True) -> np.ndarray:
+    """``np.array(x, dtype=dtype, copy=copy)``, raising a QentroError that
+    names the input as ``name`` where numpy raises ValueError, TypeError or
+    OverflowError: a ragged nesting, a string, a complex number read as a
+    real one, or an int beyond the float range."""
+    try:
+        return np.array(x, dtype=dtype, copy=copy)
+    except (ValueError, TypeError, OverflowError):
+        kind = "real" if dtype is float else "complex"
+        raise QentroError(f"{name} must hold {kind} numbers of the right shape") from None
+
+
+def as_matrix(m, name: str) -> np.ndarray:
+    """Coerce ``m`` to a square complex ndarray, rejecting NaN/Inf entries;
+    ``name`` names the input in the error of ``as_array``.
 
     Returns a new array; the input is never aliased.
     """
-    a = np.array(m, dtype=complex)
+    a = as_array(m, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise QentroError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -42,7 +55,7 @@ def as_matrix(m) -> np.ndarray:
 def as_vector(v, name: str, dtype=float) -> np.ndarray:
     """Coerce ``v`` to a new 1-D ndarray of ``dtype``, rejecting any other
     shape; ``name`` names the input in the error."""
-    a = np.array(v, dtype=dtype)
+    a = as_array(v, name, dtype)
     if a.ndim != 1:
         raise QentroError(f"{name} must be a vector, got shape {a.shape}")
     return a
@@ -63,7 +76,7 @@ def max_part(a: np.ndarray) -> float:
 
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``max |a†a - I| <= tol``."""
-    m = as_matrix(a)
+    m = as_matrix(a, "unitary")
     # a part above PART_LIMIT, which no unitary has, is rejected before the product
     if max_part(m) > PART_LIMIT:
         return False

@@ -89,7 +89,7 @@ class DensityMatrix:
     """
 
     def __init__(self, matrix):
-        m = linalg.as_matrix(matrix)
+        m = linalg.as_matrix(matrix, "density matrix")
         # no entry of a positive semidefinite matrix of unit trace is above 1 in
         # modulus; a larger part is turned away before the sums below can overflow
         largest = linalg.max_part(m)
@@ -184,7 +184,7 @@ class MeasurementSet:
     """
 
     def __init__(self, operators):
-        ops = [linalg.as_matrix(op) for op in operators]
+        ops = [linalg.as_matrix(op, "measurement operator") for op in operators]
         if not ops:
             raise QentroError("measurement set is empty")
         dim = ops[0].shape[0]
@@ -240,7 +240,7 @@ def evolve_unitary(state, u):
     """Apply a unitary (within ``linalg.LOOSE_TOL``): ``U|phi>`` for pure states,
     ``U rho U†`` for density matrices.  Returns the same kind as the input."""
     # a nested list is parsed once, here; is_unitary copies the array
-    u = np.asarray(u, dtype=complex)
+    u = linalg.as_array(u, "unitary", copy=None)
     if not linalg.is_unitary(u, LOOSE_TOL):
         raise QentroError("matrix is not unitary within tolerance")
     if not isinstance(state, (PureState, DensityMatrix)):

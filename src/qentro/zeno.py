@@ -29,7 +29,7 @@ class Hamiltonian:
     def __init__(self, matrix):
         # halved before the difference and the sum below, which then cannot
         # overflow; halving is exact for entries in the normal float range
-        half = linalg.as_matrix(matrix) / 2
+        half = linalg.as_matrix(matrix, "Hamiltonian") / 2
         if linalg.max_abs(half - half.conj().T) > DEFAULT_TOL / 2:
             raise QentroError(f"Hamiltonian must be Hermitian within {DEFAULT_TOL}")
         m = half + half.conj().T

@@ -79,6 +79,11 @@ def test_shannon_reads_only_a_vector():
         shannon(np.eye(2) / 2)
     with pytest.raises(QentroError, match=r"^probabilities must be a vector, got shape \(\)$"):
         shannon(1.0)
+    # ragged, strings, complex, an int beyond the float range: numpy's own
+    # ValueError, TypeError and OverflowError once escaped here
+    for probs in ([[0.5], [0.5, 0.1]], ["a", "b"], [1 + 1j, 0], [10**400, 0]):
+        with pytest.raises(QentroError, match=r"^probabilities must hold real numbers of the right shape$"):
+            shannon(probs)
 
 
 def test_shannon_permutation_invariant_and_uniform_maximal():
@@ -575,16 +580,60 @@ def test_list_sweeps_keep_a_subnormal_phase_unitary(dim, entry):
     assert abs(report.residual_vs_von_neumann) <= 1e-12
 
 
+def _full_row_sweep(work, u):
+    # the list sweep as it was before its pass skipped the pair's 2x2 block:
+    # every k turns W's two rows and columns, and the close overwrites the block
+    dim = len(work)
+    for p in range(dim):
+        row_p, u_p = work[p], u[p]
+        for q in range(p + 1, dim):
+            b = row_p[q]
+            if b == 0:
+                continue
+            row_q, u_q = work[q], u[q]
+            a, d = row_p[p].real, row_q[q].real
+            mod = abs(b)
+            t = 2.0 * mod / (abs(a - d) + math.hypot(a - d, 2.0 * mod))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            shift = t * mod if a >= d else -t * mod
+            scaled = b * entropy._SCALE
+            g_pq = math.copysign(t * c, shift) * scaled / abs(scaled)
+            g_qp = -g_pq.conjugate()
+            for k, row in enumerate(work):
+                x, y = row_p[k], row_q[k]
+                row_p[k] = new_p = c * x + g_pq * y
+                row_q[k] = new_q = g_qp * x + c * y
+                row[p], row[q] = new_p.conjugate(), new_q.conjugate()
+                x, y = u_p[k], u_q[k]
+                u_p[k] = c * x + g_pq * y
+                u_q[k] = g_qp * x + c * y
+            row_p[p], row_q[q] = a + shift, d - shift
+            row_p[q] = row_q[p] = 0.0
+    return [row[k].real for k, row in enumerate(work)]
+
+
+def _entry_bits(rows):
+    # type, and both parts to the bit, of every entry: -0.0 is not 0.0 here
+    return [(type(z), z.real.hex(), z.imag.hex()) for row in rows for z in row]
+
+
 @pytest.mark.parametrize("dim", range(2, 8))
 def test_list_sweeps_keep_the_working_matrix_exactly_hermitian(monkeypatch, dim):
     # the list form of the certificate reads only the upper triangle, so
-    # every sweep must leave W Hermitian to the bit, its diagonal real; the
-    # inputs are Wishart, of every lower rank down to pure, and, from d6 on,
-    # I/d with one subnormal coherence
+    # every sweep must leave W Hermitian to the bit, its diagonal real; and
+    # each sweep must leave W, U and the diagonal bit for bit as the sweep
+    # over all d entries of the two rows does.  The inputs are Wishart, of
+    # every lower rank down to pure, and, from d6 on, I/d with one subnormal
+    # coherence
     sweep, sweeps = entropy._sweep_lists, []
 
     def checked(work, u):
+        reference_work, reference_u = [row[:] for row in work], [row[:] for row in u]
+        reference_diagonal = _full_row_sweep(reference_work, reference_u)
         diagonal = sweep(work, u)
+        assert _entry_bits(work) == _entry_bits(reference_work)
+        assert _entry_bits(u) == _entry_bits(reference_u)
+        assert _entry_bits([diagonal]) == _entry_bits([reference_diagonal])
         for p, row in enumerate(work):
             assert row[p].imag == 0.0
             assert row[p].real == diagonal[p]

@@ -42,7 +42,7 @@ def test_as_matrix_rejects_non_finite_entries_as_domain_error():
         m = np.eye(2, dtype=complex)
         m[0, 1] = bad
         with pytest.raises(QentroError, match="matrix entries must be finite"):
-            as_matrix(m)
+            as_matrix(m, "matrix")
 
 
 def _deviation(a):

@@ -265,6 +265,10 @@ def test_evolve_unitary_errors():
             "state dim 2 != measurement dim 3",
         ),
         (lambda: DensityMatrix(np.ones((2, 3))), QentroError, r"expected a square matrix, got shape \(2, 3\)"),
+        # numpy's own ValueError once escaped these three
+        (lambda: DensityMatrix([[1, 0], [0]]), QentroError, "^density matrix must hold complex numbers of the right shape$"),
+        (lambda: DensityMatrix([["a", "b"], ["c", "d"]]), QentroError, "^density matrix must hold complex numbers"),
+        (lambda: evolve_unitary(ZERO, "x"), QentroError, "^unitary must hold complex numbers of the right shape$"),
         (lambda: PureState(np.ones((2, 3)) / math.sqrt(6)), QentroError, r"amplitudes must be a vector, got shape \(2, 3\)"),
         # parts above PART_LIMIT are turned away before the products overflow
         (
@@ -291,6 +295,9 @@ def test_evolve_unitary_errors():
         "evolve-non-state",
         "collapse-dims",
         "non-square",
+        "ragged-density",
+        "string-density",
+        "string-unitary",
         "pure-not-a-vector",
         "measurement-near-limit",
         "evolve-near-limit",
